@@ -131,7 +131,7 @@ def cmd_train(args) -> int:
     info = model.train_info
     print(
         f"wrote {path} (converged={info['converged']}, epochs={info['epochs']},"
-        f" objective={info['objective']!r})"
+        f" objective={info['objective']!r}, grad_norm={info['grad_norm']!r})"
     )
     return 0
 

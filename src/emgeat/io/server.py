@@ -6,6 +6,7 @@ identical client transcripts produce byte-identical server transcripts. Two
 concurrent sessions share nothing but the (read-only) model.
 """
 
+import math
 import socketserver
 import threading
 from dataclasses import dataclass, field
@@ -29,6 +30,13 @@ class ServerConfig:
     stream: StreamConfig = field(default_factory=StreamConfig)
 
 
+def _positive_float(fields, name: str) -> float:
+    value = protocol.parse_float("hello", fields, name)
+    if not (math.isfinite(value) and value > 0):
+        raise protocol.ProtocolError(f"hello {name} must be positive and finite")
+    return value
+
+
 class _Session:
     """State machine for one connection."""
 
@@ -46,11 +54,9 @@ class _Session:
         protocol.require_fields(
             "hello", fields, ["participant", "sample_rate", "ref", "mu0", "delta0"]
         )
-        sample_rate = protocol.parse_float("hello", fields, "sample_rate")
-        if sample_rate <= 0:
-            raise protocol.ProtocolError("hello sample_rate must be positive")
+        sample_rate = _positive_float(fields, "sample_rate")
         profile = CalibrationProfile(
-            reference_amplitude=protocol.parse_float("hello", fields, "ref"),
+            reference_amplitude=_positive_float(fields, "ref"),
             mu0=protocol.parse_float("hello", fields, "mu0"),
             delta0=protocol.parse_float("hello", fields, "delta0"),
             sample_rate=sample_rate,
@@ -59,7 +65,7 @@ class _Session:
         )
         self.engine = StreamEngine(self.model, profile, self.config.stream)
         r_ref = (
-            protocol.parse_float("hello", fields, "r_ref")
+            _positive_float(fields, "r_ref")
             if "r_ref" in fields
             else self.config.reference_rate_hz
         )
@@ -71,6 +77,20 @@ class _Session:
         values = protocol.parse_values("samples", fields)
         if not values:
             raise protocol.ProtocolError("samples frame carries no values")
+        n = protocol.parse_int("samples", fields, "n")
+        if n != len(values):
+            raise protocol.ProtocolError(
+                f"samples frame field n is {n} but {len(values)} values follow"
+            )
+        if not math.isfinite(sum(values)):
+            # One sum per frame; the scan only runs to name the culprit.
+            # Rejecting here keeps nan/inf out of the engine's filter state.
+            bad = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
+            raise protocol.ProtocolError(
+                f"samples value {values[bad]!r} at index {bad} is not finite"
+                if bad is not None
+                else "samples values overflow when summed"
+            )
         if t_us <= self.last_t_us:
             raise protocol.ProtocolError(
                 f"samples timestamp {t_us} does not advance past {self.last_t_us}"

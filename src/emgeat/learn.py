@@ -4,12 +4,15 @@ The model minimizes
 
     F(w, b) = 0.5 * ||w||^2 + C * sum_i cw(y_i) * max(0, 1 - y_i (w.x_i + b))^2
 
-by deterministic full-batch gradient descent with backtracking (the step is
-halved whenever a proposal fails to decrease the objective, so F is
-non-increasing over accepted epochs). The squared hinge keeps the objective
-differentiable; per-class weights cw compensate for label imbalance.
-Features are standardized per column and the standardization is stored on
-the model so prediction is self-contained.
+by a finite Newton method (Keerthi & DeCoste, JMLR 6, 2005): the squared
+hinge makes F piecewise quadratic, so each iteration solves one linear system
+in the generalized Hessian over the rows inside the margin and backtracks
+along that direction until the Armijo condition holds. Every accepted step
+decreases F, and the iterate is exact once the active set stops changing, so
+a fit takes a handful of iterations. The bias is not regularized; per-class
+weights cw compensate for label imbalance. Features are standardized per
+column and the standardization is stored on the model so prediction is
+self-contained.
 """
 
 import itertools
@@ -26,12 +29,15 @@ DEFAULT_C = 5.0
 # standardizing with this floor instead of dividing by zero.
 _SCALE_FLOOR = 1e-12
 
+# Sufficient-decrease fraction of the Armijo line search.
+_ARMIJO = 1e-4
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     c: float = DEFAULT_C
     class_weights: dict = None  # label -> weight; None derives from the data
-    max_epochs: int = 2000
+    max_epochs: int = 2000  # cap on Newton iterations
     tol: float = 1e-10  # relative objective improvement considered converged
     seed: int = 0
 
@@ -126,7 +132,9 @@ def train_linear_svm(
 ) -> LinearModel:
     """Fit the weighted squared-hinge linear classifier.
 
-    Deterministic: zero initialization, full-batch descent, no randomness.
+    Deterministic: zero initialization, full-batch Newton steps, no
+    randomness. ``train_info["epochs"]`` counts Newton iterations and
+    ``grad_norm`` is the final ||grad F||.
     """
     X = _check_features(X, feature_names)
     labels = np.asarray(labels)
@@ -151,35 +159,48 @@ def train_linear_svm(
     scale[scale < _SCALE_FLOOR] = 1.0
     Z = (X - mean) / scale
 
-    w = np.zeros(X.shape[1])
+    d = X.shape[1]
+    Z1 = np.hstack([Z, np.ones((Z.shape[0], 1))])  # bias as a last column
+    ridge = np.eye(d + 1)
+    ridge[d, d] = 0.0  # the bias is not regularized
+    w = np.zeros(d)
     b = 0.0
-    eta = 1.0
-    f_old = _objective(Z, y, sw, config.c, w, b)
-    history = [float(f_old)]
+    f = _objective(Z, y, sw, config.c, w, b)
+    history = [float(f)]
     converged = False
     epoch = 0
     for epoch in range(1, config.max_epochs + 1):
         grad_w, grad_b = _gradient(Z, y, sw, config.c, w, b)
-        accepted = False
+        grad = np.append(grad_w, grad_b)
+        active = y * (Z @ w + b) < 1.0
+        rows = Z1[active]
+        # Positive definite: every iterate keeps a row inside the margin (a
+        # step toward the quadratic model's minimizer cannot satisfy all of
+        # its active rows while both classes are present), so the bias entry
+        # is positive.
+        hess = ridge + 2.0 * config.c * (rows.T * sw[active]) @ rows
+        step = np.linalg.solve(hess, -grad)
+        slope = float(grad @ step)  # -slope is the squared Newton decrement
+        # The quadratic model predicts an improvement of -slope / 2; below
+        # tol this is the last step, taken so the result sits on the optimum.
+        last = -0.5 * slope <= config.tol * max(1.0, f)
+        t = 1.0
         for _ in range(60):
-            w_new = w - eta * grad_w
-            b_new = b - eta * grad_b
+            w_new = w + t * step[:d]
+            b_new = b + t * float(step[d])
             f_new = _objective(Z, y, sw, config.c, w_new, b_new)
-            if f_new <= f_old:
-                accepted = True
+            if f_new <= f + _ARMIJO * t * slope:
                 break
-            eta *= 0.5
-        if not accepted:
-            converged = True  # no descent step exists at float resolution
+            t *= 0.5
+        else:
+            converged = last  # no decrease left at float resolution
             break
-        w, b = w_new, b_new
-        improvement = f_old - f_new
-        f_old = f_new
-        history.append(float(f_new))
-        eta *= 1.25
-        if improvement <= config.tol * max(1.0, f_new):
+        w, b, f = w_new, b_new, f_new
+        history.append(float(f))
+        if last:
             converged = True
             break
+    grad_w, grad_b = _gradient(Z, y, sw, config.c, w, b)
 
     return LinearModel(
         feature_names=tuple(feature_names),
@@ -191,7 +212,8 @@ def train_linear_svm(
         train_info={
             "converged": converged,
             "epochs": epoch,
-            "objective": float(f_old),
+            "objective": float(f),
+            "grad_norm": float(np.sqrt(grad_w @ grad_w + grad_b**2)),
             "objective_history": history,
             "c": config.c,
             "class_weights": {k: float(v) for k, v in weights_by_class.items()},

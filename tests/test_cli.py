@@ -163,7 +163,7 @@ class TestTrainAndEval:
             capsys,
         )
         assert rc == 0
-        assert "converged=" in out and "epochs=" in out
+        assert "converged=True" in out and "epochs=" in out and "grad_norm=" in out
         model = io.load_model(model_path)
         assert model.positive_label == "C"
         assert len(model.feature_names) == 36

@@ -481,6 +481,80 @@ class TestServerErrors:
         kind, fields = io.parse_frame(replies[2])
         assert kind == "bye" and fields["events"] == "0"
 
+    @pytest.mark.parametrize(
+        "value, detail",
+        [
+            ("nan", "nan_at_index_5_is_not_finite"),
+            ("inf", "inf_at_index_5_is_not_finite"),
+            ("-inf", "-inf_at_index_5_is_not_finite"),
+            ("1e308,1e308", "overflow"),
+        ],
+    )
+    def test_nonfinite_samples_are_protocol_errors(self, server, value, detail):
+        hello = "hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02"
+        good = ",".join(["0.5"] * 128)
+        inserted = value.split(",")
+        bad = ",".join(["0.5"] * 5 + inserted + ["0.5"] * (123 - len(inserted)))
+        frames = [
+            hello,
+            f"samples t_us=0 n=128 v={good}",
+            f"samples t_us=125000 n=128 v={good}",
+            f"samples t_us=250000 n=128 v={bad}",
+        ]
+        replies = raw_exchange(server.port, frames)
+        assert replies[0].startswith("hello")
+        kind, fields = io.parse_frame(replies[-1])
+        assert kind == "error" and fields["reason"] == "protocol"
+        assert detail in fields["detail"]
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ref", "0.0"),
+            ("ref", "-1.0"),
+            ("ref", "nan"),
+            ("ref", "inf"),
+            ("sample_rate", "0.0"),
+            ("sample_rate", "nan"),
+            ("sample_rate", "inf"),
+            ("r_ref", "0.0"),
+            ("r_ref", "nan"),
+        ],
+    )
+    def test_bad_hello_values_are_protocol_errors(self, server, field, value):
+        hello = {
+            "participant": "P",
+            "sample_rate": "1024.0",
+            "ref": "1.0",
+            "mu0": "0.1",
+            "delta0": "0.02",
+            field: value,
+        }
+        line = " ".join(["hello"] + [f"{k}={v}" for k, v in hello.items()])
+        replies = raw_exchange(server.port, [line])
+        assert len(replies) == 1
+        kind, fields = io.parse_frame(replies[0])
+        assert kind == "error" and fields["reason"] == "protocol"
+        assert fields["detail"] == f"hello_{field}_must_be_positive_and_finite"
+
+    @pytest.mark.parametrize(
+        "n_field, detail",
+        [
+            ("n=5", "field_n_is_5_but_128_values_follow"),
+            ("n=129", "field_n_is_129_but_128_values_follow"),
+            ("n=128.0", "not_an_integer"),
+            ("", "missing_field_'n'"),
+        ],
+    )
+    def test_sample_count_must_match_values(self, server, n_field, detail):
+        hello = "hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02"
+        values = ",".join(["0.5"] * 128)
+        frame = " ".join(p for p in ["samples t_us=0", n_field, f"v={values}"] if p)
+        replies = raw_exchange(server.port, [hello, frame])
+        kind, fields = io.parse_frame(replies[-1])
+        assert kind == "error" and fields["reason"] == "protocol"
+        assert detail in fields["detail"]
+
     def test_mismatched_model_reported_as_server_error(self, profile, tmp_path):
         # A server accidentally loaded with an offline-featured model must
         # reply with a server error frame instead of dropping the connection.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emgeat.features import FeatureMatrix
 from emgeat.learn import (
@@ -144,6 +145,57 @@ class TestTraining:
         X, y = make_blobs()
         with pytest.raises(ValueError, match="absent"):
             train_linear_svm(X, y, ("f1", "f2"), "S")
+
+    def test_realtime_training_set_converges(self, rt_model):
+        info = rt_model.train_info
+        assert info["converged"] is True
+        assert info["epochs"] <= 50
+        assert info["grad_norm"] <= 1e-6 * max(1.0, info["objective"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 80),
+        d=st.integers(1, 6),
+        c=st.floats(1e-3, 1e3),
+        weights=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    )
+    def test_weighted_nonseparable_property(self, seed, n, d, c, weights):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d)) * rng.uniform(0.01, 100.0, d)
+        y = np.where(rng.uniform(size=n) > 0.5, "C", "NA").astype(object)
+        y[:2] = ["C", "NA"]
+        # The same point under both labels makes the data non-separable.
+        X = np.vstack([X, X[:1]])
+        y = np.append(y, "NA" if y[0] == "C" else "C")
+        config = TrainConfig(c=c, class_weights={"C": weights[0], "NA": weights[1]})
+        info = train_linear_svm(
+            X, y, tuple(f"f{i}" for i in range(d)), "C", config
+        ).train_info
+        h = info["objective_history"]
+        assert all(b <= a for a, b in zip(h, h[1:]))
+        assert info["converged"] is True
+        assert info["grad_norm"] <= 1e-6 * max(1.0, info["objective"])
+
+    def test_iteration_cap_still_returns_model(self):
+        X, y = make_blobs(gap=0.35, sd=1.0, seed=4)
+        model = train_linear_svm(X, y, ("f1", "f2"), "C", TrainConfig(max_epochs=1))
+        assert model.train_info["converged"] is False
+        assert model.train_info["epochs"] == 1
+        assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
+        assert predict(model, X).shape == y.shape
+
+    @pytest.mark.parametrize("layout", ["constant", "duplicated"])
+    def test_degenerate_columns_converge(self, layout):
+        X, y = make_blobs(gap=0.35, sd=1.0, seed=6)
+        if layout == "constant":
+            X = np.column_stack([X, np.full(len(y), 3.0)])  # takes the scale floor
+        else:
+            X = np.column_stack([X, X, X[:, :1]])
+        names = tuple(f"f{i}" for i in range(X.shape[1]))
+        info = train_linear_svm(X, y, names, "C").train_info
+        assert info["converged"] is True
+        assert info["grad_norm"] <= 1e-6 * max(1.0, info["objective"])
 
     def test_nonfinite_feature_rejected(self):
         X, y = make_blobs()

@@ -5,6 +5,11 @@ on the raw (untapered) segment; spectral features come from the periodogram
 of the Hamming-tapered segment. Two burst-context features (cycle duration,
 cycles per sequence) are filled in by the matrix builder from detected
 bursts that intersect the window.
+
+The periodogram and the features the streaming path shares (mav, iemg,
+variance, rms, sd, peak_amp, mean_freq, mean_power) reduce along the last
+axis: given one segment they return a float, given an (n, length) stack of
+segments one value per row, each equal to that segment's own value.
 """
 
 from dataclasses import dataclass, replace
@@ -82,7 +87,7 @@ def hamming_window(n: int) -> np.ndarray:
 
 
 def periodogram(segment: np.ndarray, rate: float, taper: bool = True):
-    """One-sided periodogram. Returns (freqs_hz, power).
+    """One-sided periodogram along the last axis. Returns (freqs_hz, power).
 
     Power convention is |X_j|^2 / n over the (optionally tapered) segment;
     spectral features below only depend on bin ratios plus this fixed scale.
@@ -90,12 +95,18 @@ def periodogram(segment: np.ndarray, rate: float, taper: bool = True):
     x = np.asarray(segment, dtype=float)
     if x.size == 0:
         raise ValueError("empty segment")
+    n = x.shape[-1]
     if taper:
-        x = x * hamming_window(x.size)
+        x = x * hamming_window(n)
     spectrum = np.fft.rfft(x)
-    power = (spectrum.real**2 + spectrum.imag**2) / x.size
-    freqs = np.fft.rfftfreq(x.size, d=1.0 / rate)
+    power = (spectrum.real**2 + spectrum.imag**2) / n
+    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
     return freqs, power
+
+
+def _value(v):
+    """A float for one segment, the per-row array for a stack of segments."""
+    return float(v) if v.ndim == 0 else v
 
 
 # --- time-domain features -------------------------------------------------
@@ -103,30 +114,30 @@ def periodogram(segment: np.ndarray, rate: float, taper: bool = True):
 
 def mav(x):
     """Mean absolute value."""
-    return float(np.mean(np.abs(x)))
+    return _value(np.abs(x).mean(axis=-1))
 
 
 def iemg(x):
     """Integrated EMG: sum of absolute values."""
-    return float(np.sum(np.abs(x)))
+    return _value(np.abs(x).sum(axis=-1))
 
 
 def variance(x):
     """Sample variance (N-1 denominator); 0 for a single sample."""
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        return 0.0
-    return float(x.var(ddof=1))
+    if x.shape[-1] < 2:
+        return _value(np.zeros(x.shape[:-1]))
+    return _value(x.var(ddof=1, axis=-1))
 
 
 def rms(x):
     """Root mean square."""
-    return float(np.sqrt(np.mean(np.square(x))))
+    return _value(np.sqrt(np.square(x).mean(axis=-1)))
 
 
 def sd(x):
     """Sample standard deviation, sqrt of variance."""
-    return float(np.sqrt(variance(x)))
+    return _value(np.sqrt(variance(x)))
 
 
 def waveform_length(x):
@@ -136,7 +147,7 @@ def waveform_length(x):
 
 def peak_amp(x):
     """Largest absolute amplitude in the segment."""
-    return float(np.max(np.abs(x)))
+    return _value(np.abs(x).max(axis=-1))
 
 
 def myop(x, thr: float):
@@ -186,15 +197,15 @@ def t50(x):
 
 def mean_freq(freqs, power):
     """Mean frequency: power-weighted average of the bin frequencies."""
-    total = float(np.sum(power))
-    if total == 0:
-        return 0.0
-    return float(np.sum(freqs * power) / total)
+    total = np.asarray(power).sum(axis=-1)
+    weighted = (freqs * power).sum(axis=-1)
+    zero = np.zeros(total.shape)
+    return _value(np.divide(weighted, total, out=zero, where=total != 0))
 
 
 def mean_power(power):
     """Average periodogram power over the one-sided bins."""
-    return float(np.mean(power))
+    return _value(np.asarray(power).mean(axis=-1))
 
 
 def median_freq_index(power) -> int:

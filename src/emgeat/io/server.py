@@ -7,6 +7,7 @@ concurrent sessions share nothing but the (read-only) model.
 """
 
 import math
+import re
 import socketserver
 import threading
 from dataclasses import dataclass, field
@@ -15,6 +16,7 @@ from pathlib import Path
 from ..feedback import FeedbackLevel, RateNormalizer, map_level, normalize_rate
 from ..learn import LinearModel
 from ..realtime import CalibrationProfile, StreamConfig, StreamEngine
+from ..signal import FilterSpec
 from . import protocol
 from .datasets import format_event_line
 
@@ -55,6 +57,10 @@ class _Session:
             "hello", fields, ["participant", "sample_rate", "ref", "mu0", "delta0"]
         )
         sample_rate = _positive_float(fields, "sample_rate")
+        try:
+            FilterSpec(sample_rate=sample_rate)  # the band-pass must fit the rate
+        except ValueError as exc:
+            raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
         profile = CalibrationProfile(
             reference_amplitude=_positive_float(fields, "ref"),
             mu0=protocol.parse_float("hello", fields, "mu0"),
@@ -168,14 +174,10 @@ class _Handler(socketserver.StreamRequestHandler):
                 reason = (
                     "protocol" if isinstance(exc, protocol.ProtocolError) else "server"
                 )
-                self._send(
-                    [
-                        protocol.format_frame(
-                            "error",
-                            {"reason": reason, "detail": str(exc).replace(" ", "_")},
-                        )
-                    ]
-                )
+                # A detail must stay one field: no whitespace, no "=".
+                detail = re.sub(r"[\s=]", "_", str(exc))
+                error = {"reason": reason, "detail": detail}
+                self._send([protocol.format_frame("error", error)])
                 return
             self._send(replies)
 

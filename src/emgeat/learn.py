@@ -226,7 +226,9 @@ def decision_values(model: LinearModel, X) -> np.ndarray:
     if X.shape[1] != model.weights.size:
         raise ValueError("feature count does not match the model")
     Z = (X - model.mean) / model.scale
-    return Z @ model.weights + model.bias
+    # A per-row sum, not Z @ w: a row's value must not depend on how many
+    # rows share the call, so the engine's batches agree with predict().
+    return (Z * model.weights).sum(axis=1) + model.bias
 
 
 def predict(model: LinearModel, X) -> np.ndarray:

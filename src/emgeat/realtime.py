@@ -6,6 +6,12 @@ against a calibration reference recorded beforehand. Short overlapping
 segments are classified by the linear model, smoothed by a majority vote
 over the trailing predictions, and positive runs become chew events.
 
+Training and serving share one conditioning path (band-pass with carried
+filter state, rectify, block-mean decimation with a carried ragged tail),
+one feature kernel over a stack of segments, one vote step and one run
+assembler: rt_training_set runs them once over a recording, StreamEngine.push
+once per chunk, classifying every segment the chunk makes ready in one pass.
+
 Timing uses the sample clock throughout, never the wall clock, so replaying
 a stream reproduces the event log exactly regardless of pacing.
 """
@@ -13,6 +19,7 @@ a stream reproduces the event log exactly regardless of pacing.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import sosfilt
 
 from . import features as _features
@@ -114,6 +121,39 @@ def calibrate(
     )
 
 
+def _segment_geometry(config: StreamConfig, effective_rate: float):
+    """Samples per segment and per hop at the decimated rate."""
+    n_segment = int(config.segment_s * effective_rate)
+    n_hop = int(config.hop_s * effective_rate)
+    if n_segment < 1 or n_hop < 1:
+        raise ValueError("segment or hop too short for the effective rate")
+    return n_segment, n_hop
+
+
+def _segment_times(starts, n_segment: int, effective_rate: float):
+    """Start and end seconds of the segments at envelope indices `starts`."""
+    return starts / effective_rate, (starts + n_segment) / effective_rate
+
+
+def _condition(sos, factor: int, samples: np.ndarray, zi, carry: np.ndarray):
+    """Band-pass, rectify and block-mean decimate one chunk of raw samples.
+
+    Filter state `zi` (None when fresh) and the rectified samples short of a
+    full block (`carry`) pass from chunk to chunk, so every chunking of a
+    stream gives the same envelope. Returns (envelope, zi, carry).
+    """
+    finite = np.isfinite(samples)
+    if not finite.all():
+        raise ValueError(f"non-finite sample at index {int(np.argmin(finite))}")
+    if zi is None:
+        zi = np.zeros((sos.shape[0], 2))
+    filtered, zi = sosfilt(sos, samples, zi=zi)
+    buf = np.concatenate([carry, _signal.rectify(filtered)])
+    n_full = buf.size // factor
+    envelope = buf[: n_full * factor].reshape(n_full, factor).mean(axis=1)
+    return envelope, zi, buf[n_full * factor :]
+
+
 def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     """Seven features of one envelope segment, ordered as RT_FEATURE_NAMES.
 
@@ -121,22 +161,17 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     every amplitude feature by 1/reference; spectral shape is unaffected. On
     the non-negative envelope the "mean" entry equals the mean absolute
     value, so each entry matches its offline counterpart on the same input.
+    An (n, length) stack of segments gives an (n, 7) array whose rows equal
+    the features of each segment alone.
     """
     x = np.asarray(segment, dtype=float) / profile.reference_amplitude
     if x.size == 0:
         raise ValueError("empty segment")
     freqs, power = _features.periodogram(x, profile.effective_rate, taper=True)
-    return np.array(
-        [
-            _features.mav(x),
-            _features.sd(x),
-            _features.peak_amp(x),
-            _features.rms(x),
-            _features.iemg(x),
-            _features.mean_freq(freqs, power),
-            _features.mean_power(power),
-        ]
-    )
+    f = _features
+    columns = [f.mav(x), f.sd(x), f.peak_amp(x), f.rms(x), f.iemg(x)]
+    columns += [f.mean_freq(freqs, power), f.mean_power(power)]
+    return np.stack(columns, axis=-1)
 
 
 def vote_filter(predictions, window: int = 8) -> np.ndarray:
@@ -146,45 +181,56 @@ def vote_filter(predictions, window: int = 8) -> np.ndarray:
     as negative, and early positions use however many predictions exist.
     """
     predictions = np.asarray(predictions, dtype=bool)
-    out = np.empty(predictions.size, dtype=bool)
-    for t in range(predictions.size):
-        lo = max(0, t - window + 1)
-        votes = predictions[lo : t + 1]
-        out[t] = np.sum(votes) * 2 > votes.size
-    return out
+    positives = np.concatenate([[0], np.cumsum(predictions)])
+    end = np.arange(1, predictions.size + 1)
+    begin = np.maximum(0, end - window)
+    return (positives[end] - positives[begin]) * 2 > end - begin
 
 
-def assemble_events(
-    votes, segment_s: float, hop_s: float, t0: float = 0.0
-) -> list:
+def _assemble(st, votes, starts_s, ends_s) -> list:
+    """Feed votes into the open run of `st`; return the events closed.
+
+    A maximal run of positive votes spans from its first segment's start to
+    its last segment's end.
+    """
+    closed = []
+    for vote, start_s, end_s in zip(votes, starts_s, ends_s):
+        if vote:
+            if st.run_start_s is None:
+                st.run_start_s = start_s
+            st.last_positive_end_s = end_s
+        else:
+            closed += _close_run(st)
+    return closed
+
+
+def _close_run(st) -> list:
+    """Log the open run, if any, as an event whose onset is clamped to the
+    previous termination, so overlapping segments give a disjoint log."""
+    if st.run_start_s is None:
+        return []
+    onset = st.run_start_s
+    if st.events and st.events[-1].termination_s > onset:
+        onset = st.events[-1].termination_s
+    event = ChewEvent(onset_s=onset, termination_s=st.last_positive_end_s)
+    st.events.append(event)
+    st.run_start_s = st.last_positive_end_s = None
+    return [event]
+
+
+def assemble_events(votes, segment_s: float, hop_s: float, t0: float = 0.0) -> list:
     """Turn the smoothed prediction stream into chew events.
 
-    A maximal run of positive votes becomes one event spanning from the
-    first positive segment's start to the last positive segment's end. When
-    overlapping segments would make an event start before the previous one
-    finished, the onset is clamped to the previous termination so the log
-    stays non-overlapping.
+    Vote k covers [t0 + k*hop_s, t0 + k*hop_s + segment_s). Runs are
+    assembled exactly as the engine does, and a run still open after the
+    last vote is closed there, as StreamEngine.finalize does.
     """
     votes = np.asarray(votes, dtype=bool)
-    events = []
-    run_start = None
-    for k, v in enumerate(votes):
-        if v and run_start is None:
-            run_start = k
-        elif not v and run_start is not None:
-            events.append((run_start, k - 1))
-            run_start = None
-    if run_start is not None:
-        events.append((run_start, votes.size - 1))
-
-    out = []
-    prev_term = -np.inf
-    for first, last in events:
-        onset = max(t0 + first * hop_s, prev_term)
-        term = t0 + last * hop_s + segment_s
-        out.append(ChewEvent(onset_s=onset, termination_s=term))
-        prev_term = term
-    return out
+    st = StreamState()
+    starts = t0 + np.arange(votes.size) * hop_s
+    _assemble(st, votes, starts.tolist(), (starts + segment_s).tolist())
+    _close_run(st)
+    return st.events
 
 
 def live_rate(events, t: float, window_s: float = 5.0) -> float:
@@ -201,14 +247,18 @@ def live_rate(events, t: float, window_s: float = 5.0) -> float:
 
 @dataclass
 class StreamState:
-    """Mutable per-session detector state (one per live stream)."""
+    """Mutable per-session detector state (one per live stream).
+
+    `envelope` starts at the next segment, so between pushes it is shorter
+    than one segment; segment k (counted by `segments`) starts at k * hop.
+    """
 
     raw_consumed: int = 0
+    zi: np.ndarray = None
     carry: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    envelope: list = field(default_factory=list)
-    next_segment: int = 0
+    envelope: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    segments: int = 0
     raw_predictions: list = field(default_factory=list)
-    prev_vote: bool = False
     run_start_s: float = None
     last_positive_end_s: float = None
     events: list = field(default_factory=list)
@@ -237,11 +287,7 @@ class StreamEngine:
         self.sos = _signal.design_bandpass(
             _signal.FilterSpec(sample_rate=profile.sample_rate)
         )
-        self._zi = np.zeros((self.sos.shape[0], 2))
-        self.n_segment = int(config.segment_s * profile.effective_rate)
-        self.n_hop = int(config.hop_s * profile.effective_rate)
-        if self.n_segment < 1 or self.n_hop < 1:
-            raise ValueError("segment or hop too short for the effective rate")
+        self.n_segment, self.n_hop = _segment_geometry(config, profile.effective_rate)
         self.state = StreamState()
 
     @property
@@ -260,115 +306,67 @@ class StreamEngine:
         if samples.size == 0:
             return []
         st = self.state
-        filtered, self._zi = sosfilt(self.sos, samples, zi=self._zi)
+        envelope, st.zi, st.carry = _condition(
+            self.sos, self.config.decimation, samples, st.zi, st.carry
+        )
         st.raw_consumed += samples.size
+        st.envelope = np.concatenate([st.envelope, envelope])
+        if st.envelope.size < self.n_segment:
+            return []
 
-        # Decimate the rectified stream by block mean, carrying the ragged tail.
-        buf = np.concatenate([st.carry, np.abs(filtered)])
-        factor = self.config.decimation
-        n_full = buf.size // factor
-        if n_full:
-            blocks = buf[: n_full * factor].reshape(n_full, factor).mean(axis=1)
-            st.envelope.extend(blocks.tolist())
-        st.carry = buf[n_full * factor :]
+        # Every ready segment in one pass; decision_values is per row, so the
+        # outcome does not depend on how many segments share the push.
+        segments = sliding_window_view(st.envelope, self.n_segment)[:: self.n_hop]
+        k = segments.shape[0]
+        feats = rt_features(segments, self.profile)
+        st.raw_predictions.extend((decision_values(self.model, feats) > 0).tolist())
+        history = st.raw_predictions[-(self.config.vote_window - 1 + k) :]
+        votes = vote_filter(history, self.config.vote_window)[-k:]
 
-        return self._classify_ready_segments()
+        starts = (st.segments + np.arange(k)) * self.n_hop
+        starts_s, ends_s = _segment_times(
+            starts, self.n_segment, self.profile.effective_rate
+        )
+        st.segments += k
+        st.envelope = st.envelope[k * self.n_hop :]
+        return _assemble(st, votes, starts_s.tolist(), ends_s.tolist())
 
     def finalize(self) -> list:
         """Close a trailing open event at end of stream."""
-        st = self.state
-        if st.run_start_s is not None:
-            event = ChewEvent(
-                onset_s=self._clamped_onset(), termination_s=st.last_positive_end_s
-            )
-            st.events.append(event)
-            st.run_start_s = None
-            st.last_positive_end_s = None
-            return [event]
-        return []
+        return _close_run(self.state)
 
     def rate_at(self, t: float) -> float:
         return live_rate(self.state.events, t, self.config.rate_window_s)
-
-    def _clamped_onset(self) -> float:
-        st = self.state
-        onset = st.run_start_s
-        if st.events and st.events[-1].termination_s > onset:
-            onset = st.events[-1].termination_s
-        return onset
-
-    def _classify_ready_segments(self) -> list:
-        st = self.state
-        eff = self.profile.effective_rate
-        closed = []
-        while st.next_segment + self.n_segment <= len(st.envelope):
-            start = st.next_segment
-            segment = np.asarray(st.envelope[start : start + self.n_segment])
-            feats = rt_features(segment, self.profile)
-            positive = bool(decision_values(self.model, feats[None, :])[0] > 0)
-            st.raw_predictions.append(positive)
-
-            window = st.raw_predictions[-self.config.vote_window :]
-            vote = sum(window) * 2 > len(window)
-
-            start_s = start / eff
-            end_s = (start + self.n_segment) / eff
-            if vote:
-                if st.run_start_s is None:
-                    st.run_start_s = start_s
-                st.last_positive_end_s = end_s
-            elif st.run_start_s is not None:
-                event = ChewEvent(
-                    onset_s=self._clamped_onset(),
-                    termination_s=st.last_positive_end_s,
-                )
-                st.events.append(event)
-                closed.append(event)
-                st.run_start_s = None
-                st.last_positive_end_s = None
-            st.prev_vote = vote
-            st.next_segment += self.n_hop
-        return closed
 
 
 def rt_training_set(recording, profile: CalibrationProfile, config: StreamConfig = StreamConfig()):
     """Windowed streaming features for one recording, as a FeatureMatrix.
 
-    Runs the exact streaming conditioning over the masseter channel offline
-    and labels each segment positive when at least half of it overlaps a
-    chew annotation.
+    Runs the engine's conditioning and feature kernel over the masseter
+    channel in one pass, so the rows are exactly the segments a StreamEngine
+    classifies on the same samples. A row is labelled "C" when at least half
+    of it overlaps one chew annotation.
     """
     sos = _signal.design_bandpass(_signal.FilterSpec(sample_rate=recording.sample_rate))
-    env = _signal.downsample(
-        _signal.rectify(_signal.apply_filter(recording.channel("masseter"), sos)),
-        config.decimation,
+    env, _, _ = _condition(
+        sos, config.decimation, recording.channel("masseter"), None, np.zeros(0)
     )
     eff = recording.sample_rate / config.decimation
-    n_segment = int(config.segment_s * eff)
-    n_hop = int(config.hop_s * eff)
+    n_segment, n_hop = _segment_geometry(config, eff)
     starts = _features.window_starts(env.size, n_segment, n_hop)
-    chews = recording.annotations_of("chew")
-    X = np.empty((starts.size, len(RT_FEATURE_NAMES)))
-    labels = np.empty(starts.size, dtype=object)
-    onsets = starts / eff
-    terminations = (starts + n_segment) / eff
-    for i, s in enumerate(starts):
-        X[i] = rt_features(env[s : s + n_segment], profile)
-        t0, t1 = onsets[i], terminations[i]
-        covered = max(
-            (
-                min(t1, a.termination_s) - max(t0, a.onset_s)
-                for a in chews
-                if min(t1, a.termination_s) > max(t0, a.onset_s)
-            ),
-            default=0.0,
-        )
-        labels[i] = "C" if covered >= 0.5 * (t1 - t0) else _features.NEGATIVE_LABEL
+    X = rt_features(sliding_window_view(env, n_segment)[::n_hop], profile)
+    onsets, terminations = _segment_times(starts, n_segment, eff)
+    positive, kind = _features.TASKS["chew"]
+    chews = recording.annotations_of(kind)
+    labels = [
+        _features._window_label(t0, t1, chews, kind, positive)
+        for t0, t1 in zip(onsets, terminations)
+    ]
     return _features.FeatureMatrix(
         feature_names=RT_FEATURE_NAMES,
         values=X,
-        labels=labels,
+        labels=np.array(labels, dtype=object),
         participants=np.full(starts.size, recording.participant_id, dtype=object),
-        onsets_s=np.asarray(onsets, dtype=float),
-        terminations_s=np.asarray(terminations, dtype=float),
+        onsets_s=onsets,
+        terminations_s=terminations,
     )

@@ -234,6 +234,33 @@ class TestScaleRelations:
         assert mean_power(p2) == pytest.approx(16.0 * mean_power(p1), rel=1e-12)
 
 
+class TestStackedSegments:
+    def test_each_row_equals_its_own_segment(self):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((9, 40))
+        stack[4] = 0.0  # no power: mean_freq falls back to 0
+        for fn in (F.mav, F.iemg, F.variance, F.rms, F.sd, F.peak_amp):
+            assert np.array_equal(fn(stack), [fn(row) for row in stack])
+        freqs, power = periodogram(stack, 102.4)
+        assert np.array_equal(power, [periodogram(row, 102.4)[1] for row in stack])
+        assert np.array_equal(
+            F.mean_freq(freqs, power), [F.mean_freq(freqs, p) for p in power]
+        )
+        assert F.mean_freq(freqs, power)[4] == 0.0
+        assert np.array_equal(mean_power(power), [mean_power(p) for p in power])
+
+    def test_one_segment_gives_a_float(self):
+        x = np.random.default_rng(9).standard_normal(16)
+        freqs, power = periodogram(x, 102.4)
+        values = [F.mav(x), F.iemg(x), F.variance(x), F.rms(x), F.sd(x), F.peak_amp(x)]
+        values += [F.mean_freq(freqs, power), mean_power(power)]
+        assert all(type(v) is float for v in values)
+
+    def test_single_sample_segments_have_zero_variance(self):
+        assert np.array_equal(F.variance(np.ones((3, 1))), np.zeros(3))
+        assert F.sd(np.ones(1)) == 0.0
+
+
 class TestWindowMatrix:
     def test_row_count_10s_recording(self):
         recording = gen_session(SessionPlan(duration_s=10.0, seed=42))

@@ -555,6 +555,25 @@ class TestServerErrors:
         assert kind == "error" and fields["reason"] == "protocol"
         assert detail in fields["detail"]
 
+    def test_detail_holding_equals_sign_still_framed(self, server):
+        # The unknown kind 'a=b' lands in the detail; it must not kill the handler.
+        replies = raw_exchange(server.port, ["a=b c"])
+        assert len(replies) == 1
+        kind, fields = io.parse_frame(replies[0])
+        assert kind == "error" and fields["reason"] == "protocol"
+        assert fields["detail"] == "unknown_frame_kind_'a_b'"
+
+    @pytest.mark.parametrize("rate", ["500.0", "1000.0", "1024.0"])
+    def test_sample_rate_must_fit_the_band_pass(self, server, rate):
+        hello = f"hello participant=P sample_rate={rate} ref=1.0 mu0=0.1 delta0=0.02"
+        replies = raw_exchange(server.port, [hello, "bye"])
+        kind, fields = io.parse_frame(replies[0])
+        if rate == "1024.0":
+            assert kind == "hello" and replies[1] == "bye events=0"
+        else:
+            assert kind == "error" and fields["reason"] == "protocol"
+            assert "below_Nyquist" in fields["detail"]
+
     def test_mismatched_model_reported_as_server_error(self, profile, tmp_path):
         # A server accidentally loaded with an offline-featured model must
         # reply with a server error frame instead of dropping the connection.

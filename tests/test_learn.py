@@ -218,6 +218,23 @@ class TestPredict:
         assert np.all(decision_values(model, X) == 0.0)
         assert list(predict(model, X)) == ["NA", "NA"]
 
+    def test_decision_of_a_row_does_not_depend_on_batch_size(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(40, 7))
+        model = LinearModel(
+            feature_names=tuple(f"f{i}" for i in range(7)),
+            weights=rng.normal(size=7),
+            bias=0.3,
+            mean=rng.normal(size=7),
+            scale=rng.uniform(0.5, 2.0, 7),
+            positive_label="C",
+        )
+        whole = decision_values(model, X)
+        for size in (1, 2, 3, 5):
+            for i in range(0, 40 - size, size):
+                part = decision_values(model, X[i : i + size])
+                assert np.array_equal(part, whole[i : i + size])
+
     def test_column_rescale_invariance(self):
         X, y = make_blobs(seed=9)
         base = predict(train_linear_svm(X, y, ("f1", "f2"), "C"), X)

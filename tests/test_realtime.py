@@ -8,10 +8,14 @@ functions in isolation.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import emgeat.learn as learn
 import emgeat.realtime as rt
+import emgeat.synth as synth
 from emgeat.metrics import ChewEvent
+from emgeat.signal import RawRecording
 
 FS = 1024.0
 
@@ -132,6 +136,13 @@ class TestRtFeatures:
         with pytest.raises(ValueError, match="empty"):
             rt.rt_features(np.array([]), make_profile())
 
+    def test_stack_rows_equal_single_segments(self):
+        env = np.random.default_rng(13).uniform(0.0, 1.0, 400)
+        stack = sliding_window_view(env, 51)[::3]
+        profile = make_profile(reference=0.7)
+        single = np.array([rt.rt_features(seg, profile) for seg in stack])
+        assert np.array_equal(rt.rt_features(stack, profile), single)
+
 
 class TestVoteFilter:
     def test_all_positive(self):
@@ -160,6 +171,19 @@ class TestVoteFilter:
         assert out.tolist() == [
             False, False, True, True, True, True, False, False, False, False,
         ]
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        preds=st.lists(st.booleans(), max_size=80),
+        window=st.integers(1, 12),
+    )
+    def test_matches_trailing_window_loop(self, preds, window):
+        expected = []
+        for t in range(len(preds)):
+            votes = preds[max(0, t - window + 1) : t + 1]
+            expected.append(sum(votes) * 2 > len(votes))
+        assert rt.vote_filter(preds, window).tolist() == expected
 
 
 class TestAssembleEvents:
@@ -349,6 +373,16 @@ class TestStreamEngine:
         ]
         assert np.mean(rates) == pytest.approx(span_rate, rel=0.2)
 
+    def test_nonfinite_chunk_rejected_before_state_changes(self, rt_model, profile):
+        engine = rt.StreamEngine(rt_model, profile)
+        engine.push(np.zeros(512))
+        chunk = np.zeros(64)
+        chunk[9] = np.nan
+        with pytest.raises(ValueError, match="non-finite sample at index 9"):
+            engine.push(chunk)
+        assert engine.state.raw_consumed == 512
+        assert np.isfinite(engine.state.zi).all()
+
     def test_rate_at_uses_engine_log(self, rt_model, profile, test_session):
         raw = test_session.channel("masseter")
         engine = rt.StreamEngine(rt_model, profile)
@@ -405,3 +439,77 @@ class TestRtTrainingSet:
         n = min(raw.size, batch_votes.size)
         assert n > 100
         assert np.array_equal(raw[:n], batch_votes[:n])
+
+    def test_nonfinite_sample_rejected(self, profile, test_session):
+        samples = test_session.samples.copy()
+        samples[test_session.channel_names.index("masseter"), 100] = np.nan
+        rec = RawRecording("E", FS, test_session.channel_names, samples)
+        with pytest.raises(ValueError, match="non-finite sample at index 100"):
+            rt.rt_training_set(rec, profile)
+
+    def test_ragged_length_rows_are_the_engine_segments(
+        self, rt_model, profile, test_session
+    ):
+        # 61435 samples leave a ragged 5-sample decimation block that the
+        # engine never emits; counted as a block it would add one segment.
+        n = 61435
+        engine = rt.StreamEngine(rt_model, profile)
+        n_env = n // 10
+        assert n % 10 and (n_env + 1 - engine.n_segment) // engine.n_hop > (
+            n_env - engine.n_segment
+        ) // engine.n_hop
+        rec = RawRecording(
+            "E",
+            FS,
+            test_session.channel_names,
+            test_session.samples[:, :n],
+            [a for a in test_session.annotations if a.termination_s <= n / FS],
+        )
+        mat = rt.rt_training_set(rec, profile)
+        engine.push(rec.channel("masseter"))
+        raw = engine.state.raw_predictions
+        assert mat.n_rows == len(raw)
+        assert (learn.predict(rt_model, mat.values) == "C").tolist() == raw
+
+
+# Any chunking, from single samples to one whole-session push, must give the
+# same predictions and bit-identical events as one push of the whole session.
+PROPERTY_S = 8.0
+PROPERTY_N = int(PROPERTY_S * FS)
+
+
+@pytest.fixture(scope="module")
+def property_run(rt_model, profile):
+    raw = synth.gen_session(
+        synth.SessionPlan(duration_s=PROPERTY_S, seed=556, participant_id="H")
+    ).channel("masseter")
+    engine = rt.StreamEngine(rt_model, profile)
+    engine.push(raw)
+    engine.finalize()
+    assert engine.events, "the reference session produced no events"
+    return raw, engine
+
+
+class TestChunkingProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(
+            st.one_of(st.integers(1, 16), st.integers(1, PROPERTY_N)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_random_chunkings_match_one_push(
+        self, rt_model, profile, property_run, sizes
+    ):
+        raw, whole = property_run
+        engine = rt.StreamEngine(rt_model, profile)
+        bounds = np.cumsum(sizes)
+        for chunk in np.split(raw, bounds[bounds < raw.size]):
+            engine.push(chunk)
+            assert len(engine.state.envelope) < engine.n_segment
+        engine.finalize()
+        assert engine.state.raw_predictions == whole.state.raw_predictions
+        assert [(e.onset_s, e.termination_s) for e in engine.events] == [
+            (e.onset_s, e.termination_s) for e in whole.events
+        ]

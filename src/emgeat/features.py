@@ -3,18 +3,21 @@
 Eighteen features per channel per window. Time-domain features are computed
 on the raw (untapered) segment; spectral features come from the periodogram
 of the Hamming-tapered segment. Two burst-context features (cycle duration,
-cycles per sequence) are filled in by the matrix builder from detected
-bursts that intersect the window.
+cycles per sequence) are filled in by the matrix builder from the detected
+burst that overlaps the window most.
 
-The periodogram and the features the streaming path shares (mav, iemg,
-variance, rms, sd, peak_amp, mean_freq, mean_power) reduce along the last
-axis: given one segment they return a float, given an (n, length) stack of
-segments one value per row, each equal to that segment's own value.
+Every feature function, the periodogram and extract_features reduce along
+the last axis: one segment gives a float (extract_features one row), an
+(n, length) stack such as a sliding_window_view one value (row) per segment,
+bit-identical to that segment's own. MYOP, WAMP, ZC and SSC are per-row
+counts of samples or sample pairs that clear a threshold (Phinyomark et al.,
+Expert Syst. Appl. 39(8), 2012).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import events as _events
 from . import signal as _signal
@@ -104,9 +107,19 @@ def periodogram(segment: np.ndarray, rate: float, taper: bool = True):
     return freqs, power
 
 
-def _value(v):
-    """A float for one segment, the per-row array for a stack of segments."""
-    return float(v) if v.ndim == 0 else v
+def _value(v, cast=float):
+    """A Python scalar for one segment, the per-row array for a stack."""
+    return cast(v) if v.ndim == 0 else v
+
+
+def _pair_rate(hits, n: int):
+    """Per-row count of true entries over the n - 1 sample pairs (0 if n < 2)."""
+    return _value(np.count_nonzero(hits, axis=-1) / max(n - 1, 1))
+
+
+def _half_index(c):
+    """First index along the last axis where running sum c reaches half its end."""
+    return np.argmax(c >= 0.5 * c[..., -1:], axis=-1)
 
 
 # --- time-domain features -------------------------------------------------
@@ -142,7 +155,7 @@ def sd(x):
 
 def waveform_length(x):
     """Cumulative length of the waveform: sum of |x[i+1] - x[i]|."""
-    return float(np.sum(np.abs(np.diff(np.asarray(x, dtype=float)))))
+    return _value(np.abs(np.diff(np.asarray(x, dtype=float), axis=-1)).sum(axis=-1))
 
 
 def peak_amp(x):
@@ -152,44 +165,34 @@ def peak_amp(x):
 
 def myop(x, thr: float):
     """Myopulse percentage rate: fraction of samples with |x| >= thr."""
-    return float(np.mean(np.abs(x) >= thr))
+    return _value((np.abs(x) >= thr).mean(axis=-1))
 
 
 def wamp(x, thr: float):
     """Willison amplitude as a rate: count of |x[i] - x[i+1]| >= thr over N-1."""
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        return 0.0
-    return float(np.sum(np.abs(np.diff(x)) >= thr) / (x.size - 1))
+    return _pair_rate(np.abs(np.diff(x, axis=-1)) >= thr, x.shape[-1])
 
 
 def zero_crossings(x, thr: float):
     """Sign-change rate: crossings with |x[i] - x[i+1]| >= thr over N-1 pairs."""
     x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        return 0.0
     s = np.sign(x)
-    crossing = (s[:-1] != s[1:]) & (np.abs(x[:-1] - x[1:]) >= thr)
-    return float(np.sum(crossing) / (x.size - 1))
+    crossing = (s[..., :-1] != s[..., 1:]) & (np.abs(x[..., :-1] - x[..., 1:]) >= thr)
+    return _pair_rate(crossing, x.shape[-1])
 
 
 def slope_sign_changes(x, thr: float):
     """Rate of slope-sign turns: (x[i]-x[i-1])(x[i]-x[i+1]) >= thr over N-1."""
     x = np.asarray(x, dtype=float)
-    if x.size < 3:
-        return 0.0
-    product = (x[1:-1] - x[:-2]) * (x[1:-1] - x[2:])
-    return float(np.sum(product >= thr) / (x.size - 1))
+    product = (x[..., 1:-1] - x[..., :-2]) * (x[..., 1:-1] - x[..., 2:])
+    return _pair_rate(product >= thr, x.shape[-1])
 
 
 def t50(x):
     """Normalized time at which the cumulative rectified sum reaches 50%."""
     x = np.abs(np.asarray(x, dtype=float))
-    if x.size < 2:
-        return 0.0
-    c = np.cumsum(x)
-    idx = int(np.argmax(c >= 0.5 * c[-1]))
-    return idx / (x.size - 1)
+    return _value(_half_index(np.cumsum(x, axis=-1)) / max(x.shape[-1] - 1, 1))
 
 
 # --- spectral features ----------------------------------------------------
@@ -208,20 +211,20 @@ def mean_power(power):
     return _value(np.asarray(power).mean(axis=-1))
 
 
-def median_freq_index(power) -> int:
+def median_freq_index(power):
     """Smallest bin index where cumulative power reaches half the total."""
-    c = np.cumsum(power)
-    return int(np.argmax(c >= 0.5 * c[-1]))
+    return _value(_half_index(np.cumsum(power, axis=-1)), int)
 
 
 def median_freq(freqs, power):
     """Frequency of the median-power bin."""
-    return float(freqs[median_freq_index(power)])
+    return _value(freqs[median_freq_index(power)])
 
 
 def median_freq_power(power):
     """Periodogram power at the median-frequency bin."""
-    return float(power[median_freq_index(power)])
+    idx = np.asarray(median_freq_index(power))[..., None]
+    return _value(np.take_along_axis(np.asarray(power), idx, axis=-1)[..., 0])
 
 
 # --- window extraction ----------------------------------------------------
@@ -231,13 +234,15 @@ def extract_features(
     segment: np.ndarray,
     rate: float,
     spec: WindowSpec,
-    cycle_duration: float = 0.0,
-    cycles_per_sequence: float = 0.0,
+    cycle_duration=0.0,
+    cycles_per_sequence=0.0,
 ) -> np.ndarray:
-    """All 18 features for one single-channel window, ordered as FEATURE_NAMES.
+    """All 18 features of single-channel windows, ordered as FEATURE_NAMES.
 
-    The two cycle features cannot be derived from the segment alone and are
-    passed in by the caller (0 when no burst context exists).
+    One window gives 18 values, an (n, length) stack of windows an (n, 18)
+    array whose rows equal each window's own. The two cycle features cannot
+    be derived from the segment and are passed in by the caller, one value
+    or one per window (0 when no burst context exists).
     """
     x = np.asarray(segment, dtype=float)
     if x.size == 0:
@@ -246,7 +251,7 @@ def extract_features(
         raise ValueError("segment contains non-finite samples")
     thr = 0.0 if spec.thr_f is None else spec.thr_f
     freqs, power = periodogram(x, rate, taper=spec.taper)
-    values = np.array(
+    values = np.stack(
         [
             mav(x),
             iemg(x),
@@ -264,12 +269,14 @@ def extract_features(
             median_freq(freqs, power),
             median_freq_power(power),
             t50(x),
-            float(cycle_duration),
-            float(cycles_per_sequence),
-        ]
+            np.broadcast_to(np.asarray(cycle_duration, dtype=float), x.shape[:-1]),
+            np.broadcast_to(np.asarray(cycles_per_sequence, dtype=float), x.shape[:-1]),
+        ],
+        axis=-1,
     )
-    if not np.isfinite(values).all():
-        bad = FEATURE_NAMES[int(np.argmin(np.isfinite(values)))]
+    finite = np.isfinite(values).reshape(-1, len(FEATURE_NAMES)).all(axis=0)
+    if not finite.all():
+        bad = FEATURE_NAMES[int(np.argmin(finite))]
         raise ValueError(f"feature {bad} came out non-finite")
     return values
 
@@ -305,33 +312,35 @@ class FeatureMatrix:
         return self.values.shape[0]
 
 
-def _overlap(a0, a1, b0, b1):
-    return max(0.0, min(a1, b1) - max(a0, b0))
+def _best_overlap(t0, t1, intervals):
+    """Largest overlap of every window [t0, t1) with any of `intervals`.
+
+    Returns (best, which): the overlap in seconds (0 when none) and the index
+    of the first interval, in order, that reaches it (-1 when none overlaps).
+    One pass per interval keeps memory at O(windows + intervals).
+    """
+    best = np.zeros(np.shape(t0))
+    which = np.full(np.shape(t0), -1)
+    for k, interval in enumerate(intervals):
+        ov = np.minimum(t1, interval.termination_s) - np.maximum(t0, interval.onset_s)
+        better = ov > best
+        best[better] = ov[better]
+        which[better] = k
+    return best, which
 
 
-def _window_label(t0, t1, annotations, kind, positive, min_fraction=0.5):
-    """Positive when a single matching annotation covers >= half the window."""
-    best = 0.0
-    for ann in annotations:
-        if ann.kind != kind:
-            continue
-        best = max(best, _overlap(t0, t1, ann.onset_s, ann.termination_s))
-    return positive if best >= min_fraction * (t1 - t0) else NEGATIVE_LABEL
+def constant_column(value, n: int) -> np.ndarray:
+    """n rows of one shared object (np.full would copy a string into each)."""
+    return np.array([value] * n, dtype=object)
 
 
-def _cycle_context(t0, t1, bursts, sequences):
-    """Burst-derived cycle features for the window [t0, t1)."""
-    best = None
-    best_ov = 0.0
-    for seq in sequences:
-        for burst in seq:
-            ov = _overlap(t0, t1, burst.onset_s, burst.termination_s)
-            if ov > best_ov:
-                best_ov = ov
-                best = (burst, len(seq))
-    if best is None:
-        return 0.0, 0.0
-    return best[0].duration_s, float(best[1])
+def window_labels(t0, t1, annotations, kind, positive, min_fraction=0.5):
+    """Label each window [t0, t1): positive when a single annotation of
+    `kind` covers at least `min_fraction` of it, NEGATIVE_LABEL otherwise."""
+    best, _ = _best_overlap(t0, t1, [a for a in annotations if a.kind == kind])
+    labels = constant_column(NEGATIVE_LABEL, best.size)
+    labels[best >= min_fraction * (np.asarray(t1) - np.asarray(t0))] = positive
+    return labels
 
 
 def _resolve_threshold(processed, recording):
@@ -366,56 +375,48 @@ def build_feature_matrix(
         raise ValueError(f"unknown task {task!r}; expected one of {sorted(TASKS)}")
     positive, kind = TASKS[task]
     processed = _signal.preprocess_recording(recording)
-    rate = processed[recording.channel_names[0]].rate
+    first = processed[recording.channel_names[0]]
+    rate = first.rate
 
     n_window = int(spec.length_s * rate)
     n_hop = int(spec.hop_s * rate)
     if n_window < 1 or n_hop < 1:
         raise ValueError("window or hop too short for the decimated rate")
-    starts = window_starts(
-        processed[recording.channel_names[0]].samples.size, n_window, n_hop
-    )
+    starts = window_starts(first.samples.size, n_window, n_hop)
+    onsets = starts / rate
+    terms = (starts + n_window) / rate
 
-    per_channel = {}
+    blocks = []
     for name in recording.channel_names:
         sig = processed[name]
         thr = spec.thr_f if spec.thr_f is not None else _resolve_threshold(sig, recording)
         bursts = _events.detect_bursts(sig.samples, sig.rate, thr)
         sequences = _events.group_into_sequences(bursts, CYCLE_SEQUENCE_GAP_S)
-        per_channel[name] = (sig, replace(spec, thr_f=thr), bursts, sequences)
+        # Cycle context comes from the burst overlapping the window most; the
+        # trailing 0 is what index -1 (no overlapping burst) picks.
+        _, which = _best_overlap(onsets, terms, bursts)
+        durations = np.array([b.duration_s for b in bursts] + [0.0])
+        seq_lengths = np.array([len(seq) for seq in sequences for _ in seq] + [0.0])
+        blocks.append(
+            extract_features(
+                sliding_window_view(sig.samples, n_window)[::n_hop],
+                sig.rate,
+                replace(spec, thr_f=thr),
+                cycle_duration=durations[which],
+                cycles_per_sequence=seq_lengths[which],
+            )
+        )
 
     names = tuple(
         f"{ch}_{feat}" for ch in recording.channel_names for feat in FEATURE_NAMES
     )
-    rows = np.empty((starts.size, len(names)))
-    labels = np.empty(starts.size, dtype=object)
-    onsets = starts / rate
-    terms = (starts + n_window) / rate
-    for i, s in enumerate(starts):
-        t0, t1 = onsets[i], terms[i]
-        blocks = []
-        for name in recording.channel_names:
-            sig, chan_spec, bursts, sequences = per_channel[name]
-            cyc_dur, cyc_per_seq = _cycle_context(t0, t1, bursts, sequences)
-            blocks.append(
-                extract_features(
-                    sig.samples[s : s + n_window],
-                    sig.rate,
-                    chan_spec,
-                    cycle_duration=cyc_dur,
-                    cycles_per_sequence=cyc_per_seq,
-                )
-            )
-        rows[i] = np.concatenate(blocks)
-        labels[i] = _window_label(t0, t1, recording.annotations, kind, positive)
-
     return FeatureMatrix(
         feature_names=names,
-        values=rows,
-        labels=labels,
-        participants=np.full(starts.size, recording.participant_id, dtype=object),
-        onsets_s=np.asarray(onsets, dtype=float),
-        terminations_s=np.asarray(terms, dtype=float),
+        values=np.hstack(blocks),
+        labels=window_labels(onsets, terms, recording.annotations, kind, positive),
+        participants=constant_column(recording.participant_id, starts.size),
+        onsets_s=onsets,
+        terminations_s=terms,
     )
 
 

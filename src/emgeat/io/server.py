@@ -18,9 +18,18 @@ from ..learn import LinearModel
 from ..realtime import CalibrationProfile, StreamConfig, StreamEngine
 from ..signal import FilterSpec
 from . import protocol
-from .datasets import format_event_line
+from .datasets import append_events
 
 DEFAULT_REFERENCE_RATE_HZ = 1.6
+
+# Longest frame line read before hello; a hello needs a few hundred bytes.
+_HELLO_LINE_BYTES = 4096
+# Highest hello sample_rate; it bounds the line cap derived from it (32 MB).
+_MAX_SAMPLE_RATE_HZ = 100_000.0
+# Bytes allowed per sample value after hello. A float's shortest repr and its
+# comma take at most 25, so a frame of MAX_BUFFERED_S of signal always fits,
+# and one a little longer still gets its slowdown reply.
+_VALUE_BYTES = 32
 
 
 @dataclass
@@ -57,6 +66,10 @@ class _Session:
             "hello", fields, ["participant", "sample_rate", "ref", "mu0", "delta0"]
         )
         sample_rate = _positive_float(fields, "sample_rate")
+        if sample_rate > _MAX_SAMPLE_RATE_HZ:
+            raise protocol.ProtocolError(
+                f"hello sample_rate {sample_rate!r} is above {_MAX_SAMPLE_RATE_HZ!r} Hz"
+            )
         try:
             FilterSpec(sample_rate=sample_rate)  # the band-pass must fit the rate
         except ValueError as exc:
@@ -123,9 +136,7 @@ class _Session:
 
     def _log_events(self, events):
         if events and self.log_path is not None:
-            with open(self.log_path, "a") as fh:
-                for event in events:
-                    fh.write(format_event_line(event) + "\n")
+            append_events(events, self.log_path)
 
     def _tick(self) -> list:
         """Rate frame per whole streamed second, level frame on transitions."""
@@ -148,38 +159,48 @@ class _Session:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         owner = self.server.owner
-        session = _Session(owner.model, owner.config, owner.next_log_path())
-        opened = False
+        try:
+            session = _Session(owner.model, owner.config, owner.next_log_path())
+        except OSError as exc:
+            return self._send_error(exc)
+        max_line = _HELLO_LINE_BYTES
         while True:
-            line = self.rfile.readline()
+            # One byte past the cap tells an over-long line from one that fits.
+            line = self.rfile.readline(max_line + 1)
             if not line:
                 return  # client went away
             try:
+                if len(line) > max_line:
+                    raise protocol.ProtocolError(f"frame longer than {max_line} bytes")
                 kind, fields = protocol.parse_frame(
                     line.decode(), allowed=protocol.CLIENT_KINDS
                 )
-                if not opened:
+                if session.engine is None:
                     if kind != "hello":
                         raise protocol.ProtocolError("session must open with hello")
                     replies = session.open(fields)
-                    opened = True
+                    fs = session.engine.profile.sample_rate
+                    max_line += int(protocol.MAX_BUFFERED_S * fs) * _VALUE_BYTES
                 elif kind == "hello":
                     raise protocol.ProtocolError("duplicate hello")
                 elif kind == "samples":
                     replies = session.samples(fields)
                 elif kind == "bye":
-                    self._send(session.close())
-                    return
-            except (protocol.ProtocolError, ValueError) as exc:
-                reason = (
-                    "protocol" if isinstance(exc, protocol.ProtocolError) else "server"
-                )
-                # A detail must stay one field: no whitespace, no "=".
-                detail = re.sub(r"[\s=]", "_", str(exc))
-                error = {"reason": reason, "detail": detail}
-                self._send([protocol.format_frame("error", error)])
-                return
+                    replies = session.close()
+            except (protocol.ProtocolError, ValueError, OSError) as exc:
+                return self._send_error(exc)
             self._send(replies)
+            if kind == "bye":
+                return
+
+    def _send_error(self, exc):
+        """Reply with one error frame: the client's fault is `protocol`, a
+        fault of the server (model, log files) is `server`."""
+        reason = "protocol" if isinstance(exc, protocol.ProtocolError) else "server"
+        # A detail must stay one field: no whitespace, no "=".
+        detail = re.sub(r"[\s=]", "_", str(exc))
+        error = {"reason": reason, "detail": detail}
+        self._send([protocol.format_frame("error", error)])
 
     def _send(self, frames):
         for frame in frames:

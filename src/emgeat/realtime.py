@@ -357,16 +357,13 @@ def rt_training_set(recording, profile: CalibrationProfile, config: StreamConfig
     X = rt_features(sliding_window_view(env, n_segment)[::n_hop], profile)
     onsets, terminations = _segment_times(starts, n_segment, eff)
     positive, kind = _features.TASKS["chew"]
-    chews = recording.annotations_of(kind)
-    labels = [
-        _features._window_label(t0, t1, chews, kind, positive)
-        for t0, t1 in zip(onsets, terminations)
-    ]
     return _features.FeatureMatrix(
         feature_names=RT_FEATURE_NAMES,
         values=X,
-        labels=np.array(labels, dtype=object),
-        participants=np.full(starts.size, recording.participant_id, dtype=object),
+        labels=_features.window_labels(
+            onsets, terminations, recording.annotations, kind, positive
+        ),
+        participants=_features.constant_column(recording.participant_id, starts.size),
         onsets_s=onsets,
         terminations_s=terminations,
     )

@@ -2,6 +2,7 @@
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from emgeat.features import (
     window_starts,
 )
 from emgeat import features as F
+from emgeat.events import detect_bursts, group_into_sequences
+from emgeat.signal import RawRecording, preprocess_recording
 from emgeat.synth import SessionPlan, gen_session
 
 
@@ -239,8 +242,13 @@ class TestStackedSegments:
         rng = np.random.default_rng(8)
         stack = rng.standard_normal((9, 40))
         stack[4] = 0.0  # no power: mean_freq falls back to 0
-        for fn in (F.mav, F.iemg, F.variance, F.rms, F.sd, F.peak_amp):
+        for fn in (
+            F.mav, F.iemg, F.variance, F.rms, F.sd, F.waveform_length, F.peak_amp, F.t50
+        ):
             assert np.array_equal(fn(stack), [fn(row) for row in stack])
+        for fn in (F.myop, F.wamp, F.zero_crossings, F.slope_sign_changes):
+            for thr in (0.0, 0.3):
+                assert np.array_equal(fn(stack, thr), [fn(row, thr) for row in stack])
         freqs, power = periodogram(stack, 102.4)
         assert np.array_equal(power, [periodogram(row, 102.4)[1] for row in stack])
         assert np.array_equal(
@@ -248,13 +256,45 @@ class TestStackedSegments:
         )
         assert F.mean_freq(freqs, power)[4] == 0.0
         assert np.array_equal(mean_power(power), [mean_power(p) for p in power])
+        assert np.array_equal(
+            median_freq_index(power), [median_freq_index(p) for p in power]
+        )
+        assert np.array_equal(
+            F.median_freq(freqs, power), [F.median_freq(freqs, p) for p in power]
+        )
+        assert np.array_equal(
+            F.median_freq_power(power), [F.median_freq_power(p) for p in power]
+        )
+        spec = WindowSpec(0.5, 0.25, thr_f=0.3)
+        cyc = np.arange(9.0)
+        assert np.array_equal(
+            extract_features(stack, 102.4, spec, cyc, 2 * cyc),
+            [extract_features(row, 102.4, spec, c, 2 * c) for row, c in zip(stack, cyc)],
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_segments(self, n):
+        stack = np.random.default_rng(n).standard_normal((3, n))
+        for fn in (F.waveform_length, F.t50):
+            assert np.array_equal(fn(stack), [fn(row) for row in stack])
+        for fn in (F.wamp, F.zero_crossings, F.slope_sign_changes):
+            assert np.array_equal(fn(stack, 0.0), [fn(row, 0.0) for row in stack])
+        if n < 3:
+            assert np.array_equal(F.slope_sign_changes(stack, 0.0), np.zeros(3))
+        if n == 1:
+            assert F.wamp(stack[0], 0.0) == F.t50(stack[0]) == 0.0
 
     def test_one_segment_gives_a_float(self):
         x = np.random.default_rng(9).standard_normal(16)
         freqs, power = periodogram(x, 102.4)
         values = [F.mav(x), F.iemg(x), F.variance(x), F.rms(x), F.sd(x), F.peak_amp(x)]
+        values += [F.waveform_length(x), F.t50(x), F.myop(x, 0.1), F.wamp(x, 0.1)]
+        values += [F.zero_crossings(x, 0.1), F.slope_sign_changes(x, 0.1)]
         values += [F.mean_freq(freqs, power), mean_power(power)]
+        values += [F.median_freq(freqs, power), F.median_freq_power(power)]
         assert all(type(v) is float for v in values)
+        assert type(median_freq_index(power)) is int
+        assert extract_features(x, 102.4, WindowSpec(0.5, 0.25)).shape == (18,)
 
     def test_single_sample_segments_have_zero_variance(self):
         assert np.array_equal(F.variance(np.ones((3, 1))), np.zeros(3))
@@ -315,3 +355,92 @@ class TestWindowMatrix:
         x = np.array([1.0, np.inf, 0.0])
         with pytest.raises(ValueError):
             extract_features(x, 102.4, WindowSpec(0.5, 0.25))
+
+
+# --- the per-window loop build_feature_matrix replaced, as a reference -------
+
+
+def naive_overlap(t0, t1, interval):
+    return max(0.0, min(t1, interval.termination_s) - max(t0, interval.onset_s))
+
+
+def per_window_matrix(recording, spec, task):
+    """extract_features per window, a best-overlap label and cycle context
+    found by scanning every annotation and burst for every window."""
+    positive, kind = F.TASKS[task]
+    processed = preprocess_recording(recording)
+    rate = processed[recording.channel_names[0]].rate
+    n_window, n_hop = int(spec.length_s * rate), int(spec.hop_s * rate)
+    starts = window_starts(processed["masseter"].samples.size, n_window, n_hop)
+    channels = []
+    for name in recording.channel_names:
+        sig = processed[name]
+        thr = spec.thr_f
+        if thr is None:
+            thr = F._resolve_threshold(sig, recording)
+        bursts = detect_bursts(sig.samples, sig.rate, thr)
+        sequences = group_into_sequences(bursts, F.CYCLE_SEQUENCE_GAP_S)
+        channels.append((sig, replace(spec, thr_f=thr), sequences))
+    rows, labels = [], []
+    for s in starts:
+        t0, t1 = s / rate, (s + n_window) / rate
+        row = []
+        for sig, chan_spec, sequences in channels:
+            best, cycle = 0.0, (0.0, 0.0)
+            for seq in sequences:
+                for burst in seq:
+                    ov = naive_overlap(t0, t1, burst)
+                    if ov > best:  # the first burst reaching the largest overlap wins
+                        best, cycle = ov, (burst.duration_s, float(len(seq)))
+            segment = sig.samples[s : s + n_window]
+            row.extend(extract_features(segment, sig.rate, chan_spec, *cycle))
+        rows.append(row)
+        anns = recording.annotations_of(kind)
+        covered = max([naive_overlap(t0, t1, a) for a in anns], default=0.0)
+        labels.append(positive if covered >= 0.5 * (t1 - t0) else NEGATIVE_LABEL)
+    labels = np.array(labels, dtype=object)
+    return np.array(rows), labels, starts / rate, (starts + n_window) / rate
+
+
+class TestMatrixAgainstPerWindowLoop:
+    @pytest.fixture(scope="class")
+    def session(self):
+        return gen_session(SessionPlan(duration_s=60.0, seed=31))
+
+    @pytest.mark.parametrize("task", ["chew", "swallow"])
+    def test_bit_identical(self, session, task):
+        length = CHEW_WINDOW_S if task == "chew" else F.SWALLOW_WINDOW_S
+        spec = WindowSpec(length_s=length, hop_s=0.25)
+        matrix = build_feature_matrix(session, spec, task)
+        values, labels, onsets, terminations = per_window_matrix(session, spec, task)
+        assert np.array_equal(matrix.values, values)
+        assert np.array_equal(matrix.labels, labels)
+        assert np.array_equal(matrix.onsets_s, onsets)
+        assert np.array_equal(matrix.terminations_s, terminations)
+        assert set(labels) == {F.TASKS[task][0], NEGATIVE_LABEL}
+        assert values[:, FEATURE_NAMES.index("cycle_duration")].any()
+
+    def test_equal_overlap_goes_to_the_first_burst(self):
+        # 200 Hz tone bursts at 1280 Hz: the decimated rate is 128 Hz, so every
+        # window and burst edge is an exact binary fraction and equal overlaps
+        # compare equal. Burst A is long, burst B short, 0.25 s apart.
+        fs = 1280.0
+        t = np.arange(int(4 * fs)) / fs
+        x = np.where(((t >= 1.0) & (t < 1.6)) | ((t >= 1.85) & (t < 2.05)), 1.0, 0.0)
+        x = x * np.sin(2 * np.pi * 200.0 * t)
+        recording = RawRecording("T", fs, ("masseter", "submental"), np.vstack([x, x]))
+        thr = 0.3
+        sig = preprocess_recording(recording)["masseter"]
+        assert sig.rate == 128.0
+        first, second = detect_bursts(sig.samples, sig.rate, thr)
+        assert first.duration_s != second.duration_s
+        # A window ending 4 samples into B and starting 4 samples before A ends
+        # overlaps each by 4 / 128 s; a hop of one sample makes it a row.
+        gap = round((second.onset_s - first.termination_s) * sig.rate)
+        spec = WindowSpec(length_s=(gap + 8) / sig.rate, hop_s=1 / sig.rate, thr_f=thr)
+        matrix = build_feature_matrix(recording, spec, "chew")
+        values, _, _, _ = per_window_matrix(recording, spec, "chew")
+        assert np.array_equal(matrix.values, values)
+        (row,) = np.flatnonzero(matrix.onsets_s == first.termination_s - 4 / sig.rate)
+        column = matrix.feature_names.index("masseter_cycle_duration")
+        assert matrix.values[row, column] == first.duration_s

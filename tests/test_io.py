@@ -340,6 +340,27 @@ def raw_exchange(port, lines):
     return replies
 
 
+def exchange_past_reset(port, lines):
+    """raw_exchange for sessions the server ends with part of a line unread.
+
+    Closing a socket with unread input resets the connection, which can fail
+    the rest of the send; the replies sent before the reset stay readable.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            for line in lines:
+                sock.sendall((line + "\n").encode())
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        replies = []
+        try:
+            for reply in sock.makefile("r"):
+                replies.append(reply.rstrip("\n"))
+        except ConnectionResetError:
+            pass
+    return replies
+
+
 class TestServerSessions:
     def test_round_trip(self, server, profile):
         rec = short_session(seed=21)
@@ -481,6 +502,66 @@ class TestServerErrors:
         kind, fields = io.parse_frame(replies[2])
         assert kind == "bye" and fields["events"] == "0"
 
+    def test_over_long_line_before_hello_is_not_parsed(self, server):
+        replies = exchange_past_reset(server.port, ["hello participant=" + "x" * 5000])
+        assert replies == ["error reason=protocol detail=frame_longer_than_4096_bytes"]
+
+    @pytest.mark.parametrize("extra", [0, 1, 5_000_000])
+    def test_over_long_samples_line_is_not_parsed(self, server, extra):
+        # After hello the cap is 4096 bytes plus 32 per value of 10 s at 1024 Hz.
+        # A line of `cap` bytes (newline included) is read and parsed, here as
+        # one sample of 0.0; one byte more ends the session unparsed.
+        cap = 4096 + 10240 * 32
+        hello = "hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02"
+        prefix = "samples t_us=0 n=1 v="
+        line = prefix + "0" * (cap - len(prefix) - 1 + extra)
+        replies = exchange_past_reset(server.port, [hello, line, "bye"])
+        assert replies[0] == "hello participant=P"
+        if extra == 0:
+            assert replies[1:] == ["bye events=0"]
+        else:
+            assert replies[1:] == [
+                f"error reason=protocol detail=frame_longer_than_{cap}_bytes"
+            ]
+
+    def test_event_log_write_failure_is_a_server_error(
+        self, rt_model, profile, test_session, tmp_path
+    ):
+        # The first session's log path is a directory: the first closed event
+        # ends that session with an error frame instead of killing the handler.
+        (tmp_path / "session_001.events").mkdir()
+        srv = io.serve(rt_model, io.ServerConfig(log_dir=tmp_path)).start_background()
+        try:
+            first = io.stream_client(
+                test_session, "127.0.0.1", srv.port, speed=0, profile=profile
+            )
+            second = io.stream_client(
+                test_session, "127.0.0.1", srv.port, speed=0, profile=profile
+            )
+        finally:
+            srv.shutdown()
+        kind, fields = io.parse_frame(first.transcript[-1])
+        assert kind == "error" and fields["reason"] == "server"
+        assert "Is_a_directory" in fields["detail"]
+        assert first.errors == first.transcript[-1:] and first.reported_events is None
+        assert second.errors == [] and second.reported_events > 0
+        logged = io.read_event_log(tmp_path / "session_002.events")
+        assert len(logged) == second.reported_events
+
+    def test_unusable_log_dir_is_a_server_error(self, rt_model, tmp_path):
+        log_dir = tmp_path / "not_a_dir"
+        log_dir.write_text("")
+        srv = io.serve(rt_model, io.ServerConfig(log_dir=log_dir)).start_background()
+        try:
+            hello = "hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02"
+            replies = raw_exchange(srv.port, [hello])
+        finally:
+            srv.shutdown()
+        assert len(replies) == 1
+        kind, fields = io.parse_frame(replies[0])
+        assert kind == "error" and fields["reason"] == "server"
+        assert "File_exists" in fields["detail"]
+
     @pytest.mark.parametrize(
         "value, detail",
         [
@@ -573,6 +654,17 @@ class TestServerErrors:
         else:
             assert kind == "error" and fields["reason"] == "protocol"
             assert "below_Nyquist" in fields["detail"]
+
+    @pytest.mark.parametrize("rate", ["100001.0", "1e17", "1e300"])
+    def test_sample_rate_above_the_cap_is_rejected(self, server, rate):
+        # The post-hello line cap grows with the rate; an absurd rate must not
+        # make it absurd (at 1e17 Hz it would overflow readline's size argument).
+        hello = f"hello participant=P sample_rate={rate} ref=1.0 mu0=0.1 delta0=0.02"
+        replies = raw_exchange(server.port, [hello, "bye"])
+        assert len(replies) == 1
+        kind, fields = io.parse_frame(replies[0])
+        assert kind == "error" and fields["reason"] == "protocol"
+        assert "is_above_100000.0_Hz" in fields["detail"]
 
     def test_mismatched_model_reported_as_server_error(self, profile, tmp_path):
         # A server accidentally loaded with an offline-featured model must

@@ -14,6 +14,7 @@ counts of samples or sample pairs that clear a threshold (Phinyomark et al.,
 Expert Syst. Appl. 39(8), 2012).
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,11 +83,24 @@ class WindowSpec:
             raise ValueError("amplitude threshold must be non-negative")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# The taper and the bin grid depend only on the window length (and rate), so
+# each is built once and shared read-only: no caller can poison a later call.
+@functools.lru_cache(maxsize=64)
 def hamming_window(n: int) -> np.ndarray:
     """Hamming taper of length n; the degenerate n=1 window is [1.0]."""
     if n < 1:
         raise ValueError("window length must be >= 1")
-    return np.hamming(n)
+    return _read_only(np.hamming(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _rfft_freqs(n: int, rate: float) -> np.ndarray:
+    return _read_only(np.fft.rfftfreq(n, d=1.0 / rate))
 
 
 def periodogram(segment: np.ndarray, rate: float, taper: bool = True):
@@ -94,6 +108,7 @@ def periodogram(segment: np.ndarray, rate: float, taper: bool = True):
 
     Power convention is |X_j|^2 / n over the (optionally tapered) segment;
     spectral features below only depend on bin ratios plus this fixed scale.
+    `freqs_hz` is shared between calls and read-only.
     """
     x = np.asarray(segment, dtype=float)
     if x.size == 0:
@@ -103,8 +118,7 @@ def periodogram(segment: np.ndarray, rate: float, taper: bool = True):
         x = x * hamming_window(n)
     spectrum = np.fft.rfft(x)
     power = (spectrum.real**2 + spectrum.imag**2) / n
-    freqs = np.fft.rfftfreq(n, d=1.0 / rate)
-    return freqs, power
+    return _rfft_freqs(n, rate), power
 
 
 def _value(v, cast=float):
@@ -117,6 +131,12 @@ def _pair_rate(hits, n: int):
     return _value(np.count_nonzero(hits, axis=-1) / max(n - 1, 1))
 
 
+def _mean(x, keepdims=False):
+    """x.mean(axis=-1) without the method wrapper: the same sum, in the same
+    order, divided by the same count."""
+    return np.add.reduce(x, axis=-1, keepdims=keepdims) / x.shape[-1]
+
+
 def _half_index(c):
     """First index along the last axis where running sum c reaches half its end."""
     return np.argmax(c >= 0.5 * c[..., -1:], axis=-1)
@@ -127,12 +147,12 @@ def _half_index(c):
 
 def mav(x):
     """Mean absolute value."""
-    return _value(np.abs(x).mean(axis=-1))
+    return _value(_mean(np.abs(x)))
 
 
 def iemg(x):
     """Integrated EMG: sum of absolute values."""
-    return _value(np.abs(x).sum(axis=-1))
+    return _value(np.add.reduce(np.abs(x), axis=-1))
 
 
 def variance(x):
@@ -140,12 +160,15 @@ def variance(x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] < 2:
         return _value(np.zeros(x.shape[:-1]))
-    return _value(x.var(ddof=1, axis=-1))
+    # x.var(ddof=1) step by step: mean, squared deviations, sum / (n - 1).
+    deviation = x - _mean(x, keepdims=True)
+    np.multiply(deviation, deviation, out=deviation)
+    return _value(np.add.reduce(deviation, axis=-1) / (x.shape[-1] - 1))
 
 
 def rms(x):
     """Root mean square."""
-    return _value(np.sqrt(np.square(x).mean(axis=-1)))
+    return _value(np.sqrt(_mean(np.square(x))))
 
 
 def sd(x):
@@ -160,7 +183,7 @@ def waveform_length(x):
 
 def peak_amp(x):
     """Largest absolute amplitude in the segment."""
-    return _value(np.abs(x).max(axis=-1))
+    return _value(np.maximum.reduce(np.abs(x), axis=-1))
 
 
 def myop(x, thr: float):
@@ -200,15 +223,15 @@ def t50(x):
 
 def mean_freq(freqs, power):
     """Mean frequency: power-weighted average of the bin frequencies."""
-    total = np.asarray(power).sum(axis=-1)
-    weighted = (freqs * power).sum(axis=-1)
+    total = np.add.reduce(power, axis=-1)
+    weighted = np.add.reduce(freqs * power, axis=-1)
     zero = np.zeros(total.shape)
     return _value(np.divide(weighted, total, out=zero, where=total != 0))
 
 
 def mean_power(power):
     """Average periodogram power over the one-sided bins."""
-    return _value(np.asarray(power).mean(axis=-1))
+    return _value(_mean(np.asarray(power)))
 
 
 def median_freq_index(power):

@@ -78,8 +78,12 @@ def parse_int(kind: str, fields: dict, name: str) -> int:
 
 
 def parse_values(kind: str, fields: dict, name: str = "v"):
+    """Comma-separated floats; empty tokens (",," or a trailing ",") are skipped."""
     require_fields(kind, fields, [name])
+    tokens = fields[name].split(",")
+    if "" in tokens:
+        tokens = [t for t in tokens if t]
     try:
-        return [float(p) for p in fields[name].split(",") if p]
+        return list(map(float, tokens))
     except ValueError:
         raise ProtocolError(f"{kind} frame carries unparseable samples") from None

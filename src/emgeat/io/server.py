@@ -172,9 +172,11 @@ class _Handler(socketserver.StreamRequestHandler):
             try:
                 if len(line) > max_line:
                     raise protocol.ProtocolError(f"frame longer than {max_line} bytes")
-                kind, fields = protocol.parse_frame(
-                    line.decode(), allowed=protocol.CLIENT_KINDS
-                )
+                try:
+                    text = line.decode()
+                except UnicodeDecodeError:
+                    raise protocol.ProtocolError("frame is not UTF-8") from None
+                kind, fields = protocol.parse_frame(text, allowed=protocol.CLIENT_KINDS)
                 if session.engine is None:
                     if kind != "hello":
                         raise protocol.ProtocolError("session must open with hello")

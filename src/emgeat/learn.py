@@ -228,7 +228,7 @@ def decision_values(model: LinearModel, X) -> np.ndarray:
     Z = (X - model.mean) / model.scale
     # A per-row sum, not Z @ w: a row's value must not depend on how many
     # rows share the call, so the engine's batches agree with predict().
-    return (Z * model.weights).sum(axis=1) + model.bias
+    return np.add.reduce(Z * model.weights, axis=1) + model.bias
 
 
 def predict(model: LinearModel, X) -> np.ndarray:

@@ -12,6 +12,12 @@ one feature kernel over a stack of segments, one vote step and one run
 assembler: rt_training_set runs them once over a recording, StreamEngine.push
 once per chunk, classifying every segment the chunk makes ready in one pass.
 
+A live session pushes one small frame at a time, so the per-push cost is
+mostly the fixed price of each numpy call rather than arithmetic. The
+band-pass therefore calls the compiled kernel behind scipy.signal.sosfilt
+directly, in place, skipping the public function's validation and copies;
+its results are bit-identical to the public filter's (a test pins this).
+
 Timing uses the sample clock throughout, never the wall clock, so replaying
 a stream reproduces the event log exactly regardless of pacing.
 """
@@ -19,8 +25,7 @@ a stream reproduces the event log exactly regardless of pacing.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import sosfilt
+from scipy.signal._sosfilt import _sosfilt
 
 from . import features as _features
 from . import signal as _signal
@@ -135,22 +140,47 @@ def _segment_times(starts, n_segment: int, effective_rate: float):
     return starts / effective_rate, (starts + n_segment) / effective_rate
 
 
+def _segment_stack(envelope: np.ndarray, n_segment: int, n_hop: int) -> np.ndarray:
+    """Read-only (k, n_segment) view of every full segment of a contiguous
+    envelope, one every n_hop samples (a strided sliding_window_view)."""
+    k = (envelope.size - n_segment) // n_hop + 1
+    step = envelope.itemsize
+    stack = np.ndarray(
+        (k, n_segment), dtype=float, buffer=envelope, strides=(n_hop * step, step)
+    )
+    stack.flags.writeable = False
+    return stack
+
+
+def _bandpass(sample_rate: float) -> np.ndarray:
+    """The streaming band-pass as C-contiguous float sections, the layout
+    the compiled sosfilt kernel takes."""
+    sos = _signal.design_bandpass(_signal.FilterSpec(sample_rate=sample_rate))
+    return np.ascontiguousarray(sos, dtype=float)
+
+
 def _condition(sos, factor: int, samples: np.ndarray, zi, carry: np.ndarray):
     """Band-pass, rectify and block-mean decimate one chunk of raw samples.
 
     Filter state `zi` (None when fresh) and the rectified samples short of a
     full block (`carry`) pass from chunk to chunk, so every chunking of a
-    stream gives the same envelope. Returns (envelope, zi, carry).
+    stream gives the same envelope. `sos` comes from _bandpass; `zi` is
+    updated in place. Returns (envelope, zi, carry).
     """
     finite = np.isfinite(samples)
     if not finite.all():
         raise ValueError(f"non-finite sample at index {int(np.argmin(finite))}")
     if zi is None:
         zi = np.zeros((sos.shape[0], 2))
-    filtered, zi = sosfilt(sos, samples, zi=zi)
-    buf = np.concatenate([carry, _signal.rectify(filtered)])
+    # The carry and the new samples share one buffer; the kernel filters the
+    # samples' (1, n) row in place, exactly as sosfilt does on its own copy.
+    buf = np.concatenate([carry, samples])
+    x = buf[carry.size :]
+    _sosfilt(sos, x.reshape(1, -1), zi.reshape(1, -1, 2))
+    np.abs(x, out=x)
     n_full = buf.size // factor
-    envelope = buf[: n_full * factor].reshape(n_full, factor).mean(axis=1)
+    blocks = buf[: n_full * factor].reshape(n_full, factor)
+    envelope = np.add.reduce(blocks, axis=1) / factor
     return envelope, zi, buf[n_full * factor :]
 
 
@@ -169,9 +199,15 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
         raise ValueError("empty segment")
     freqs, power = _features.periodogram(x, profile.effective_rate, taper=True)
     f = _features
-    columns = [f.mav(x), f.sd(x), f.peak_amp(x), f.rms(x), f.iemg(x)]
-    columns += [f.mean_freq(freqs, power), f.mean_power(power)]
-    return np.stack(columns, axis=-1)
+    out = np.empty(x.shape[:-1] + (len(RT_FEATURE_NAMES),))
+    out[..., 0] = f.mav(x)
+    out[..., 1] = f.sd(x)
+    out[..., 2] = f.peak_amp(x)
+    out[..., 3] = f.rms(x)
+    out[..., 4] = f.iemg(x)
+    out[..., 5] = f.mean_freq(freqs, power)
+    out[..., 6] = f.mean_power(power)
+    return out
 
 
 def vote_filter(predictions, window: int = 8) -> np.ndarray:
@@ -181,20 +217,21 @@ def vote_filter(predictions, window: int = 8) -> np.ndarray:
     as negative, and early positions use however many predictions exist.
     """
     predictions = np.asarray(predictions, dtype=bool)
-    positives = np.concatenate([[0], np.cumsum(predictions)])
-    end = np.arange(1, predictions.size + 1)
-    begin = np.maximum(0, end - window)
-    return (positives[end] - positives[begin]) * 2 > end - begin
+    positives = np.add.accumulate(predictions, dtype=int)
+    positives[window:] -= positives[:-window]  # numpy buffers the overlap
+    seen = np.minimum(np.arange(1, predictions.size + 1), window)
+    return positives * 2 > seen
 
 
-def _assemble(st, votes, starts_s, ends_s) -> list:
+def _assemble(st, votes, times) -> list:
     """Feed votes into the open run of `st`; return the events closed.
 
-    A maximal run of positive votes spans from its first segment's start to
-    its last segment's end.
+    `times` holds each vote's segment (start_s, end_s). A maximal run of
+    positive votes spans from its first segment's start to its last
+    segment's end.
     """
     closed = []
-    for vote, start_s, end_s in zip(votes, starts_s, ends_s):
+    for vote, (start_s, end_s) in zip(votes, times):
         if vote:
             if st.run_start_s is None:
                 st.run_start_s = start_s
@@ -228,7 +265,7 @@ def assemble_events(votes, segment_s: float, hop_s: float, t0: float = 0.0) -> l
     votes = np.asarray(votes, dtype=bool)
     st = StreamState()
     starts = t0 + np.arange(votes.size) * hop_s
-    _assemble(st, votes, starts.tolist(), (starts + segment_s).tolist())
+    _assemble(st, votes, zip(starts.tolist(), (starts + segment_s).tolist()))
     _close_run(st)
     return st.events
 
@@ -251,6 +288,8 @@ class StreamState:
 
     `envelope` starts at the next segment, so between pushes it is shorter
     than one segment; segment k (counted by `segments`) starts at k * hop.
+    `raw_predictions` holds the last vote_window - 1 segment predictions,
+    all that the next majority vote looks back on.
     """
 
     raw_consumed: int = 0
@@ -258,7 +297,7 @@ class StreamState:
     carry: np.ndarray = field(default_factory=lambda: np.zeros(0))
     envelope: np.ndarray = field(default_factory=lambda: np.zeros(0))
     segments: int = 0
-    raw_predictions: list = field(default_factory=list)
+    raw_predictions: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     run_start_s: float = None
     last_positive_end_s: float = None
     events: list = field(default_factory=list)
@@ -284,9 +323,7 @@ class StreamEngine:
         self.model = model
         self.profile = profile
         self.config = config
-        self.sos = _signal.design_bandpass(
-            _signal.FilterSpec(sample_rate=profile.sample_rate)
-        )
+        self.sos = _bandpass(profile.sample_rate)
         self.n_segment, self.n_hop = _segment_geometry(config, profile.effective_rate)
         self.state = StreamState()
 
@@ -316,20 +353,25 @@ class StreamEngine:
 
         # Every ready segment in one pass; decision_values is per row, so the
         # outcome does not depend on how many segments share the push.
-        segments = sliding_window_view(st.envelope, self.n_segment)[:: self.n_hop]
+        segments = _segment_stack(st.envelope, self.n_segment, self.n_hop)
         k = segments.shape[0]
         feats = rt_features(segments, self.profile)
-        st.raw_predictions.extend((decision_values(self.model, feats) > 0).tolist())
-        history = st.raw_predictions[-(self.config.vote_window - 1 + k) :]
-        votes = vote_filter(history, self.config.vote_window)[-k:]
-
-        starts = (st.segments + np.arange(k)) * self.n_hop
-        starts_s, ends_s = _segment_times(
-            starts, self.n_segment, self.profile.effective_rate
+        history = np.concatenate(
+            [st.raw_predictions, decision_values(self.model, feats) > 0]
         )
+        window = self.config.vote_window
+        votes = vote_filter(history, window)[-k:]
+        # The next vote looks back on only the last window - 1 predictions.
+        st.raw_predictions = history[max(0, history.size - window + 1) :]
+
+        first = st.segments * self.n_hop
+        times = [
+            _segment_times(start, self.n_segment, self.profile.effective_rate)
+            for start in range(first, first + k * self.n_hop, self.n_hop)
+        ]
         st.segments += k
         st.envelope = st.envelope[k * self.n_hop :]
-        return _assemble(st, votes, starts_s.tolist(), ends_s.tolist())
+        return _assemble(st, votes.tolist(), times)
 
     def finalize(self) -> list:
         """Close a trailing open event at end of stream."""
@@ -347,14 +389,14 @@ def rt_training_set(recording, profile: CalibrationProfile, config: StreamConfig
     classifies on the same samples. A row is labelled "C" when at least half
     of it overlaps one chew annotation.
     """
-    sos = _signal.design_bandpass(_signal.FilterSpec(sample_rate=recording.sample_rate))
+    sos = _bandpass(recording.sample_rate)
     env, _, _ = _condition(
         sos, config.decimation, recording.channel("masseter"), None, np.zeros(0)
     )
     eff = recording.sample_rate / config.decimation
     n_segment, n_hop = _segment_geometry(config, eff)
     starts = _features.window_starts(env.size, n_segment, n_hop)
-    X = rt_features(sliding_window_view(env, n_segment)[::n_hop], profile)
+    X = rt_features(_segment_stack(env, n_segment, n_hop), profile)
     onsets, terminations = _segment_times(starts, n_segment, eff)
     positive, kind = _features.TASKS["chew"]
     return _features.FeatureMatrix(

@@ -205,6 +205,31 @@ class TestHammingWindow:
     def test_matches_cosine_formula(self):
         assert np.allclose(hamming_window(33), naive_hamming(33), atol=1e-12)
 
+    def test_cached_window_equals_numpy_and_is_read_only(self):
+        for n in (1, 2, 51, 166, 513):
+            w = hamming_window(n)
+            assert np.array_equal(w, np.hamming(n))
+            assert hamming_window(n) is w
+            with pytest.raises(ValueError, match="read-only"):
+                w[0] = 5.0
+            assert np.array_equal(hamming_window(n), np.hamming(n))
+
+    def test_cached_frequency_grid_equals_numpy_and_is_read_only(self):
+        rng = np.random.default_rng(8)
+        for n, rate in ((51, 102.4), (166, 102.4), (64, 1024.0), (1, 50.0)):
+            freqs, _ = periodogram(rng.standard_normal(n), rate)
+            assert np.array_equal(freqs, np.fft.rfftfreq(n, d=1.0 / rate))
+            with pytest.raises(ValueError, match="read-only"):
+                freqs[-1] = 0.0
+            # A later periodogram, tapered or not, still sees the true grid
+            # and the true taper.
+            x = rng.standard_normal((3, n))
+            again, power = periodogram(x, rate)
+            assert np.array_equal(again, np.fft.rfftfreq(n, d=1.0 / rate))
+            spectrum = np.fft.rfft(x * np.hamming(n))
+            expected = (spectrum.real**2 + spectrum.imag**2) / n
+            assert np.array_equal(power, expected)
+
 
 class TestScaleRelations:
     def test_amplitude_features_scale_linearly(self):

@@ -5,6 +5,7 @@ timing-related in the protocol is sample-clock based, so these run at flood
 pacing and still produce the transcripts a real-time client would see.
 """
 
+import math
 import socket
 import threading
 
@@ -307,6 +308,25 @@ class TestProtocol:
         with pytest.raises(io.ProtocolError, match="unparseable samples"):
             protocol.parse_values("samples", {"v": "1.0,oops"})
         assert protocol.parse_values("samples", {"v": "1.0,2.0"}) == [1.0, 2.0]
+
+    def test_parse_values_keeps_its_rules(self):
+        from emgeat.io import protocol
+
+        def parse(v):
+            return protocol.parse_values("samples", {"v": v})
+
+        # Empty tokens are skipped wherever they fall.
+        assert parse("1.0,,2.0,") == [1.0, 2.0]
+        assert parse(",1.0") == [1.0]
+        assert parse("") == [] and parse(",,") == []
+        # Non-finite tokens parse; the session refuses them (TestServerErrors).
+        values = parse("nan,inf,-inf,1e400")
+        assert math.isnan(values[0]) and values[1:] == [math.inf, -math.inf, math.inf]
+        for bad in ("1.0,oops", "oops", "1.0,,oops,", "1.0;2.0"):
+            with pytest.raises(io.ProtocolError, match="unparseable samples"):
+                parse(bad)
+        with pytest.raises(io.ProtocolError, match="missing field 'v'"):
+            protocol.parse_values("samples", {})
 
 
 # --- live server ------------------------------------------------------------
@@ -635,6 +655,18 @@ class TestServerErrors:
         kind, fields = io.parse_frame(replies[-1])
         assert kind == "error" and fields["reason"] == "protocol"
         assert detail in fields["detail"]
+
+    @pytest.mark.parametrize("opened", [False, True])
+    def test_non_utf8_frame_is_a_protocol_error(self, server, opened):
+        hello = "hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02\n"
+        bad = b"hello participant=\xff sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02\n"
+        if opened:
+            bad = b"samples t_us=0 n=2 v=0.5,\xff0.5\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            sock.sendall((hello.encode() if opened else b"") + bad)
+            replies = sock.makefile("r").read().splitlines()
+        assert replies[-1] == "error reason=protocol detail=frame_is_not_UTF-8"
+        assert len(replies) == 1 + opened
 
     def test_detail_holding_equals_sign_still_framed(self, server):
         # The unknown kind 'a=b' lands in the detail; it must not kill the handler.

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.signal import sosfilt
 
 import emgeat.learn as learn
 import emgeat.realtime as rt
@@ -142,6 +143,16 @@ class TestRtFeatures:
         profile = make_profile(reference=0.7)
         single = np.array([rt.rt_features(seg, profile) for seg in stack])
         assert np.array_equal(rt.rt_features(stack, profile), single)
+
+    def test_segment_stack_is_the_strided_window_view(self):
+        env = np.random.default_rng(14).uniform(0.0, 1.0, 130)
+        cases = ((51, 51, 3), (60, 51, 3), (130, 51, 3), (130, 7, 7))
+        for size, n_segment, n_hop in cases:
+            view = env[130 - size :]
+            stack = rt._segment_stack(view, n_segment, n_hop)
+            expected = sliding_window_view(view, n_segment)[::n_hop]
+            assert np.array_equal(stack, expected)
+            assert not stack.flags.writeable
 
 
 class TestVoteFilter:
@@ -393,6 +404,23 @@ class TestStreamEngine:
         )
 
 
+def predictions_push_by_push(engine, raw):
+    """Every segment prediction of a fresh engine on `raw`, read after each
+    push: the first push fills one segment and every later one adds one hop,
+    so each push makes exactly one segment ready."""
+    factor = engine.config.decimation
+    start, predictions = 0, []
+    for end in range(engine.n_segment * factor, raw.size + 1, engine.n_hop * factor):
+        segments = engine.state.segments
+        engine.push(raw[start:end])
+        start = end
+        assert engine.state.segments == segments + 1
+        predictions.append(bool(engine.state.raw_predictions[-1]))
+    engine.push(raw[start:])  # less than one hop: no segment
+    assert engine.state.segments == len(predictions)
+    return predictions
+
+
 class TestRtTrainingSet:
     def test_matrix_shape_and_geometry(self, profile, test_session):
         mat = rt.rt_training_set(test_session, profile)
@@ -434,8 +462,9 @@ class TestRtTrainingSet:
         mat = rt.rt_training_set(test_session, profile)
         batch_votes = learn.predict(rt_model, mat.values) == "C"
         engine = rt.StreamEngine(rt_model, profile)
-        engine.push(test_session.channel("masseter"))
-        raw = np.asarray(engine.state.raw_predictions, dtype=bool)
+        raw = np.array(
+            predictions_push_by_push(engine, test_session.channel("masseter"))
+        )
         n = min(raw.size, batch_votes.size)
         assert n > 100
         assert np.array_equal(raw[:n], batch_votes[:n])
@@ -466,8 +495,7 @@ class TestRtTrainingSet:
             [a for a in test_session.annotations if a.termination_s <= n / FS],
         )
         mat = rt.rt_training_set(rec, profile)
-        engine.push(rec.channel("masseter"))
-        raw = engine.state.raw_predictions
+        raw = predictions_push_by_push(engine, rec.channel("masseter"))
         assert mat.n_rows == len(raw)
         assert (learn.predict(rt_model, mat.values) == "C").tolist() == raw
 
@@ -483,11 +511,12 @@ def property_run(rt_model, profile):
     raw = synth.gen_session(
         synth.SessionPlan(duration_s=PROPERTY_S, seed=556, participant_id="H")
     ).channel("masseter")
+    predictions = predictions_push_by_push(rt.StreamEngine(rt_model, profile), raw)
     engine = rt.StreamEngine(rt_model, profile)
     engine.push(raw)
     engine.finalize()
     assert engine.events, "the reference session produced no events"
-    return raw, engine
+    return raw, engine, predictions
 
 
 class TestChunkingProperty:
@@ -502,14 +531,52 @@ class TestChunkingProperty:
     def test_random_chunkings_match_one_push(
         self, rt_model, profile, property_run, sizes
     ):
-        raw, whole = property_run
+        raw, whole, predictions = property_run
         engine = rt.StreamEngine(rt_model, profile)
         bounds = np.cumsum(sizes)
         for chunk in np.split(raw, bounds[bounds < raw.size]):
             engine.push(chunk)
-            assert len(engine.state.envelope) < engine.n_segment
+            st = engine.state
+            assert len(st.envelope) < engine.n_segment
+            # The state keeps only the predictions the next vote looks back on.
+            kept = len(st.raw_predictions)
+            assert kept == min(st.segments, engine.config.vote_window - 1)
+            recent = predictions[st.segments - kept : st.segments]
+            assert st.raw_predictions.tolist() == recent
         engine.finalize()
-        assert engine.state.raw_predictions == whole.state.raw_predictions
+        assert engine.state.segments == len(predictions)
         assert [(e.onset_s, e.termination_s) for e in engine.events] == [
             (e.onset_s, e.termination_s) for e in whole.events
         ]
+
+
+class TestConditionMatchesPublicFilter:
+    """_condition calls sosfilt's compiled kernel directly; any chunking of a
+    signal must give exactly what the public filter gives on the whole of it,
+    so a scipy release that changes the kernel's contract fails here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sample_rate=st.sampled_from([1024.0, 2000.0, 4096.0]),
+        factor=st.integers(1, 12),
+        sizes=st.lists(st.integers(1, 700), min_size=1, max_size=12),
+    )
+    def test_chunked_kernel_equals_public_sosfilt(
+        self, seed, sample_rate, factor, sizes
+    ):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(sum(sizes)) * 10.0 ** rng.uniform(-3, 3)
+        sos = rt._bandpass(sample_rate)
+        zi, carry, pieces = None, np.zeros(0), []
+        for chunk in np.split(x, np.cumsum(sizes)[:-1]):
+            envelope, zi, carry = rt._condition(sos, factor, chunk, zi, carry)
+            pieces.append(envelope)
+
+        filtered, zf = sosfilt(sos, x, zi=np.zeros((sos.shape[0], 2)))
+        rectified = np.abs(filtered)
+        n_full = x.size // factor
+        blocks = rectified[: n_full * factor].reshape(n_full, factor)
+        assert np.array_equal(np.concatenate(pieces), blocks.mean(axis=1))
+        assert np.array_equal(zi, zf)
+        assert np.array_equal(carry, rectified[n_full * factor :])

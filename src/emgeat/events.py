@@ -102,32 +102,3 @@ def group_into_sequences(bursts: list, max_gap_s: float) -> list:
         else:
             sequences[-1].append(burst)
     return sequences
-
-
-def align_clicks(clicks, bursts, proximity_s: float) -> list:
-    """Match annotation click times against detected bursts.
-
-    Greedy nearest-first matching: candidate (click, burst) pairs within
-    proximity_s (distance zero when the click falls inside the interval) are
-    taken in increasing distance order, each click and each burst used at
-    most once. Returns one (click, BurstInterval or None) pair per click, in
-    input order.
-    """
-    candidates = []
-    for ci, click in enumerate(clicks):
-        for bi, burst in enumerate(bursts):
-            if burst.onset_s <= click <= burst.termination_s:
-                dist = 0.0
-            else:
-                dist = min(abs(click - burst.onset_s), abs(click - burst.termination_s))
-            if dist <= proximity_s:
-                candidates.append((dist, ci, bi))
-    candidates.sort()
-    matched = {}
-    used_bursts = set()
-    for dist, ci, bi in candidates:
-        if ci in matched or bi in used_bursts:
-            continue
-        matched[ci] = bursts[bi]
-        used_bursts.add(bi)
-    return [(click, matched.get(ci)) for ci, click in enumerate(clicks)]

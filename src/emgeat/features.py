@@ -8,17 +8,16 @@ burst that overlaps the window most.
 
 Every feature function, the periodogram and extract_features reduce along
 the last axis: one segment gives a float (extract_features one row), an
-(n, length) stack such as a sliding_window_view one value (row) per segment,
-bit-identical to that segment's own. MYOP, WAMP, ZC and SSC are per-row
-counts of samples or sample pairs that clear a threshold (Phinyomark et al.,
-Expert Syst. Appl. 39(8), 2012).
+(n, length) window stack one value (row) per segment, bit-identical to that
+segment's own. MYOP, WAMP, ZC and SSC are per-row counts of samples or sample
+pairs that clear a threshold (Phinyomark et al., Expert Syst. Appl. 39(8),
+2012).
 """
 
 import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import events as _events
 from . import signal as _signal
@@ -71,7 +70,6 @@ class WindowSpec:
 
     length_s: float
     hop_s: float
-    taper: bool = True
     thr_f: float = None
 
     def __post_init__(self):
@@ -103,10 +101,10 @@ def _rfft_freqs(n: int, rate: float) -> np.ndarray:
     return _read_only(np.fft.rfftfreq(n, d=1.0 / rate))
 
 
-def periodogram(segment: np.ndarray, rate: float, taper: bool = True):
+def periodogram(segment: np.ndarray, rate: float):
     """One-sided periodogram along the last axis. Returns (freqs_hz, power).
 
-    Power convention is |X_j|^2 / n over the (optionally tapered) segment;
+    Power convention is |X_j|^2 / n over the Hamming-tapered segment;
     spectral features below only depend on bin ratios plus this fixed scale.
     `freqs_hz` is shared between calls and read-only.
     """
@@ -114,8 +112,7 @@ def periodogram(segment: np.ndarray, rate: float, taper: bool = True):
     if x.size == 0:
         raise ValueError("empty segment")
     n = x.shape[-1]
-    if taper:
-        x = x * hamming_window(n)
+    x = x * hamming_window(n)
     spectrum = np.fft.rfft(x)
     power = (spectrum.real**2 + spectrum.imag**2) / n
     return _rfft_freqs(n, rate), power
@@ -273,7 +270,7 @@ def extract_features(
     if not np.isfinite(x).all():
         raise ValueError("segment contains non-finite samples")
     thr = 0.0 if spec.thr_f is None else spec.thr_f
-    freqs, power = periodogram(x, rate, taper=spec.taper)
+    freqs, power = periodogram(x, rate)
     values = np.stack(
         [
             mav(x),
@@ -304,11 +301,37 @@ def extract_features(
     return values
 
 
+def _window_geometry(length_s: float, hop_s: float, rate: float):
+    """Samples per window and per hop at `rate` (a decimated envelope's)."""
+    n_window = int(length_s * rate)
+    n_hop = int(hop_s * rate)
+    if n_window < 1 or n_hop < 1:
+        raise ValueError("window or hop too short for the decimated rate")
+    return n_window, n_hop
+
+
 def window_starts(n_samples: int, n_window: int, n_hop: int) -> np.ndarray:
     """Start indices of every full window that fits in n_samples."""
     if n_window > n_samples:
         raise ValueError("signal shorter than one window")
     return np.arange(0, n_samples - n_window + 1, n_hop)
+
+
+def _segment_stack(x: np.ndarray, n_window: int, n_hop: int) -> np.ndarray:
+    """Read-only (k, n_window) view of every full window of a contiguous
+    signal, one every n_hop samples (a strided sliding_window_view)."""
+    k = (x.size - n_window) // n_hop + 1
+    step = x.itemsize
+    stack = np.ndarray(
+        (k, n_window), dtype=float, buffer=x, strides=(n_hop * step, step)
+    )
+    stack.flags.writeable = False
+    return stack
+
+
+def _segment_times(starts, n_window: int, rate: float):
+    """Start and end seconds of the windows at sample indices `starts`."""
+    return starts / rate, (starts + n_window) / rate
 
 
 @dataclass
@@ -401,13 +424,9 @@ def build_feature_matrix(
     first = processed[recording.channel_names[0]]
     rate = first.rate
 
-    n_window = int(spec.length_s * rate)
-    n_hop = int(spec.hop_s * rate)
-    if n_window < 1 or n_hop < 1:
-        raise ValueError("window or hop too short for the decimated rate")
+    n_window, n_hop = _window_geometry(spec.length_s, spec.hop_s, rate)
     starts = window_starts(first.samples.size, n_window, n_hop)
-    onsets = starts / rate
-    terms = (starts + n_window) / rate
+    onsets, terms = _segment_times(starts, n_window, rate)
 
     blocks = []
     for name in recording.channel_names:
@@ -422,7 +441,7 @@ def build_feature_matrix(
         seq_lengths = np.array([len(seq) for seq in sequences for _ in seq] + [0.0])
         blocks.append(
             extract_features(
-                sliding_window_view(sig.samples, n_window)[::n_hop],
+                _segment_stack(sig.samples, n_window, n_hop),
                 sig.rate,
                 replace(spec, thr_f=thr),
                 cycle_duration=durations[which],

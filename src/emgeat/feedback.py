@@ -9,9 +9,6 @@ map is the core slow-down incentive.
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
-
-PULSE_PERIOD_S = 2.0
 
 
 class FeedbackLevel(Enum):
@@ -52,12 +49,6 @@ class RateNormalizer:
             raise ValueError("reference rate must be positive")
 
 
-class PulseEntry(NamedTuple):
-    offset_s: float
-    pulses: int
-    intensity: str
-
-
 def normalize_rate(rate_hz: float, normalizer: RateNormalizer) -> float:
     """Clamp rate / (2 * reference) into [0, 1]."""
     if rate_hz < 0:
@@ -86,25 +77,3 @@ def map_level(norm: float, prev: FeedbackLevel = None, dead_band: float = 0.0) -
         if lo <= norm < hi:
             return level
     return FeedbackLevel.INTENSE_DOUBLE  # norm == 1.0
-
-
-def pulse_schedule(
-    level: FeedbackLevel, window_s: float, period_s: float = PULSE_PERIOD_S
-) -> list:
-    """Pulse timeline for holding a level over a window.
-
-    One entry per pulse burst, every period_s starting at offset 0; NO_PULSE
-    yields an empty schedule.
-    """
-    if window_s < 0:
-        raise ValueError("window must be non-negative")
-    if period_s <= 0:
-        raise ValueError("period must be positive")
-    if level is FeedbackLevel.NO_PULSE:
-        return []
-    out = []
-    t = 0.0
-    while t < window_s:
-        out.append(PulseEntry(offset_s=t, pulses=level.pulses, intensity=level.intensity))
-        t += period_s
-    return out

@@ -47,7 +47,6 @@ def stream_client(
     reference_rate_hz: float = None,
     retries: int = 3,
     retry_wait_s: float = 0.2,
-    on_frame=None,
 ) -> ClientResult:
     """Send one recording through a live session and collect the replies.
 
@@ -76,8 +75,6 @@ def stream_client(
         for line in reader_file:
             line = line.rstrip("\n")
             result.transcript.append(line)
-            if on_frame is not None:
-                on_frame(line)
             try:
                 kind, fields = protocol.parse_frame(line, allowed=protocol.SERVER_KINDS)
             except protocol.ProtocolError:

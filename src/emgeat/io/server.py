@@ -10,12 +10,12 @@ import math
 import re
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..feedback import FeedbackLevel, RateNormalizer, map_level, normalize_rate
 from ..learn import LinearModel
-from ..realtime import CalibrationProfile, StreamConfig, StreamEngine
+from ..realtime import CalibrationProfile, StreamEngine
 from ..signal import FilterSpec
 from . import protocol
 from .datasets import append_events
@@ -38,7 +38,6 @@ class ServerConfig:
     port: int = 0  # 0 = ephemeral; read the bound port from EmgServer.port
     log_dir: Path = None  # event logs are skipped when None
     reference_rate_hz: float = DEFAULT_REFERENCE_RATE_HZ
-    stream: StreamConfig = field(default_factory=StreamConfig)
 
 
 def _positive_float(fields, name: str) -> float:
@@ -59,7 +58,6 @@ class _Session:
         self.normalizer = None
         self.last_rate_second = 0
         self.last_level = FeedbackLevel.NO_PULSE
-        self.last_t_us = -1
 
     def open(self, fields) -> list:
         protocol.require_fields(
@@ -79,10 +77,9 @@ class _Session:
             mu0=protocol.parse_float("hello", fields, "mu0"),
             delta0=protocol.parse_float("hello", fields, "delta0"),
             sample_rate=sample_rate,
-            effective_rate=sample_rate / self.config.stream.decimation,
             source=fields["participant"],
         )
-        self.engine = StreamEngine(self.model, profile, self.config.stream)
+        self.engine = StreamEngine(self.model, profile)
         r_ref = (
             _positive_float(fields, "r_ref")
             if "r_ref" in fields
@@ -110,11 +107,16 @@ class _Session:
                 if bad is not None
                 else "samples values overflow when summed"
             )
-        if t_us <= self.last_t_us:
-            raise protocol.ProtocolError(
-                f"samples timestamp {t_us} does not advance past {self.last_t_us}"
-            )
+        # t_us is the sample clock: a dropped, repeated or reordered frame
+        # shows as a mismatch with the samples received so far.
         fs = self.engine.profile.sample_rate
+        received = self.engine.state.raw_consumed
+        expected = round(received * 1_000_000 / fs)
+        if t_us != expected:
+            raise protocol.ProtocolError(
+                f"samples timestamp {t_us} is not {expected}: the clock must"
+                f" advance with the {received} samples received"
+            )
         if len(values) > protocol.MAX_BUFFERED_S * fs:
             # Back-pressure: refuse to buffer more than MAX_BUFFERED_S at once.
             return [
@@ -123,7 +125,6 @@ class _Session:
                     {"reason": "slowdown", "max_buffered_s": protocol.MAX_BUFFERED_S},
                 )
             ]
-        self.last_t_us = t_us
         closed = self.engine.push(values)
         self._log_events(closed)
         return self._tick()

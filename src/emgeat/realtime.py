@@ -6,6 +6,12 @@ against a calibration reference recorded beforehand. Short overlapping
 segments are classified by the linear model, smoothed by a majority vote
 over the trailing predictions, and positive runs become chew events.
 
+The geometry is fixed (SEGMENT_S, HOP_S, VOTE_WINDOW, RATE_WINDOW_S and
+signal.DECIMATION_FACTOR); only the calibration profile varies per session,
+and its sample rate alone sets the envelope rate, so segment sizes and
+decimation cannot disagree. Segments are cut with the window helpers of
+emgeat.features, the same ones the offline feature matrix uses.
+
 Training and serving share one conditioning path (band-pass with carried
 filter state, rectify, block-mean decimation with a carried ragged tail),
 one feature kernel over a stack of segments, one vote step and one run
@@ -35,6 +41,16 @@ from .metrics import ChewEvent
 
 RT_FEATURE_NAMES = ("mean", "sd", "peak_amp", "rms", "iemg", "mnf", "mnp")
 
+# Streaming geometry: 0.5 s segments every 30 ms of the envelope decimated by
+# signal.DECIMATION_FACTOR, an 8-vote majority and a 5 s rate window. The hop
+# is deliberately much finer than the segment so the vote window stays
+# shorter than the pause between consecutive chews; a coarser hop would fuse
+# back-to-back chews into one event.
+SEGMENT_S = 0.5
+HOP_S = 0.03
+VOTE_WINDOW = 8
+RATE_WINDOW_S = 5.0
+
 # Reference amplitude = this percentile of per-burst envelope peaks.
 CALIBRATION_PERCENTILE = 95.0
 
@@ -51,32 +67,12 @@ class CalibrationProfile:
     mu0: float
     delta0: float
     sample_rate: float
-    effective_rate: float
     source: str = ""
 
-
-@dataclass(frozen=True)
-class StreamConfig:
-    """Geometry of the streaming classifier.
-
-    The hop is deliberately much finer than the segment so the 8-vote
-    majority window stays shorter than the pause between consecutive chews;
-    a coarser hop would fuse back-to-back chews into one event.
-    """
-
-    segment_s: float = 0.5
-    hop_s: float = 0.03
-    vote_window: int = 8
-    rate_window_s: float = 5.0
-    decimation: int = _signal.DECIMATION_FACTOR
-
-    def __post_init__(self):
-        if not 0 < self.hop_s <= self.segment_s:
-            raise ValueError("hop must be positive and no longer than the segment")
-        if self.vote_window < 1:
-            raise ValueError("vote window must be >= 1")
-        if self.rate_window_s <= 0:
-            raise ValueError("rate window must be positive")
+    @property
+    def effective_rate(self) -> float:
+        """Rate of the decimated envelope the segments are cut from."""
+        return self.sample_rate / _signal.DECIMATION_FACTOR
 
 
 def calibrate(
@@ -121,35 +117,8 @@ def calibrate(
         mu0=stats.mu,
         delta0=stats.sigma,
         sample_rate=sample_rate,
-        effective_rate=sample_rate / _signal.DECIMATION_FACTOR,
         source=source,
     )
-
-
-def _segment_geometry(config: StreamConfig, effective_rate: float):
-    """Samples per segment and per hop at the decimated rate."""
-    n_segment = int(config.segment_s * effective_rate)
-    n_hop = int(config.hop_s * effective_rate)
-    if n_segment < 1 or n_hop < 1:
-        raise ValueError("segment or hop too short for the effective rate")
-    return n_segment, n_hop
-
-
-def _segment_times(starts, n_segment: int, effective_rate: float):
-    """Start and end seconds of the segments at envelope indices `starts`."""
-    return starts / effective_rate, (starts + n_segment) / effective_rate
-
-
-def _segment_stack(envelope: np.ndarray, n_segment: int, n_hop: int) -> np.ndarray:
-    """Read-only (k, n_segment) view of every full segment of a contiguous
-    envelope, one every n_hop samples (a strided sliding_window_view)."""
-    k = (envelope.size - n_segment) // n_hop + 1
-    step = envelope.itemsize
-    stack = np.ndarray(
-        (k, n_segment), dtype=float, buffer=envelope, strides=(n_hop * step, step)
-    )
-    stack.flags.writeable = False
-    return stack
 
 
 def _bandpass(sample_rate: float) -> np.ndarray:
@@ -197,7 +166,7 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     x = np.asarray(segment, dtype=float) / profile.reference_amplitude
     if x.size == 0:
         raise ValueError("empty segment")
-    freqs, power = _features.periodogram(x, profile.effective_rate, taper=True)
+    freqs, power = _features.periodogram(x, profile.effective_rate)
     f = _features
     out = np.empty(x.shape[:-1] + (len(RT_FEATURE_NAMES),))
     out[..., 0] = f.mav(x)
@@ -210,7 +179,7 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     return out
 
 
-def vote_filter(predictions, window: int = 8) -> np.ndarray:
+def vote_filter(predictions, window: int = VOTE_WINDOW) -> np.ndarray:
     """Majority vote over the trailing `window` raw predictions.
 
     Position t looks at predictions[max(0, t-window+1) .. t]; a tie counts
@@ -255,22 +224,7 @@ def _close_run(st) -> list:
     return [event]
 
 
-def assemble_events(votes, segment_s: float, hop_s: float, t0: float = 0.0) -> list:
-    """Turn the smoothed prediction stream into chew events.
-
-    Vote k covers [t0 + k*hop_s, t0 + k*hop_s + segment_s). Runs are
-    assembled exactly as the engine does, and a run still open after the
-    last vote is closed there, as StreamEngine.finalize does.
-    """
-    votes = np.asarray(votes, dtype=bool)
-    st = StreamState()
-    starts = t0 + np.arange(votes.size) * hop_s
-    _assemble(st, votes, zip(starts.tolist(), (starts + segment_s).tolist()))
-    _close_run(st)
-    return st.events
-
-
-def live_rate(events, t: float, window_s: float = 5.0) -> float:
+def live_rate(events, t: float, window_s: float = RATE_WINDOW_S) -> float:
     """Chews per second over the trailing window at time t.
 
     Counts events lying wholly inside [t - window_s, t] and divides by the
@@ -288,7 +242,7 @@ class StreamState:
 
     `envelope` starts at the next segment, so between pushes it is shorter
     than one segment; segment k (counted by `segments`) starts at k * hop.
-    `raw_predictions` holds the last vote_window - 1 segment predictions,
+    `raw_predictions` holds the last VOTE_WINDOW - 1 segment predictions,
     all that the next majority vote looks back on.
     """
 
@@ -312,19 +266,15 @@ class StreamEngine:
     the samples are chunked into pushes.
     """
 
-    def __init__(
-        self,
-        model: LinearModel,
-        profile: CalibrationProfile,
-        config: StreamConfig = StreamConfig(),
-    ):
+    def __init__(self, model: LinearModel, profile: CalibrationProfile):
         if tuple(model.feature_names) != RT_FEATURE_NAMES:
             raise ValueError("model was not trained on the streaming feature set")
         self.model = model
         self.profile = profile
-        self.config = config
         self.sos = _bandpass(profile.sample_rate)
-        self.n_segment, self.n_hop = _segment_geometry(config, profile.effective_rate)
+        self.n_segment, self.n_hop = _features._window_geometry(
+            SEGMENT_S, HOP_S, profile.effective_rate
+        )
         self.state = StreamState()
 
     @property
@@ -344,7 +294,7 @@ class StreamEngine:
             return []
         st = self.state
         envelope, st.zi, st.carry = _condition(
-            self.sos, self.config.decimation, samples, st.zi, st.carry
+            self.sos, _signal.DECIMATION_FACTOR, samples, st.zi, st.carry
         )
         st.raw_consumed += samples.size
         st.envelope = np.concatenate([st.envelope, envelope])
@@ -353,20 +303,20 @@ class StreamEngine:
 
         # Every ready segment in one pass; decision_values is per row, so the
         # outcome does not depend on how many segments share the push.
-        segments = _segment_stack(st.envelope, self.n_segment, self.n_hop)
+        segments = _features._segment_stack(st.envelope, self.n_segment, self.n_hop)
         k = segments.shape[0]
         feats = rt_features(segments, self.profile)
         history = np.concatenate(
             [st.raw_predictions, decision_values(self.model, feats) > 0]
         )
-        window = self.config.vote_window
-        votes = vote_filter(history, window)[-k:]
-        # The next vote looks back on only the last window - 1 predictions.
-        st.raw_predictions = history[max(0, history.size - window + 1) :]
+        votes = vote_filter(history)[-k:]
+        # The next vote looks back on only the last VOTE_WINDOW - 1 predictions.
+        st.raw_predictions = history[max(0, history.size - VOTE_WINDOW + 1) :]
 
         first = st.segments * self.n_hop
+        eff = self.profile.effective_rate
         times = [
-            _segment_times(start, self.n_segment, self.profile.effective_rate)
+            _features._segment_times(start, self.n_segment, eff)
             for start in range(first, first + k * self.n_hop, self.n_hop)
         ]
         st.segments += k
@@ -378,26 +328,32 @@ class StreamEngine:
         return _close_run(self.state)
 
     def rate_at(self, t: float) -> float:
-        return live_rate(self.state.events, t, self.config.rate_window_s)
+        return live_rate(self.state.events, t)
 
 
-def rt_training_set(recording, profile: CalibrationProfile, config: StreamConfig = StreamConfig()):
+def rt_training_set(recording, profile: CalibrationProfile):
     """Windowed streaming features for one recording, as a FeatureMatrix.
 
     Runs the engine's conditioning and feature kernel over the masseter
     channel in one pass, so the rows are exactly the segments a StreamEngine
     classifies on the same samples. A row is labelled "C" when at least half
-    of it overlaps one chew annotation.
+    of it overlaps one chew annotation. The profile must have been calibrated
+    at the recording's sample rate.
     """
-    sos = _bandpass(recording.sample_rate)
+    if recording.sample_rate != profile.sample_rate:
+        raise ValueError(
+            f"profile calibrated at {profile.sample_rate!r} Hz, recording"
+            f" sampled at {recording.sample_rate!r} Hz"
+        )
+    sos = _bandpass(profile.sample_rate)
     env, _, _ = _condition(
-        sos, config.decimation, recording.channel("masseter"), None, np.zeros(0)
+        sos, _signal.DECIMATION_FACTOR, recording.channel("masseter"), None, np.zeros(0)
     )
-    eff = recording.sample_rate / config.decimation
-    n_segment, n_hop = _segment_geometry(config, eff)
+    eff = profile.effective_rate
+    n_segment, n_hop = _features._window_geometry(SEGMENT_S, HOP_S, eff)
     starts = _features.window_starts(env.size, n_segment, n_hop)
-    X = rt_features(_segment_stack(env, n_segment, n_hop), profile)
-    onsets, terminations = _segment_times(starts, n_segment, eff)
+    X = rt_features(_features._segment_stack(env, n_segment, n_hop), profile)
+    onsets, terminations = _features._segment_times(starts, n_segment, eff)
     positive, kind = _features.TASKS["chew"]
     return _features.FeatureMatrix(
         feature_names=RT_FEATURE_NAMES,

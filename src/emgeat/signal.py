@@ -129,14 +129,6 @@ def design_bandpass(spec: FilterSpec) -> np.ndarray:
     return butter(spec.order, [low, high], btype="bandpass", output="sos")
 
 
-def filter_poles(sos: np.ndarray) -> np.ndarray:
-    """All poles of a cascaded-sections filter (for stability checks)."""
-    poles = []
-    for section in np.atleast_2d(sos):
-        poles.extend(np.roots(section[3:]))
-    return np.asarray(poles)
-
-
 def apply_filter(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
     """Run the filter causally over the samples (single forward pass).
 
@@ -205,41 +197,25 @@ class ProcessedSignal:
 
     samples: np.ndarray
     rate: float
-    filter_spec: FilterSpec
-    decimation: int
 
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.rate
 
 
-def preprocess(
-    x: np.ndarray,
-    sample_rate: float,
-    filter_spec: FilterSpec = None,
-    decimation: int = DECIMATION_FACTOR,
-    mode: str = "mean",
-) -> ProcessedSignal:
-    """Full conditioning chain: band-pass, rectify, normalize, decimate."""
-    if filter_spec is None:
-        filter_spec = FilterSpec(sample_rate=sample_rate)
-    elif filter_spec.sample_rate != sample_rate:
-        raise ValueError("filter_spec was designed for a different sample rate")
-    sos = design_bandpass(filter_spec)
+def preprocess(x: np.ndarray, sample_rate: float, mode: str = "mean") -> ProcessedSignal:
+    """Full conditioning chain: band-pass, rectify, normalize, decimate by
+    DECIMATION_FACTOR (`mode` as in downsample)."""
+    sos = design_bandpass(FilterSpec(sample_rate=sample_rate))
     y = apply_filter(x, sos)
     y = normalize(rectify(y))
-    y = downsample(y, decimation, mode=mode)
-    return ProcessedSignal(
-        samples=y,
-        rate=sample_rate / decimation,
-        filter_spec=filter_spec,
-        decimation=decimation,
-    )
+    y = downsample(y, DECIMATION_FACTOR, mode=mode)
+    return ProcessedSignal(samples=y, rate=sample_rate / DECIMATION_FACTOR)
 
 
-def preprocess_recording(recording: RawRecording, **kwargs) -> dict:
+def preprocess_recording(recording: RawRecording) -> dict:
     """Condition every channel of a recording. Returns name -> ProcessedSignal."""
     return {
-        name: preprocess(recording.channel(name), recording.sample_rate, **kwargs)
+        name: preprocess(recording.channel(name), recording.sample_rate)
         for name in recording.channel_names
     }

@@ -106,7 +106,7 @@ def test_criterion_01_feature_oracle_equivalence():
             seg = scale * rng.standard_normal(512)
             thr = float(rng.uniform(0.0, 0.5 * scale))
             cyc = (float(rng.uniform(0, 2)), float(rng.integers(0, 30)))
-            spec = feats.WindowSpec(length_s=5.0, hop_s=2.5, taper=True, thr_f=thr)
+            spec = feats.WindowSpec(length_s=5.0, hop_s=2.5, thr_f=thr)
             got = feats.extract_features(seg, 102.4, spec, *cyc)
             want = naive_feature_vector(seg, 102.4, thr, *cyc)
             for g, w in zip(got, want):
@@ -125,7 +125,7 @@ def test_criterion_02_spectral_features_on_pure_tone():
         spec = feats.WindowSpec(length_s=0.5, hop_s=0.5, thr_f=0.0)
         row = feats.extract_features(x, fs, spec)
         by_name = dict(zip(feats.FEATURE_NAMES, row))
-        _, power = feats.periodogram(x, fs, taper=True)
+        _, power = feats.periodogram(x, fs)
         ok = (
             abs(by_name["mnf"] - 80.0) <= 2.0
             and abs(by_name["mdf"] - 80.0) <= 2.0
@@ -288,8 +288,7 @@ def test_criterion_06_cross_participant_window_f1():
 def test_criterion_07_streaming_count_rate_latency():
     def body():
         profile, model = stream_setup()
-        cfg = rt.StreamConfig()
-        bound = cfg.segment_s + cfg.vote_window * cfg.hop_s + cfg.segment_s
+        bound = rt.SEGMENT_S + rt.VOTE_WINDOW * rt.HOP_S + rt.SEGMENT_S
         worst_count = worst_rate = worst_latency = 0.0
         for seed in range(299, 304):
             plan = synth.SessionPlan(
@@ -297,7 +296,7 @@ def test_criterion_07_streaming_count_rate_latency():
             )
             session = synth.gen_session(plan)
             raw = session.channel("masseter")
-            engine = rt.StreamEngine(model, profile, cfg)
+            engine = rt.StreamEngine(model, profile)
             for i in range(0, raw.size, 512):
                 for event in engine.push(raw[i : i + 512]):
                     worst_latency = max(
@@ -312,7 +311,7 @@ def test_criterion_07_streaming_count_rate_latency():
                 worst_count, abs(len(engine.events) - truth) / truth
             )
             rates = [
-                rt.live_rate(engine.events, t, cfg.rate_window_s)
+                rt.live_rate(engine.events, t, rt.RATE_WINDOW_S)
                 for t in np.arange(6.0, 60.0, 1.0)
             ]
             worst_rate = max(

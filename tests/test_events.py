@@ -1,11 +1,10 @@
-"""Threshold computation, burst detection and click alignment."""
+"""Threshold computation, burst detection and sequence grouping."""
 
 import numpy as np
 import pytest
 
 from emgeat.events import (
     BurstInterval,
-    align_clicks,
     baseline_stats,
     compute_threshold,
     detect_bursts,
@@ -121,32 +120,6 @@ class TestSequences:
 
     def test_empty(self):
         assert group_into_sequences([], 2.0) == []
-
-
-class TestAlignClicks:
-    def test_click_inside_burst(self):
-        pairs = align_clicks([10.2], [BurstInterval(10.0, 10.5)], 0.5)
-        assert pairs == [(10.2, BurstInterval(10.0, 10.5))]
-
-    def test_click_too_far(self):
-        pairs = align_clicks([3.0], [BurstInterval(4.0, 4.4)], 0.5)
-        assert pairs == [(3.0, None)]
-
-    def test_two_clicks_one_burst(self):
-        burst = BurstInterval(5.0, 5.4)
-        pairs = align_clicks([5.55, 6.0], [burst], 1.0)
-        assert pairs[0] == (5.55, burst)
-        assert pairs[1] == (6.0, None)
-
-    def test_burst_never_matched_twice(self):
-        rng = np.random.default_rng(16)
-        for _ in range(20):
-            clicks = sorted(rng.uniform(0, 30, size=12))
-            onsets = np.sort(rng.uniform(0, 30, size=6))
-            bursts = [BurstInterval(float(o), float(o) + 0.3) for o in onsets]
-            pairs = align_clicks(list(clicks), bursts, 1.0)
-            matched = [b for _, b in pairs if b is not None]
-            assert len(matched) == len(set(id(b) for b in matched))
 
 
 class TestSyntheticDetection:

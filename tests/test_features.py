@@ -35,12 +35,10 @@ def naive_hamming(n):
     return [0.54 - 0.46 * math.cos(2.0 * math.pi * k / (n - 1)) for k in range(n)]
 
 
-def naive_periodogram(seg, rate, taper=True):
+def naive_periodogram(seg, rate):
     n = len(seg)
-    x = list(seg)
-    if taper:
-        w = naive_hamming(n)
-        x = [x[k] * w[k] for k in range(n)]
+    w = naive_hamming(n)
+    x = [seg[k] * w[k] for k in range(n)]
     # direct DFT over the one-sided bins
     n_bins = n // 2 + 1
     power = []
@@ -125,7 +123,7 @@ class TestOracleEquivalence:
             seg = scale * rng.standard_normal(512)
             thr = float(rng.uniform(0.0, 0.5 * scale))
             cyc = (float(rng.uniform(0, 2)), float(rng.integers(0, 30)))
-            spec = WindowSpec(length_s=5.0, hop_s=2.5, taper=True, thr_f=thr)
+            spec = WindowSpec(length_s=5.0, hop_s=2.5, thr_f=thr)
             got = extract_features(seg, 102.4, spec, *cyc)
             want = naive_feature_vector(seg, 102.4, thr, *cyc)
             for name, g, w in zip(FEATURE_NAMES, got, want):
@@ -221,8 +219,7 @@ class TestHammingWindow:
             assert np.array_equal(freqs, np.fft.rfftfreq(n, d=1.0 / rate))
             with pytest.raises(ValueError, match="read-only"):
                 freqs[-1] = 0.0
-            # A later periodogram, tapered or not, still sees the true grid
-            # and the true taper.
+            # A later periodogram still sees the true grid and the true taper.
             x = rng.standard_normal((3, n))
             again, power = periodogram(x, rate)
             assert np.array_equal(again, np.fft.rfftfreq(n, d=1.0 / rate))
@@ -339,6 +336,15 @@ class TestWindowMatrix:
         assert window_starts(51, 51, 25).size == 1
         with pytest.raises(ValueError):
             window_starts(50, 51, 25)
+
+    def test_hop_too_short_for_rate(self):
+        # At 1024 Hz the envelope runs at 102.4 Hz: a 5 ms hop is less than
+        # one decimated sample, a 10 ms hop exactly one.
+        recording = gen_session(SessionPlan(duration_s=5.0, seed=3))
+        with pytest.raises(ValueError, match="too short"):
+            build_feature_matrix(recording, WindowSpec(CHEW_WINDOW_S, 0.005), "chew")
+        matrix = build_feature_matrix(recording, WindowSpec(CHEW_WINDOW_S, 0.01), "chew")
+        assert np.allclose(np.diff(matrix.onsets_s), 1 / 102.4)
 
     def test_no_annotations_all_negative(self):
         from emgeat.signal import RawRecording

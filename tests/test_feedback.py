@@ -1,4 +1,4 @@
-"""Rate normalization, band mapping, hysteresis and pulse schedules."""
+"""Rate normalization, band mapping and hysteresis."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,9 @@ import pytest
 from emgeat.feedback import (
     BANDS,
     FeedbackLevel,
-    PulseEntry,
     RateNormalizer,
     map_level,
     normalize_rate,
-    pulse_schedule,
 )
 
 REF = RateNormalizer(reference_rate_hz=1.6)
@@ -103,29 +101,3 @@ class TestMapLevel:
             is FeedbackLevel.DOUBLE_PULSE
         )
 
-
-class TestPulseSchedule:
-    def test_no_pulse_empty(self):
-        assert pulse_schedule(FeedbackLevel.NO_PULSE, 10.0) == []
-
-    def test_single_pulse_4s_window(self):
-        entries = pulse_schedule(FeedbackLevel.SINGLE_PULSE, 4.0)
-        assert entries == [
-            PulseEntry(0.0, 1, "normal"),
-            PulseEntry(2.0, 1, "normal"),
-        ]
-
-    def test_double_pulse_counts(self):
-        for entry in pulse_schedule(FeedbackLevel.DOUBLE_PULSE, 6.0):
-            assert entry.pulses == 2
-            assert entry.intensity == "normal"
-
-    def test_intense_double_intensity(self):
-        entries = pulse_schedule(FeedbackLevel.INTENSE_DOUBLE, 2.0)
-        assert entries == [PulseEntry(0.0, 2, "high")]
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            pulse_schedule(FeedbackLevel.SINGLE_PULSE, -1.0)
-        with pytest.raises(ValueError):
-            pulse_schedule(FeedbackLevel.SINGLE_PULSE, 4.0, period_s=0.0)

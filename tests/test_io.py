@@ -506,6 +506,26 @@ class TestServerErrors:
         assert kind == "error" and fields["reason"] == "protocol"
         assert "advance" in fields["detail"]
 
+    @pytest.mark.parametrize(
+        "order, detail",
+        [
+            ((0, 2), "timestamp_250000_is_not_125000:_the_clock_must_advance_with_the_128_"),
+            ((0, 1, 1), "timestamp_125000_is_not_250000:_the_clock_must_advance_with_the_256_"),
+        ],
+        ids=["skipped", "repeated"],
+    )
+    def test_timestamp_must_be_the_sample_clock(self, server, order, detail):
+        # Frames of 128 samples at 1024 Hz start every 125000 us, so a frame
+        # left out or sent twice shows in the next frame's t_us.
+        hello = "hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02"
+        values = ",".join(["0.5"] * 128)
+        frames = [f"samples t_us={k * 125000} n=128 v={values}" for k in order]
+        replies = raw_exchange(server.port, [hello] + frames)
+        assert replies == [
+            "hello participant=P",
+            f"error reason=protocol detail=samples_{detail}samples_received",
+        ]
+
     def test_oversized_frame_gets_slowdown_not_ingested(self, server):
         # 10 s of signal is the buffering cap; one sample more is refused,
         # the session stays open, and the refused samples never reach the

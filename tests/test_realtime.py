@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import sosfilt
 
+import emgeat.features as features
 import emgeat.learn as learn
 import emgeat.realtime as rt
 import emgeat.synth as synth
 from emgeat.metrics import ChewEvent
-from emgeat.signal import RawRecording
+from emgeat.signal import DECIMATION_FACTOR, RawRecording
 
 FS = 1024.0
 
@@ -79,7 +80,6 @@ def make_profile(reference=1.0):
         mu0=0.1,
         delta0=0.02,
         sample_rate=FS,
-        effective_rate=FS / 10,
     )
 
 
@@ -149,7 +149,7 @@ class TestRtFeatures:
         cases = ((51, 51, 3), (60, 51, 3), (130, 51, 3), (130, 7, 7))
         for size, n_segment, n_hop in cases:
             view = env[130 - size :]
-            stack = rt._segment_stack(view, n_segment, n_hop)
+            stack = features._segment_stack(view, n_segment, n_hop)
             expected = sliding_window_view(view, n_segment)[::n_hop]
             assert np.array_equal(stack, expected)
             assert not stack.flags.writeable
@@ -197,36 +197,56 @@ class TestVoteFilter:
         assert rt.vote_filter(preds, window).tolist() == expected
 
 
+def assemble(votes, segment_s, hop_s, t0=0.0):
+    """Run the engine's assembler over votes whose segment k covers
+    [t0 + k*hop_s, t0 + k*hop_s + segment_s); returns (state, events closed
+    by the votes). The run still open at the end stays open in the state."""
+    state = rt.StreamState()
+    times = [(t0 + k * hop_s, t0 + k * hop_s + segment_s) for k in range(len(votes))]
+    closed = rt._assemble(state, votes, times)
+    assert closed == state.events
+    return state, closed
+
+
 class TestAssembleEvents:
     def test_single_run(self):
-        events = rt.assemble_events(
+        state, events = assemble(
             [False, True, True, True, False], segment_s=0.5, hop_s=0.25
         )
         assert len(events) == 1
         assert events[0].onset_s == pytest.approx(0.25)
         assert events[0].termination_s == pytest.approx(1.25)
+        assert rt._close_run(state) == []
 
     def test_all_negative(self):
-        assert rt.assemble_events([False] * 6, 0.5, 0.25) == []
+        state, events = assemble([False] * 6, 0.5, 0.25)
+        assert events == [] and rt._close_run(state) == []
 
     def test_trailing_open_run_closes_at_end(self):
-        events = rt.assemble_events([False, True, True], 0.5, 0.25)
-        assert len(events) == 1
-        assert events[0].termination_s == pytest.approx(2 * 0.25 + 0.5)
+        # The run is still open after the last vote; finalize's _close_run
+        # logs it, ending at the last positive segment's end.
+        state, events = assemble([False, True, True], 0.5, 0.25)
+        assert events == []
+        closed = rt._close_run(state)
+        assert closed == state.events and len(closed) == 1
+        assert closed[0].onset_s == pytest.approx(0.25)
+        assert closed[0].termination_s == pytest.approx(2 * 0.25 + 0.5)
+        assert state.run_start_s is None and rt._close_run(state) == []
 
     def test_onset_clamped_to_previous_termination(self):
         # Long segments overlap across the one-vote gap; the log must not.
-        events = rt.assemble_events(
+        state, events = assemble(
             [True, True, False, True, True], segment_s=1.0, hop_s=0.25
         )
+        events += rt._close_run(state)
         assert len(events) == 2
         assert events[0].termination_s == pytest.approx(1.25)
         assert events[1].onset_s == pytest.approx(1.25)  # clamped up from 0.75
         assert events[1].termination_s == pytest.approx(2.0)
 
     def test_time_origin_offset(self):
-        base = rt.assemble_events([True, True, False], 0.5, 0.25)
-        shifted = rt.assemble_events([True, True, False], 0.5, 0.25, t0=10.0)
+        _, base = assemble([True, True, False], 0.5, 0.25)
+        _, shifted = assemble([True, True, False], 0.5, 0.25, t0=10.0)
         assert shifted[0].onset_s == pytest.approx(base[0].onset_s + 10.0)
         assert shifted[0].termination_s == pytest.approx(
             base[0].termination_s + 10.0
@@ -260,25 +280,24 @@ class TestLiveRate:
             rt.live_rate([], 1.0, window_s=0.0)
 
 
-class TestStreamConfig:
+class TestStreamGeometry:
     def test_defaults(self):
-        cfg = rt.StreamConfig()
-        assert cfg.segment_s == 0.5
-        assert cfg.vote_window == 8
-        assert cfg.rate_window_s == 5.0
+        assert rt.SEGMENT_S == 0.5
+        assert rt.HOP_S == 0.03
+        assert rt.VOTE_WINDOW == 8
+        assert rt.RATE_WINDOW_S == 5.0
+        assert DECIMATION_FACTOR == 10
+        # The hop must fit the segment and hold at least one envelope sample
+        # at the lowest rate the band-pass allows (just above 1000 Hz).
+        assert 0 < rt.HOP_S <= rt.SEGMENT_S
+        assert int(rt.HOP_S * 1000.0 / DECIMATION_FACTOR) >= 1
+        assert rt.live_rate([ChewEvent(0.5, 1.0)], rt.RATE_WINDOW_S) == 1 / 5.0
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"hop_s": 0.0},
-            {"hop_s": 0.6},  # longer than the segment
-            {"vote_window": 0},
-            {"rate_window_s": 0.0},
-        ],
-    )
-    def test_rejects_bad_geometry(self, kwargs):
-        with pytest.raises(ValueError):
-            rt.StreamConfig(**kwargs)
+    def test_profile_rate_sets_the_envelope_rate(self):
+        profile = make_profile()
+        assert profile.effective_rate == FS / DECIMATION_FACTOR
+        with pytest.raises(AttributeError):
+            profile.effective_rate = 1.0
 
 
 def run_engine(model, profile, raw, chunk):
@@ -316,10 +335,6 @@ class TestStreamEngine:
         engine = rt.StreamEngine(rt_model, profile)
         assert engine.push(np.array([])) == []
         assert engine.current_time_s == 0.0
-
-    def test_hop_too_short_for_rate(self, rt_model, profile):
-        with pytest.raises(ValueError, match="too short"):
-            rt.StreamEngine(rt_model, profile, rt.StreamConfig(hop_s=0.004))
 
     def test_clock_tracks_samples(self, rt_model, profile):
         engine = rt.StreamEngine(rt_model, profile)
@@ -368,8 +383,7 @@ class TestStreamEngine:
         _, closures = run_engine(
             rt_model, profile, test_session.channel("masseter"), 32
         )
-        cfg = rt.StreamConfig()
-        bound = cfg.segment_s + cfg.vote_window * cfg.hop_s + cfg.segment_s
+        bound = rt.SEGMENT_S + rt.VOTE_WINDOW * rt.HOP_S + rt.SEGMENT_S
         assert closures, "no events closed"
         for closed_at, event in closures:
             assert closed_at - event.termination_s <= bound
@@ -408,7 +422,7 @@ def predictions_push_by_push(engine, raw):
     """Every segment prediction of a fresh engine on `raw`, read after each
     push: the first push fills one segment and every later one adds one hop,
     so each push makes exactly one segment ready."""
-    factor = engine.config.decimation
+    factor = DECIMATION_FACTOR
     start, predictions = 0, []
     for end in range(engine.n_segment * factor, raw.size + 1, engine.n_hop * factor):
         segments = engine.state.segments
@@ -468,6 +482,38 @@ class TestRtTrainingSet:
         n = min(raw.size, batch_votes.size)
         assert n > 100
         assert np.array_equal(raw[:n], batch_votes[:n])
+
+    def test_profile_at_another_rate_rejected(self, profile):
+        # A 1024 Hz profile would put the 2048 Hz envelope's spectral features
+        # on a grid for half its rate.
+        rec = synth.gen_session(
+            synth.SessionPlan(
+                duration_s=5.0, sample_rate=2 * FS, seed=557, participant_id="F"
+            )
+        )
+        with pytest.raises(ValueError, match="calibrated at 1024.0 Hz"):
+            rt.rt_training_set(rec, profile)
+
+    def test_engine_at_2048_hz_matches_batch_rows(self, rt_model):
+        fs = 2 * FS
+        cal = synth.gen_session(
+            synth.SessionPlan(duration_s=30.0, sample_rate=fs, seed=77, participant_id="C2")
+        )
+        profile = rt.calibrate([cal.channel("masseter")], fs)
+        session = synth.gen_session(
+            synth.SessionPlan(duration_s=20.0, sample_rate=fs, seed=558, participant_id="F")
+        )
+        eff = fs / DECIMATION_FACTOR
+        engine = rt.StreamEngine(rt_model, profile)
+        assert (engine.n_segment, engine.n_hop) == (102, 6)
+        # Segments span SEGMENT_S, truncated to whole envelope samples.
+        assert rt.SEGMENT_S - 1 / eff < engine.n_segment / eff <= rt.SEGMENT_S
+        mat = rt.rt_training_set(session, profile)
+        assert np.allclose(mat.terminations_s - mat.onsets_s, engine.n_segment / eff)
+        assert np.allclose(np.diff(mat.onsets_s), engine.n_hop / eff)
+        raw = predictions_push_by_push(engine, session.channel("masseter"))
+        assert mat.n_rows == len(raw) > 100 and any(raw)
+        assert (learn.predict(rt_model, mat.values) == "C").tolist() == raw
 
     def test_nonfinite_sample_rejected(self, profile, test_session):
         samples = test_session.samples.copy()
@@ -540,7 +586,7 @@ class TestChunkingProperty:
             assert len(st.envelope) < engine.n_segment
             # The state keeps only the predictions the next vote looks back on.
             kept = len(st.raw_predictions)
-            assert kept == min(st.segments, engine.config.vote_window - 1)
+            assert kept == min(st.segments, rt.VOTE_WINDOW - 1)
             recent = predictions[st.segments - kept : st.segments]
             assert st.raw_predictions.tolist() == recent
         engine.finalize()

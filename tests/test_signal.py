@@ -10,7 +10,6 @@ from emgeat.signal import (
     apply_filter,
     design_bandpass,
     downsample,
-    filter_poles,
     normalize,
     preprocess,
     rectify,
@@ -75,7 +74,10 @@ class TestBandpassDesign:
             assert abs(db(got) - db(ref)) <= 1e-6
 
     def test_poles_strictly_inside_unit_circle(self):
-        assert np.all(np.abs(filter_poles(SOS)) < 1.0)
+        # Each section's poles are the roots of its denominator a0, a1, a2.
+        poles = np.concatenate([np.roots(section[3:]) for section in SOS])
+        assert poles.size == 2 * SOS.shape[0]
+        assert np.all(np.abs(poles) < 1.0)
 
     def test_high_cut_at_nyquist_rejected(self):
         with pytest.raises(ValueError):
@@ -181,8 +183,3 @@ class TestFullChain:
         assert np.all(out.samples >= 0.0)
         assert np.all(out.samples <= 1.0)
         assert out.samples.size == 1024
-
-    def test_mismatched_filter_spec_rejected(self):
-        spec = FilterSpec(sample_rate=2048.0)
-        with pytest.raises(ValueError):
-            preprocess(np.zeros(100), 1024.0, filter_spec=spec)

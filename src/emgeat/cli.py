@@ -115,7 +115,7 @@ def cmd_train(args) -> int:
             labels,
             matrix.feature_names,
             args.positive,
-            {"c": args.grid},
+            args.grid,
             base_config=base,
             k=args.folds,
         )

@@ -6,6 +6,7 @@ ground-truth surrogate for muscle contractions and as cycle context for the
 window features.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +14,10 @@ import numpy as np
 # Multiplier on the baseline spread; activity must clear mean + 5 sd.
 THRESHOLD_J = 5.0
 
-DEFAULT_MIN_DURATION_S = 0.05
-DEFAULT_MERGE_GAP_S = 0.05
+# Runs closer than MERGE_GAP_S are merged; merged runs shorter than
+# MIN_DURATION_S are dropped.
+MIN_DURATION_S = 0.05
+MERGE_GAP_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -23,6 +26,14 @@ class BaselineStats:
 
     mu: float
     sigma: float
+
+
+def check_interval(what: str, onset_s: float, termination_s: float) -> None:
+    """Reject an interval that is not finite or does not end after its onset."""
+    if not (math.isfinite(onset_s) and math.isfinite(termination_s)):
+        raise ValueError(f"{what} interval {onset_s}..{termination_s} is not finite")
+    if termination_s <= onset_s:
+        raise ValueError(f"{what} termination {termination_s} not after onset {onset_s}")
 
 
 @dataclass(frozen=True)
@@ -43,25 +54,19 @@ def baseline_stats(x: np.ndarray) -> BaselineStats:
     return BaselineStats(mu=float(x.mean()), sigma=float(x.std()))
 
 
-def compute_threshold(mu0: float, delta0: float, j: float = THRESHOLD_J) -> float:
-    """Activity threshold above the baseline: mu0 + j * delta0."""
+def compute_threshold(mu0: float, delta0: float) -> float:
+    """Activity threshold above the baseline: mu0 + THRESHOLD_J * delta0."""
     if delta0 < 0:
         raise ValueError("baseline spread must be non-negative")
-    return mu0 + j * delta0
+    return mu0 + THRESHOLD_J * delta0
 
 
-def detect_bursts(
-    x: np.ndarray,
-    rate: float,
-    thr: float,
-    min_duration_s: float = DEFAULT_MIN_DURATION_S,
-    merge_gap_s: float = DEFAULT_MERGE_GAP_S,
-) -> list:
+def detect_bursts(x: np.ndarray, rate: float, thr: float) -> list:
     """Find activity bursts in a conditioned envelope.
 
     Maximal runs of samples strictly above thr are extracted first, then runs
-    separated by less than merge_gap_s are merged, then merged runs shorter
-    than min_duration_s are dropped. Interval edges are expressed in seconds;
+    separated by less than MERGE_GAP_S are merged, then merged runs shorter
+    than MIN_DURATION_S are dropped. Interval edges are expressed in seconds;
     a run covering samples [i, j] spans [i / rate, (j + 1) / rate).
     """
     x = np.asarray(x, dtype=float)
@@ -80,25 +85,26 @@ def detect_bursts(
     runs = [(s / rate, (e + 1) / rate) for s, e in zip(starts, ends)]
     merged = [runs[0]]
     for onset, term in runs[1:]:
-        if onset - merged[-1][1] < merge_gap_s:
+        if onset - merged[-1][1] < MERGE_GAP_S:
             merged[-1] = (merged[-1][0], term)
         else:
             merged.append((onset, term))
     return [
         BurstInterval(onset_s=o, termination_s=t)
         for o, t in merged
-        if t - o >= min_duration_s
+        if t - o >= MIN_DURATION_S
     ]
 
 
-def group_into_sequences(bursts: list, max_gap_s: float) -> list:
-    """Partition bursts into runs where consecutive gaps stay <= max_gap_s."""
-    if not bursts:
+def sequence_bounds(intervals: list, max_gap_s: float) -> list:
+    """Split intervals ordered by onset into sequences: a gap above max_gap_s
+    between one interval's termination and the next onset starts a new one.
+
+    Returns one (first, last) inclusive index pair per sequence.
+    """
+    if not intervals:
         return []
-    sequences = [[bursts[0]]]
-    for burst in bursts[1:]:
-        if burst.onset_s - sequences[-1][-1].termination_s > max_gap_s:
-            sequences.append([burst])
-        else:
-            sequences[-1].append(burst)
-    return sequences
+    onsets = np.array([iv.onset_s for iv in intervals])
+    terms = np.array([iv.termination_s for iv in intervals])
+    breaks = np.flatnonzero(onsets[1:] - terms[:-1] > max_gap_s).tolist()
+    return list(zip([0] + [b + 1 for b in breaks], breaks + [len(intervals) - 1]))

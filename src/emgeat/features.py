@@ -15,7 +15,7 @@ pairs that clear a threshold (Phinyomark et al., Expert Syst. Appl. 39(8),
 """
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,9 @@ SWALLOW_WINDOW_S = 1.625
 # Gap bound when grouping bursts into sequences for the cycle features.
 CYCLE_SEQUENCE_GAP_S = 2.0
 
+# Share of a window one annotation must cover for the window's positive label.
+LABEL_MIN_FRACTION = 0.5
+
 TASKS = {
     # task -> (positive label, matching annotation kind)
     "chew": ("C", "chew"),
@@ -64,8 +67,7 @@ class WindowSpec:
     """Sliding-window geometry and feature thresholds.
 
     thr_f is the amplitude threshold shared by MYOP/WAMP/ZC/SSC; None means
-    "derive from the recording baseline" when building a matrix, and 0.0 for
-    standalone extraction.
+    "derive it from the recording baseline".
     """
 
     length_s: float
@@ -253,23 +255,23 @@ def median_freq_power(power):
 def extract_features(
     segment: np.ndarray,
     rate: float,
-    spec: WindowSpec,
+    thr: float = 0.0,
     cycle_duration=0.0,
     cycles_per_sequence=0.0,
 ) -> np.ndarray:
     """All 18 features of single-channel windows, ordered as FEATURE_NAMES.
 
     One window gives 18 values, an (n, length) stack of windows an (n, 18)
-    array whose rows equal each window's own. The two cycle features cannot
-    be derived from the segment and are passed in by the caller, one value
-    or one per window (0 when no burst context exists).
+    array whose rows equal each window's own. thr is the amplitude threshold
+    of MYOP/WAMP/ZC/SSC. The two cycle features cannot be derived from the
+    segment and are passed in by the caller, one value or one per window (0
+    when no burst context exists).
     """
     x = np.asarray(segment, dtype=float)
     if x.size == 0:
         raise ValueError("empty segment")
     if not np.isfinite(x).all():
         raise ValueError("segment contains non-finite samples")
-    thr = 0.0 if spec.thr_f is None else spec.thr_f
     freqs, power = periodogram(x, rate)
     values = np.stack(
         [
@@ -380,12 +382,12 @@ def constant_column(value, n: int) -> np.ndarray:
     return np.array([value] * n, dtype=object)
 
 
-def window_labels(t0, t1, annotations, kind, positive, min_fraction=0.5):
+def window_labels(t0, t1, annotations, kind, positive):
     """Label each window [t0, t1): positive when a single annotation of
-    `kind` covers at least `min_fraction` of it, NEGATIVE_LABEL otherwise."""
+    `kind` covers at least LABEL_MIN_FRACTION of it, NEGATIVE_LABEL otherwise."""
     best, _ = _best_overlap(t0, t1, [a for a in annotations if a.kind == kind])
     labels = constant_column(NEGATIVE_LABEL, best.size)
-    labels[best >= min_fraction * (np.asarray(t1) - np.asarray(t0))] = positive
+    labels[best >= LABEL_MIN_FRACTION * (np.asarray(t1) - np.asarray(t0))] = positive
     return labels
 
 
@@ -433,17 +435,18 @@ def build_feature_matrix(
         sig = processed[name]
         thr = spec.thr_f if spec.thr_f is not None else _resolve_threshold(sig, recording)
         bursts = _events.detect_bursts(sig.samples, sig.rate, thr)
-        sequences = _events.group_into_sequences(bursts, CYCLE_SEQUENCE_GAP_S)
         # Cycle context comes from the burst overlapping the window most; the
         # trailing 0 is what index -1 (no overlapping burst) picks.
         _, which = _best_overlap(onsets, terms, bursts)
         durations = np.array([b.duration_s for b in bursts] + [0.0])
-        seq_lengths = np.array([len(seq) for seq in sequences for _ in seq] + [0.0])
+        bounds = _events.sequence_bounds(bursts, CYCLE_SEQUENCE_GAP_S)
+        per_burst = [b - a + 1 for a, b in bounds for _ in range(a, b + 1)]
+        seq_lengths = np.array(per_burst + [0.0])
         blocks.append(
             extract_features(
                 _segment_stack(sig.samples, n_window, n_hop),
                 sig.rate,
-                replace(spec, thr_f=thr),
+                thr,
                 cycle_duration=durations[which],
                 cycles_per_sequence=seq_lengths[which],
             )

@@ -6,6 +6,7 @@ of four pulse patterns. Faster chewing yields stronger patterns; the band
 map is the core slow-down incentive.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -45,8 +46,10 @@ class RateNormalizer:
     reference_rate_hz: float
 
     def __post_init__(self):
-        if self.reference_rate_hz <= 0:
-            raise ValueError("reference rate must be positive")
+        if not (math.isfinite(self.reference_rate_hz) and self.reference_rate_hz > 0):
+            raise ValueError(
+                f"reference rate {self.reference_rate_hz} must be positive and finite"
+            )
 
 
 def normalize_rate(rate_hz: float, normalizer: RateNormalizer) -> float:

@@ -8,7 +8,6 @@ from .datasets import (
     read_event_log,
     read_rate_series,
     write_dataset,
-    write_rate_series,
 )
 from .models import load_model, save_model
 from .protocol import ProtocolError, format_frame, parse_frame
@@ -36,5 +35,4 @@ __all__ = [
     "serve",
     "stream_client",
     "write_dataset",
-    "write_rate_series",
 ]

@@ -52,10 +52,19 @@ def stream_client(
 
     speed is a wall-clock divisor: 1.0 replays in real time, 10.0 ten times
     faster, 0 floods without pacing. The calibration profile defaults to one
-    computed from the streamed channel itself.
+    computed from the streamed channel itself. A frame may hold at most
+    protocol.MAX_BUFFERED_S of signal, the most the server accepts at once.
     """
     if speed < 0:
         raise ValueError("speed must be >= 0")
+    if not frame_s > 0:
+        raise ValueError(f"frame_s {frame_s} must be positive")
+    n_frame = max(1, int(frame_s * recording.sample_rate))
+    if n_frame > protocol.MAX_BUFFERED_S * recording.sample_rate:
+        raise ValueError(
+            f"a {frame_s} s frame holds {n_frame} samples, more than the"
+            f" {protocol.MAX_BUFFERED_S} s the server accepts in one frame"
+        )
     if profile is None:
         profile = calibrate(
             [recording.channel(channel)],
@@ -63,7 +72,6 @@ def stream_client(
             source=recording.participant_id,
         )
     samples = recording.channel(channel)
-    n_frame = max(1, int(frame_s * recording.sample_rate))
 
     result = ClientResult()
     done = threading.Event()

@@ -132,12 +132,3 @@ def read_rate_series(path) -> list:
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: unparseable rate row") from None
     return out
-
-
-def write_rate_series(series, path) -> Path:
-    path = Path(path)
-    with open(path, "w") as fh:
-        fh.write("t_s,rate_hz\n")
-        for t, rate in series:
-            fh.write(f"{float(t)!r},{float(rate)!r}\n")
-    return path

@@ -7,6 +7,7 @@ repr so a write/read round trip reproduces the exact values, which keeps
 seeded pipelines byte-reproducible.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,12 @@ def read_recording(path) -> RawRecording:
     try:
         sample_rate = float(headers["sample_rate_hz"])
     except ValueError:
-        raise FormatError(f"{path}: sample_rate_hz is not a number") from None
+        sample_rate = math.nan
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise FormatError(
+            f"{path}: header sample_rate_hz={headers['sample_rate_hz']} is not"
+            " a positive finite number"
+        )
 
     if i >= len(lines) or not lines[i].startswith("timestamp_us,"):
         raise FormatError(f"{path}:{i + 1}: expected column header")

@@ -50,12 +50,11 @@ def _positive_float(fields, name: str) -> float:
 class _Session:
     """State machine for one connection."""
 
-    def __init__(self, model, config: ServerConfig, log_path):
+    def __init__(self, model, normalizer: RateNormalizer, log_path):
         self.model = model
-        self.config = config
+        self.normalizer = normalizer  # the server's, unless hello sets r_ref
         self.log_path = log_path
         self.engine = None
-        self.normalizer = None
         self.last_rate_second = 0
         self.last_level = FeedbackLevel.NO_PULSE
 
@@ -80,12 +79,8 @@ class _Session:
             source=fields["participant"],
         )
         self.engine = StreamEngine(self.model, profile)
-        r_ref = (
-            _positive_float(fields, "r_ref")
-            if "r_ref" in fields
-            else self.config.reference_rate_hz
-        )
-        self.normalizer = RateNormalizer(reference_rate_hz=r_ref)
+        if "r_ref" in fields:
+            self.normalizer = RateNormalizer(_positive_float(fields, "r_ref"))
         return [protocol.format_frame("hello", {"participant": fields["participant"]})]
 
     def samples(self, fields) -> list:
@@ -161,7 +156,7 @@ class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         owner = self.server.owner
         try:
-            session = _Session(owner.model, owner.config, owner.next_log_path())
+            session = _Session(owner.model, owner.normalizer, owner.next_log_path())
         except OSError as exc:
             return self._send_error(exc)
         max_line = _HELLO_LINE_BYTES
@@ -222,6 +217,9 @@ class EmgServer:
     def __init__(self, model: LinearModel, config: ServerConfig = None):
         self.model = model
         self.config = config or ServerConfig()
+        # Checked before binding: a bad reference rate is the operator's
+        # fault, not that of every session that omits r_ref.
+        self.normalizer = RateNormalizer(self.config.reference_rate_hz)
         self._tcp = _ThreadingServer(
             (self.config.host, self.config.port), _Handler
         )

@@ -15,7 +15,6 @@ column and the standardization is stored on the model so prediction is
 self-contained.
 """
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -32,20 +31,21 @@ _SCALE_FLOOR = 1e-12
 # Sufficient-decrease fraction of the Armijo line search.
 _ARMIJO = 1e-4
 
+# Cap on Newton iterations, and the relative objective improvement below
+# which the last step is taken and the fit counts as converged.
+_MAX_ITERATIONS = 2000
+_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     c: float = DEFAULT_C
     class_weights: dict = None  # label -> weight; None derives from the data
-    max_epochs: int = 2000  # cap on Newton iterations
-    tol: float = 1e-10  # relative objective improvement considered converged
     seed: int = 0
 
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError("penalty C must be positive")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
 
 
 @dataclass
@@ -169,7 +169,7 @@ def train_linear_svm(
     history = [float(f)]
     converged = False
     epoch = 0
-    for epoch in range(1, config.max_epochs + 1):
+    for epoch in range(1, _MAX_ITERATIONS + 1):
         grad_w, grad_b = _gradient(Z, y, sw, config.c, w, b)
         grad = np.append(grad_w, grad_b)
         active = y * (Z @ w + b) < 1.0
@@ -182,8 +182,8 @@ def train_linear_svm(
         step = np.linalg.solve(hess, -grad)
         slope = float(grad @ step)  # -slope is the squared Newton decrement
         # The quadratic model predicts an improvement of -slope / 2; below
-        # tol this is the last step, taken so the result sits on the optimum.
-        last = -0.5 * slope <= config.tol * max(1.0, f)
+        # _TOL this is the last step, taken so the result sits on the optimum.
+        last = -0.5 * slope <= _TOL * max(1.0, f)
         t = 1.0
         for _ in range(60):
             w_new = w + t * step[:d]
@@ -263,30 +263,29 @@ def prf_metrics(y_true, y_pred) -> dict:
 def build_stratified_folds(labels, k: int, seed: int) -> list:
     """k folds with every class present in each; (train_idx, test_idx) pairs.
 
-    Class members are shuffled then dealt round-robin. When some class is too
-    small to reach every fold, reshuffling is retried with stepped seeds and
-    the attempt gives up after five tries.
+    Class members are shuffled then dealt round-robin, so every fold gets
+    every class exactly when each class has at least k rows.
     """
     labels = np.asarray(labels)
     if k < 2:
         raise ValueError("need at least 2 folds")
-    classes = np.unique(labels)
-    for attempt in range(5):
-        rng = np.random.default_rng(seed + attempt)
-        fold_of = np.empty(labels.size, dtype=int)
-        for c in classes:
-            idx = rng.permutation(np.flatnonzero(labels == c))
-            fold_of[idx] = np.arange(idx.size) % k
-        ok = all(
-            set(map(str, np.unique(labels[fold_of == j]))) == set(map(str, classes))
-            for j in range(k)
-        )
-        if ok:
-            return [
-                (np.flatnonzero(fold_of != j), np.flatnonzero(fold_of == j))
-                for j in range(k)
-            ]
-    raise ValueError(f"could not stratify {k} folds: some class has fewer than {k} rows")
+    classes, counts = np.unique(labels, return_counts=True)
+    if (counts < k).any():
+        raise ValueError(f"could not stratify {k} folds: some class has fewer than {k} rows")
+    rng = np.random.default_rng(seed)
+    fold_of = np.empty(labels.size, dtype=int)
+    for c in classes:
+        idx = rng.permutation(np.flatnonzero(labels == c))
+        fold_of[idx] = np.arange(idx.size) % k
+    return [(np.flatnonzero(fold_of != j), np.flatnonzero(fold_of == j)) for j in range(k)]
+
+
+def _fold_metrics(X, labels, train_rows, test_rows, feature_names, positive_label, config):
+    """Train on X[train_rows], predict X[test_rows]: label -> Prf there."""
+    model = train_linear_svm(
+        X[train_rows], labels[train_rows], feature_names, positive_label, config
+    )
+    return prf_metrics(labels[test_rows], predict(model, X[test_rows]))
 
 
 def grid_search_cv(
@@ -294,35 +293,33 @@ def grid_search_cv(
     labels,
     feature_names: tuple,
     positive_label: str,
-    grid: dict,
+    penalties,
     base_config: TrainConfig = TrainConfig(),
     k: int = 3,
 ):
-    """Pick the best TrainConfig over a parameter grid by k-fold mean F1.
+    """Pick the penalty C from `penalties` by k-fold mean F1.
 
     The score is the positive-class F1 averaged over stratified folds (folds
-    fixed across candidates). Ties go to the smaller penalty C, then to the
-    earlier grid position. Returns (best_config, results) where results is a
-    list of (config, mean_f1) in grid order.
+    fixed across candidates). Ties go to the smaller C, then to the earlier
+    position. Returns (best_config, results) where results is a list of
+    (config, mean_f1) in the order of `penalties`.
     """
     X = _check_features(X, feature_names)
     labels = np.asarray(labels)
     folds = build_stratified_folds(labels, k, base_config.seed)
-    names = list(grid.keys())
     results = []
     best = None
-    for combo in itertools.product(*(grid[n] for n in names)):
-        config = replace(base_config, **dict(zip(names, combo)))
+    for c in penalties:
+        config = replace(base_config, c=c)
         scores = []
         for train_idx, test_idx in folds:
-            model = train_linear_svm(
-                X[train_idx], labels[train_idx], feature_names, positive_label, config
+            prf = _fold_metrics(
+                X, labels, train_idx, test_idx, feature_names, positive_label, config
             )
-            pred = predict(model, X[test_idx])
-            scores.append(prf_metrics(labels[test_idx], pred)[positive_label].f1)
+            scores.append(prf[positive_label].f1)
         mean_f1 = float(np.mean(scores))
         results.append((config, mean_f1))
-        if best is None or mean_f1 > best[1] or (mean_f1 == best[1] and config.c < best[0].c):
+        if best is None or mean_f1 > best[1] or (mean_f1 == best[1] and c < best[0].c):
             best = (config, mean_f1)
     return best[0], results
 
@@ -362,29 +359,16 @@ def lopo_evaluate(
             raise ValueError(
                 f"participant {participant} has no {positive_label} windows"
             )
+    X, labels = matrix.values, matrix.labels
     folds = []
     for i, participant in enumerate(participants):
-        test_mask = matrix.participants == participant
-        train_idx = np.flatnonzero(~test_mask)
-        test_idx = np.flatnonzero(test_mask)
-        test_labels = matrix.labels[test_idx]
-        model = train_linear_svm(
-            matrix.values[train_idx],
-            matrix.labels[train_idx],
-            matrix.feature_names,
-            positive_label,
-            config,
+        held_out = matrix.participants == participant
+        test_idx = np.flatnonzero(held_out)
+        test_idx = test_idx[balance_test_set(labels[test_idx], seed=config.seed + i)]
+        prf = _fold_metrics(
+            X, labels, ~held_out, test_idx, matrix.feature_names, positive_label, config
         )
-        keep = balance_test_set(test_labels, seed=config.seed + i)
-        test_idx = test_idx[keep]
-        pred = predict(model, matrix.values[test_idx])
-        folds.append(
-            FoldResult(
-                participant=participant,
-                n_test=test_idx.size,
-                metrics=prf_metrics(matrix.labels[test_idx], pred),
-            )
-        )
+        folds.append(FoldResult(participant=participant, n_test=test_idx.size, metrics=prf))
     labels_seen = sorted({label for fold in folds for label in fold.metrics})
     mean = {}
     f1_std = {}

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .events import check_interval, sequence_bounds
+
 # Gap cap (and sequence-boundary threshold), seconds.
 DEFAULT_GAP_CAP_S = 2.0
 
@@ -23,10 +25,7 @@ class ChewEvent:
     termination_s: float
 
     def __post_init__(self):
-        if self.termination_s <= self.onset_s:
-            raise ValueError(
-                f"event termination {self.termination_s} not after onset {self.onset_s}"
-            )
+        check_interval("event", self.onset_s, self.termination_s)
 
     @property
     def duration_s(self) -> float:
@@ -92,21 +91,13 @@ def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> Correct
     corrected_onsets[1:] = onsets[0] + np.cumsum(durations[:-1] + corrected_gaps)
     corrected_terms = corrected_onsets + durations
 
-    sequences = []
-    start = 0
-    for i, g in enumerate(gaps):
-        if g > gap_cap_s:
-            sequences.append((start, i))
-            start = i + 1
-    sequences.append((start, len(events) - 1))
-
     return CorrectedTimeline(
         events=events,
         corrected_onsets=corrected_onsets,
         corrected_terminations=corrected_terms,
         gaps=gaps,
         corrected_gaps=corrected_gaps,
-        sequences=sequences,
+        sequences=sequence_bounds(events, gap_cap_s),
         gap_cap_s=gap_cap_s,
     )
 

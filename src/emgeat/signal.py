@@ -6,10 +6,13 @@ rectification, min-max normalization, decimation. The same chain, minus the
 per-recording normalization, is reused by the streaming path.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.signal import butter, sosfilt
+
+from .events import check_interval
 
 # Conditioning defaults. The band keeps the useful surface-EMG energy while
 # removing motion drift below 20 Hz and out-of-band noise above 500 Hz.
@@ -33,12 +36,9 @@ class Annotation:
     def __post_init__(self):
         if self.kind not in ANNOTATION_KINDS:
             raise ValueError(f"unknown annotation kind {self.kind!r}")
+        check_interval("annotation", self.onset_s, self.termination_s)
         if self.onset_s < 0:
             raise ValueError(f"annotation onset {self.onset_s} is negative")
-        if self.termination_s <= self.onset_s:
-            raise ValueError(
-                f"annotation termination {self.termination_s} not after onset {self.onset_s}"
-            )
 
     @property
     def duration_s(self) -> float:
@@ -65,8 +65,8 @@ class RawRecording:
             raise ValueError("samples must be 2-D (channels x samples)")
         if len(self.channel_names) != self.samples.shape[0]:
             raise ValueError("channel_names does not match samples shape")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError(f"sample_rate {self.sample_rate} must be positive and finite")
         # Annotations are kept sorted so downstream sweeps can assume order.
         self.annotations = sorted(self.annotations, key=lambda a: (a.onset_s, a.termination_s))
         for ann in self.annotations:

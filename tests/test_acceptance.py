@@ -106,8 +106,7 @@ def test_criterion_01_feature_oracle_equivalence():
             seg = scale * rng.standard_normal(512)
             thr = float(rng.uniform(0.0, 0.5 * scale))
             cyc = (float(rng.uniform(0, 2)), float(rng.integers(0, 30)))
-            spec = feats.WindowSpec(length_s=5.0, hop_s=2.5, thr_f=thr)
-            got = feats.extract_features(seg, 102.4, spec, *cyc)
+            got = feats.extract_features(seg, 102.4, thr, *cyc)
             want = naive_feature_vector(seg, 102.4, thr, *cyc)
             for g, w in zip(got, want):
                 worst = max(worst, abs(g - w) / max(1.0, abs(w)))
@@ -122,8 +121,7 @@ def test_criterion_02_spectral_features_on_pure_tone():
     def body():
         fs = 1024.0
         x = np.sin(2 * np.pi * 80.0 * np.arange(512) / fs)
-        spec = feats.WindowSpec(length_s=0.5, hop_s=0.5, thr_f=0.0)
-        row = feats.extract_features(x, fs, spec)
+        row = feats.extract_features(x, fs, 0.0)
         by_name = dict(zip(feats.FEATURE_NAMES, row))
         _, power = feats.periodogram(x, fs)
         ok = (

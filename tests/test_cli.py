@@ -247,9 +247,7 @@ class TestAnalyze:
 class TestFeedbackSim:
     def test_transitions_only(self, tmp_path, capsys):
         series = tmp_path / "rates.csv"
-        io.write_rate_series(
-            [(1.0, 0.5), (2.0, 1.6), (3.0, 1.7), (4.0, 2.4)], series
-        )
+        series.write_text("t_s,rate_hz\n1.0,0.5\n2.0,1.6\n3.0,1.7\n4.0,2.4\n")
         rc, out, _ = run_cli(["feedback-sim", "--in", str(series)], capsys)
         assert rc == 0
         assert out.splitlines() == [
@@ -261,9 +259,7 @@ class TestFeedbackSim:
     def test_dead_band_suppresses_flicker(self, tmp_path, capsys):
         # 1.6 chews/s normalizes to 0.5; +-0.16 wobbles across the 0.6 edge.
         series = tmp_path / "rates.csv"
-        io.write_rate_series(
-            [(1.0, 1.6), (2.0, 1.98), (3.0, 1.6), (4.0, 1.98)], series
-        )
+        series.write_text("1.0,1.6\n2.0,1.98\n3.0,1.6\n4.0,1.98\n")
         rc, out, _ = run_cli(
             ["feedback-sim", "--in", str(series), "--dead-band", "0.05"], capsys
         )
@@ -340,6 +336,22 @@ class TestReplay:
         assert rc == 1
         assert "error" in err
 
+    def test_frame_over_the_server_cap_exits_before_connecting(self, session_file, capsys):
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            free_port = probe.getsockname()[1]
+        rc, _, err = run_cli(
+            [
+                "replay", "--in", str(session_file), "--port", str(free_port),
+                "--frame", "11",
+            ],
+            capsys,
+        )
+        assert rc == 1
+        assert err.startswith("emgeat: a 11.0 s frame holds 11264 samples")
+
     def test_no_server_is_domain_error(self, session_file, capsys):
         import socket
 
@@ -366,6 +378,22 @@ class TestServe:
         rc, _, err = run_cli(["serve", "--model", str(model_path)], capsys)
         assert rc == 1
         assert "streaming feature set" in err
+
+    @pytest.mark.parametrize("rate", ["0", "-1.6", "nan"])
+    def test_bad_reference_rate_exits_before_binding(self, rt_model, tmp_path, rate):
+        model_path = io.save_model(rt_model, tmp_path / "rt.model")
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "emgeat.cli", "serve", "--model",
+                str(model_path), "--port", "0", "--reference-rate", rate,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""  # never got as far as "listening on"
+        assert "reference rate" in done.stderr
 
     def test_serve_process_end_to_end(self, rt_model, session_file, tmp_path, capsys):
         model_path = io.save_model(rt_model, tmp_path / "rt.model")

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+import emgeat.events as events
 from emgeat.events import (
     BurstInterval,
     baseline_stats,
     compute_threshold,
     detect_bursts,
-    group_into_sequences,
+    sequence_bounds,
 )
 from emgeat.signal import preprocess
 from emgeat.synth import SessionPlan, gen_session
@@ -16,7 +17,7 @@ from emgeat.synth import SessionPlan, gen_session
 
 class TestThreshold:
     def test_frozen_example(self):
-        assert compute_threshold(0.1, 0.02, 5.0) == pytest.approx(0.2)
+        assert compute_threshold(0.1, 0.02) == pytest.approx(0.2)
 
     def test_zero_spread(self):
         assert compute_threshold(0.1, 0.0) == 0.1
@@ -78,12 +79,14 @@ class TestDetectBursts:
                 assert a.termination_s <= b.onset_s
                 assert a.onset_s < a.termination_s
 
-    def test_raw_runs_only_contain_samples_above_thr(self):
+    def test_raw_runs_only_contain_samples_above_thr(self, monkeypatch):
+        monkeypatch.setattr(events, "MIN_DURATION_S", 0.0)
+        monkeypatch.setattr(events, "MERGE_GAP_S", 0.0)
         rng = np.random.default_rng(14)
         x = np.abs(rng.standard_normal(500))
         thr = 1.0
         rate = 100.0
-        bursts = detect_bursts(x, rate, thr, min_duration_s=0.0, merge_gap_s=0.0)
+        bursts = detect_bursts(x, rate, thr)
         covered = np.zeros(x.size, dtype=bool)
         for b in bursts:
             i0 = int(round(b.onset_s * rate))
@@ -115,11 +118,15 @@ class TestSequences:
             BurstInterval(0.8, 1.1),  # gap 0.5
             BurstInterval(4.0, 4.3),  # gap 2.9 > 2.0 -> new sequence
         ]
-        sequences = group_into_sequences(bursts, 2.0)
-        assert [len(s) for s in sequences] == [2, 1]
+        assert sequence_bounds(bursts, 2.0) == [(0, 1), (2, 2)]
+
+    def test_gap_equal_to_the_cap_stays_inside(self):
+        bursts = [BurstInterval(0.0, 0.5), BurstInterval(2.5, 3.0)]  # gap exactly 2.0
+        assert sequence_bounds(bursts, 2.0) == [(0, 1)]
+        assert sequence_bounds(bursts, 1.5) == [(0, 0), (1, 1)]
 
     def test_empty(self):
-        assert group_into_sequences([], 2.0) == []
+        assert sequence_bounds([], 2.0) == []
 
 
 class TestSyntheticDetection:

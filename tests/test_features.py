@@ -2,7 +2,6 @@
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from emgeat.features import (
     window_starts,
 )
 from emgeat import features as F
-from emgeat.events import detect_bursts, group_into_sequences
+from emgeat.events import detect_bursts
 from emgeat.signal import RawRecording, preprocess_recording
 from emgeat.synth import SessionPlan, gen_session
 
@@ -123,8 +122,7 @@ class TestOracleEquivalence:
             seg = scale * rng.standard_normal(512)
             thr = float(rng.uniform(0.0, 0.5 * scale))
             cyc = (float(rng.uniform(0, 2)), float(rng.integers(0, 30)))
-            spec = WindowSpec(length_s=5.0, hop_s=2.5, thr_f=thr)
-            got = extract_features(seg, 102.4, spec, *cyc)
+            got = extract_features(seg, 102.4, thr, *cyc)
             want = naive_feature_vector(seg, 102.4, thr, *cyc)
             for name, g, w in zip(FEATURE_NAMES, got, want):
                 tol = 1e-9 * max(1.0, abs(w))
@@ -287,11 +285,10 @@ class TestStackedSegments:
         assert np.array_equal(
             F.median_freq_power(power), [F.median_freq_power(p) for p in power]
         )
-        spec = WindowSpec(0.5, 0.25, thr_f=0.3)
         cyc = np.arange(9.0)
         assert np.array_equal(
-            extract_features(stack, 102.4, spec, cyc, 2 * cyc),
-            [extract_features(row, 102.4, spec, c, 2 * c) for row, c in zip(stack, cyc)],
+            extract_features(stack, 102.4, 0.3, cyc, 2 * cyc),
+            [extract_features(row, 102.4, 0.3, c, 2 * c) for row, c in zip(stack, cyc)],
         )
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -316,7 +313,7 @@ class TestStackedSegments:
         values += [F.median_freq(freqs, power), F.median_freq_power(power)]
         assert all(type(v) is float for v in values)
         assert type(median_freq_index(power)) is int
-        assert extract_features(x, 102.4, WindowSpec(0.5, 0.25)).shape == (18,)
+        assert extract_features(x, 102.4).shape == (18,)
 
     def test_single_sample_segments_have_zero_variance(self):
         assert np.array_equal(F.variance(np.ones((3, 1))), np.zeros(3))
@@ -380,12 +377,12 @@ class TestWindowMatrix:
 
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError):
-            extract_features(np.array([]), 102.4, WindowSpec(0.5, 0.25))
+            extract_features(np.array([]), 102.4)
 
     def test_nonfinite_feature_reported_by_name(self):
         x = np.array([1.0, np.inf, 0.0])
         with pytest.raises(ValueError):
-            extract_features(x, 102.4, WindowSpec(0.5, 0.25))
+            extract_features(x, 102.4)
 
 
 # --- the per-window loop build_feature_matrix replaced, as a reference -------
@@ -410,13 +407,18 @@ def per_window_matrix(recording, spec, task):
         if thr is None:
             thr = F._resolve_threshold(sig, recording)
         bursts = detect_bursts(sig.samples, sig.rate, thr)
-        sequences = group_into_sequences(bursts, F.CYCLE_SEQUENCE_GAP_S)
-        channels.append((sig, replace(spec, thr_f=thr), sequences))
+        sequences = [[]]  # a gap above the cap starts the next sequence
+        for burst in bursts:
+            last = sequences[-1]
+            if last and burst.onset_s - last[-1].termination_s > F.CYCLE_SEQUENCE_GAP_S:
+                sequences.append([])
+            sequences[-1].append(burst)
+        channels.append((sig, thr, sequences))
     rows, labels = [], []
     for s in starts:
         t0, t1 = s / rate, (s + n_window) / rate
         row = []
-        for sig, chan_spec, sequences in channels:
+        for sig, thr, sequences in channels:
             best, cycle = 0.0, (0.0, 0.0)
             for seq in sequences:
                 for burst in seq:
@@ -424,7 +426,7 @@ def per_window_matrix(recording, spec, task):
                     if ov > best:  # the first burst reaching the largest overlap wins
                         best, cycle = ov, (burst.duration_s, float(len(seq)))
             segment = sig.samples[s : s + n_window]
-            row.extend(extract_features(segment, sig.rate, chan_spec, *cycle))
+            row.extend(extract_features(segment, sig.rate, thr, *cycle))
         rows.append(row)
         anns = recording.annotations_of(kind)
         covered = max([naive_overlap(t0, t1, a) for a in anns], default=0.0)

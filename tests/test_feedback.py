@@ -1,5 +1,7 @@
 """Rate normalization, band mapping and hysteresis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,11 @@ class TestNormalizeRate:
     def test_bad_reference_rejected(self):
         with pytest.raises(ValueError):
             RateNormalizer(reference_rate_hz=0.0)
+
+    @pytest.mark.parametrize("ref", [math.nan, math.inf])
+    def test_non_finite_reference_rejected(self, ref):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RateNormalizer(reference_rate_hz=ref)
 
     def test_monotone_and_lipschitz(self):
         rates = np.linspace(0.0, 6.0, 500)

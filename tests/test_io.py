@@ -11,6 +11,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emgeat.io as io
 import emgeat.learn as learn
@@ -97,6 +98,16 @@ class TestRecordingFiles:
             "timestamp_us,masseter\n"
         )
         with pytest.raises(io.FormatError, match="no sample rows"):
+            io.read_recording(path)
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1024.0", "fast"])
+    def test_sample_rate_header_must_be_positive_and_finite(self, tmp_path, rate):
+        path = tmp_path / "x.csv"
+        path.write_text(
+            f"# emg-recording v1\n# participant=P\n# sample_rate_hz={rate}\n"
+            "timestamp_us,masseter\n0,0.1\n"
+        )
+        with pytest.raises(io.FormatError, match=f"sample_rate_hz={rate} is not"):
             io.read_recording(path)
 
     def test_unparseable_sample(self, tmp_path):
@@ -189,9 +200,20 @@ class TestEventLogs:
         with pytest.raises(io.FormatError, match=":2:"):
             io.read_event_log(path)
 
+    @pytest.mark.parametrize(
+        "line", ["event,nan,nan,nan", "event,1.0,inf,inf", "event,-inf,1.0,inf"]
+    )
+    def test_non_finite_event_rejected(self, tmp_path, line):
+        path = tmp_path / "s.events"
+        path.write_text(f"event,0.5,0.9,0.4\n{line}\n")
+        with pytest.raises(io.FormatError, match=":2: event interval .* is not finite"):
+            io.read_event_log(path)
+
     def test_rate_series_round_trip(self, tmp_path):
-        series = [(1.0, 0.4), (2.0, 1.6), (3.0, 2.25)]
-        path = io.write_rate_series(series, tmp_path / "r.csv")
+        # The rows `replay` prints as `rate,<t>,<value>`, minus the tag.
+        series = [(1.0, 0.4), (2.0, 1.6), (3.0, 2.25), (4.0, 1 / 3)]
+        path = tmp_path / "r.csv"
+        path.write_text("".join(f"{t!r},{rate!r}\n" for t, rate in series))
         assert io.read_rate_series(path) == series
 
     def test_rate_series_skips_comments_and_header(self, tmp_path):
@@ -309,6 +331,15 @@ class TestProtocol:
             protocol.parse_values("samples", {"v": "1.0,oops"})
         assert protocol.parse_values("samples", {"v": "1.0,2.0"}) == [1.0, 2.0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.text(), allowed=st.sampled_from([None, io.protocol.CLIENT_KINDS]))
+    def test_parse_frame_returns_or_raises_protocol_error(self, line, allowed):
+        try:
+            kind, fields = io.parse_frame(line, allowed=allowed)
+        except io.ProtocolError:
+            return
+        assert isinstance(kind, str) and all(isinstance(v, str) for v in fields.values())
+
     def test_parse_values_keeps_its_rules(self):
         from emgeat.io import protocol
 
@@ -330,6 +361,127 @@ class TestProtocol:
 
 
 # --- live server ------------------------------------------------------------
+
+
+# --- write -> read round trips ------------------------------------------------
+
+# Finite doubles, with the awkward ones always in play: both zeros, the
+# smallest subnormal and a larger one, and the ends of the range.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.5e-320, 1e308, -1e308, 1.7976931348623157e308]
+finite = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+names = st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)
+
+
+def same_bits(a, b):
+    """Equal shapes and the same bytes: tells -0.0 from 0.0, nan from nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        rate=st.floats(1.0, 1e5),
+        n_channels=st.integers(1, 3),
+        n_samples=st.integers(1, 20),
+        participant=names,
+    )
+    def test_recording(self, tmp_path_factory, data, rate, n_channels, n_samples, participant):
+        values = data.draw(
+            st.lists(finite, min_size=n_channels * n_samples, max_size=n_channels * n_samples)
+        )
+        duration = n_samples / rate
+        fractions = data.draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), max_size=4))
+        annotations = [
+            Annotation(kind, min(a, b) * duration, max(a, b) * duration)
+            for (a, b), kind in zip(fractions, ("chew", "swallow", "speech", "baseline"))
+            if min(a, b) * duration < max(a, b) * duration
+        ]
+        rec = RawRecording(
+            participant_id=participant,
+            sample_rate=rate,
+            channel_names=tuple(f"ch{i}" for i in range(n_channels)),
+            samples=np.reshape(values, (n_channels, n_samples)),
+            annotations=annotations,
+        )
+        path = tmp_path_factory.mktemp("rec") / "r.csv"
+        back = io.read_recording(io.write_recording(rec, path))
+        assert (back.participant_id, back.sample_rate, back.channel_names) == (
+            rec.participant_id, rec.sample_rate, rec.channel_names,
+        )
+        assert same_bits(back.samples, rec.samples)
+        assert back.annotations == rec.annotations
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 6), n_features=st.integers(1, 4))
+    def test_dataset(self, tmp_path_factory, data, n_rows, n_features):
+        column = st.lists(finite, min_size=n_rows, max_size=n_rows)
+        mat = FeatureMatrix(
+            feature_names=tuple(data.draw(st.lists(names, min_size=n_features, max_size=n_features))),
+            values=np.reshape(
+                data.draw(st.lists(finite, min_size=n_rows * n_features, max_size=n_rows * n_features)),
+                (n_rows, n_features),
+            ),
+            labels=np.array(data.draw(st.lists(names, min_size=n_rows, max_size=n_rows)), dtype=object),
+            participants=np.array(data.draw(st.lists(names, min_size=n_rows, max_size=n_rows)), dtype=object),
+            onsets_s=np.array(data.draw(column)),
+            terminations_s=np.array(data.draw(column)),
+        )
+        back = io.read_dataset(io.write_dataset(mat, tmp_path_factory.mktemp("ds") / "d.csv"))
+        assert back.feature_names == mat.feature_names
+        assert back.labels.tolist() == mat.labels.tolist()
+        assert back.participants.tolist() == mat.participants.tolist()
+        for name in ("values", "onsets_s", "terminations_s"):
+            assert same_bits(getattr(back, name), getattr(mat, name))
+
+    @settings(max_examples=40, deadline=None)
+    @given(edges=st.lists(finite, min_size=2, max_size=20, unique=True))
+    def test_event_log(self, tmp_path_factory, edges):
+        edges = sorted(edges)
+        events = [ChewEvent(a, b) for a, b in zip(edges[::2], edges[1::2])]
+        path = tmp_path_factory.mktemp("ev") / "s.events"
+        io.append_events(events, path)
+        back = io.read_event_log(path)
+        assert same_bits(
+            [(e.onset_s, e.termination_s) for e in back],
+            [(e.onset_s, e.termination_s) for e in events],
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        n_features=st.integers(1, 5),
+        bias=finite,
+        labels=st.tuples(st.text(min_size=1), st.text(min_size=1)),
+        feature_names=st.lists(st.text(), min_size=5, max_size=5),
+    )
+    def test_model_gives_bit_identical_decisions(
+        self, tmp_path_factory, data, n_features, bias, labels, feature_names
+    ):
+        vector = st.lists(finite, min_size=n_features, max_size=n_features)
+        nonzero = finite.filter(lambda v: v != 0.0)
+        model = learn.LinearModel(
+            feature_names=tuple(feature_names[:n_features]),
+            weights=np.array(data.draw(vector)),
+            bias=bias,
+            mean=np.array(data.draw(vector)),
+            scale=np.array(data.draw(st.lists(nonzero, min_size=n_features, max_size=n_features))),
+            positive_label=labels[0],
+            negative_label=labels[1],
+            train_info={"converged": True, "epochs": 3, "c": 5.0},
+        )
+        path = tmp_path_factory.mktemp("model") / "m.model"
+        back = io.load_model(io.save_model(model, path))
+        assert (back.feature_names, back.positive_label, back.negative_label) == (
+            model.feature_names, model.positive_label, model.negative_label,
+        )
+        assert back.train_info == model.train_info
+        for name in ("weights", "bias", "mean", "scale"):
+            assert same_bits(getattr(back, name), getattr(model, name))
+        X = np.array(data.draw(st.lists(vector, min_size=1, max_size=4)))
+        with np.errstate(all="ignore"):  # extreme values may overflow to inf
+            assert same_bits(learn.decision_values(back, X), learn.decision_values(model, X))
 
 
 @pytest.fixture(scope="module")
@@ -454,6 +606,29 @@ class TestServerSessions:
         rec = short_session(seed=28, duration_s=7.0)
         result = io.stream_client(rec, "127.0.0.1", server.port, speed=0, profile=profile)
         assert [t for t, _ in result.rates] == [float(k) for k in range(1, 8)]
+
+    @pytest.mark.parametrize(
+        "frame_s, message",
+        [(0.0, "must be positive"), (-1.0, "must be positive"), (11.0, "10.0 s")],
+    )
+    def test_frame_the_server_would_refuse_rejected_before_connecting(
+        self, frame_s, message
+    ):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            free_port = probe.getsockname()[1]
+        with pytest.raises(ValueError, match=message):
+            io.stream_client(
+                short_session(seed=29), "127.0.0.1", free_port, speed=0,
+                frame_s=frame_s, retries=0,
+            )
+
+    def test_frame_of_exactly_the_cap_is_accepted(self, server, profile):
+        rec = short_session(seed=30, duration_s=12.0)
+        result = io.stream_client(
+            rec, "127.0.0.1", server.port, speed=0, profile=profile, frame_s=10.0
+        )
+        assert result.errors == [] and result.reported_events is not None
 
     def test_server_absent(self):
         with socket.socket() as probe:
@@ -717,6 +892,12 @@ class TestServerErrors:
         kind, fields = io.parse_frame(replies[0])
         assert kind == "error" and fields["reason"] == "protocol"
         assert "is_above_100000.0_Hz" in fields["detail"]
+
+    @pytest.mark.parametrize("rate", [-1.0, 0.0, math.nan, math.inf])
+    def test_reference_rate_checked_before_binding(self, rt_model, rate):
+        # Checked once at start-up: no session without r_ref pays for it.
+        with pytest.raises(ValueError, match="reference rate"):
+            io.serve(rt_model, io.ServerConfig(reference_rate_hz=rate))
 
     def test_mismatched_model_reported_as_server_error(self, profile, tmp_path):
         # A server accidentally loaded with an offline-featured model must

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emgeat.learn as learn
 from emgeat.features import FeatureMatrix
 from emgeat.learn import (
     LinearModel,
@@ -177,9 +178,10 @@ class TestTraining:
         assert info["converged"] is True
         assert info["grad_norm"] <= 1e-6 * max(1.0, info["objective"])
 
-    def test_iteration_cap_still_returns_model(self):
+    def test_iteration_cap_still_returns_model(self, monkeypatch):
+        monkeypatch.setattr(learn, "_MAX_ITERATIONS", 1)
         X, y = make_blobs(gap=0.35, sd=1.0, seed=4)
-        model = train_linear_svm(X, y, ("f1", "f2"), "C", TrainConfig(max_epochs=1))
+        model = train_linear_svm(X, y, ("f1", "f2"), "C")
         assert model.train_info["converged"] is False
         assert model.train_info["epochs"] == 1
         assert np.all(np.isfinite(model.weights)) and np.isfinite(model.bias)
@@ -273,9 +275,31 @@ class TestFoldsAndGrid:
             assert set(train_idx) & set(test_idx) == set()
             assert "C" in labels[test_idx] and "NA" in labels[test_idx]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        k=st.integers(2, 5),
+        seed=st.integers(0, 99),
+    )
+    def test_folds_exist_exactly_when_every_class_reaches_k(self, counts, k, seed):
+        labels = np.repeat(["C", "NA", "S"][: len(counts)], counts).astype(object)
+        if min(counts) < k:
+            with pytest.raises(ValueError, match=f"fewer than {k} rows"):
+                build_stratified_folds(labels, k, seed)
+            return
+        for _, test_idx in build_stratified_folds(labels, k, seed):
+            assert set(labels[test_idx]) == set(labels)
+
+    def test_ties_go_to_the_smaller_penalty(self):
+        X, y = make_blobs(seed=3)  # separable: every penalty scores F1 = 1
+        config, results = grid_search_cv(X, y, ("f1", "f2"), "C", [5.0, 0.5, 2.0])
+        assert [r[1] for r in results] == [1.0, 1.0, 1.0]
+        assert [r[0].c for r in results] == [5.0, 0.5, 2.0]
+        assert config.c == 0.5
+
     def test_singleton_grid(self):
         X, y = make_blobs(seed=3)
-        config, results = grid_search_cv(X, y, ("f1", "f2"), "C", {"c": [5.0]})
+        config, results = grid_search_cv(X, y, ("f1", "f2"), "C", [5.0])
         assert config.c == 5.0
         assert len(results) == 1
 
@@ -283,7 +307,7 @@ class TestFoldsAndGrid:
         # noisy overlap so the penalty actually matters
         X, y = make_blobs(gap=0.35, sd=1.0, seed=17)
         grid = [0.01, 5.0]
-        config, results = grid_search_cv(X, y, ("f1", "f2"), "C", {"c": grid})
+        config, results = grid_search_cv(X, y, ("f1", "f2"), "C", grid)
 
         folds = build_stratified_folds(np.asarray(y), 3, seed=0)
         external = []

@@ -1,5 +1,7 @@
 """Pause-corrected meal metrics: hand cases and capping invariants."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,13 @@ class TestValidation:
     def test_degenerate_event_rejected(self):
         with pytest.raises(ValueError):
             ChewEvent(1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "onset, termination", [(math.nan, math.nan), (1.0, math.inf), (-math.inf, 1.0)]
+    )
+    def test_non_finite_event_rejected(self, onset, termination):
+        with pytest.raises(ValueError, match="not finite"):
+            ChewEvent(onset, termination)
 
 
 class TestCappingInvariants:

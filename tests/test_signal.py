@@ -1,12 +1,16 @@
 """Conditioning chain tests against an independently coded analytic oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.signal import sosfreqz
 
 from emgeat.signal import (
     DECIMATION_FACTOR,
+    Annotation,
     FilterSpec,
+    RawRecording,
     apply_filter,
     design_bandpass,
     downsample,
@@ -115,6 +119,20 @@ class TestBandpassDesign:
         x[17] = np.nan
         with pytest.raises(ValueError, match="17"):
             apply_filter(x, SOS)
+
+
+class TestRecordingTypes:
+    @pytest.mark.parametrize(
+        "onset, termination", [(math.nan, math.nan), (0.5, math.nan), (0.5, math.inf)]
+    )
+    def test_non_finite_annotation_rejected(self, onset, termination):
+        with pytest.raises(ValueError, match="not finite"):
+            Annotation("chew", onset, termination)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_sample_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="positive and finite"):
+            RawRecording("P", rate, ("masseter",), np.zeros((1, 8)))
 
 
 class TestRectify:

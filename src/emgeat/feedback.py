@@ -62,11 +62,13 @@ def normalize_rate(rate_hz: float, normalizer: RateNormalizer) -> float:
 def map_level(norm: float, prev: FeedbackLevel = None, dead_band: float = 0.0) -> FeedbackLevel:
     """Select the feedback level for a normalized rate.
 
-    Values outside [0, 1] are clamped with a warning. With a previous level
-    and a dead band, the level only changes once norm leaves the previous
-    band by more than the dead band, which suppresses flapping right at a
-    boundary.
+    Values outside [0, 1] are clamped with a warning; nan and inf raise
+    ValueError, since no band stands for them. With a previous level and a
+    dead band, the level only changes once norm leaves the previous band by
+    more than the dead band, which suppresses flapping right at a boundary.
     """
+    if not math.isfinite(norm):
+        raise ValueError(f"normalized rate {norm!r} is not finite")
     if not 0.0 <= norm <= 1.0:
         warnings.warn(
             f"normalized rate {norm} outside [0, 1]; clamping", stacklevel=2

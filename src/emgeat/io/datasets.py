@@ -1,5 +1,6 @@
 """Feature-matrix datasets, chew-event logs and rate series as text files."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -128,7 +129,10 @@ def read_rate_series(path) -> list:
             if len(parts) != 2:
                 raise FormatError(f"{path}:{lineno}: expected t_s,rate_hz")
             try:
-                out.append((float(parts[0]), float(parts[1])))
+                t, rate = float(parts[0]), float(parts[1])
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: unparseable rate row") from None
+            if not (math.isfinite(t) and math.isfinite(rate)):
+                raise FormatError(f"{path}:{lineno}: rate row {line!r} is not finite")
+            out.append((t, rate))
     return out

@@ -67,8 +67,8 @@ def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> Correct
     altered; only the gaps between events shrink (to at most gap_cap_s) on
     the corrected clock.
     """
-    if gap_cap_s <= 0:
-        raise ValueError("gap cap must be positive")
+    if not gap_cap_s > 0:  # nan fails this too; inf means no cap
+        raise ValueError(f"gap cap {gap_cap_s!r} must be positive")
     events = list(events)
     if not events:
         raise ValueError("no events to analyze")

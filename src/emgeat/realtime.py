@@ -18,8 +18,9 @@ one feature kernel over a stack of segments, one vote step and one run
 assembler: rt_training_set runs them once over a recording, StreamEngine.push
 once per chunk, classifying every segment the chunk makes ready in one pass.
 
-A live session pushes one small frame at a time, so the per-push cost is
-mostly the fixed price of each numpy call rather than arithmetic. The
+The live server feeds the engine once per whole streamed second, since a
+push's cost is mostly the fixed price of each numpy call rather than
+arithmetic; other callers may still push one short frame at a time. The
 band-pass therefore calls the compiled kernel behind scipy.signal.sosfilt
 directly, in place, skipping the public function's validation and copies;
 its results are bit-identical to the public filter's (a test pins this).

@@ -243,6 +243,13 @@ class TestAnalyze:
         assert rc == 1
         assert err.startswith("emgeat:")
 
+    def test_nan_gap_cap_is_domain_error(self, tmp_path, capsys):
+        log = tmp_path / "g.events"
+        io.append_events([ChewEvent(0.0, 0.5), ChewEvent(3.6, 4.1)], log)
+        rc, out, err = run_cli(["analyze", "--in", str(log), "--gap-cap", "nan"], capsys)
+        assert rc == 1 and out == ""
+        assert "gap cap nan must be positive" in err
+
 
 class TestFeedbackSim:
     def test_transitions_only(self, tmp_path, capsys):
@@ -255,6 +262,13 @@ class TestFeedbackSim:
             "2.0,single_pulse",
             "4.0,double_pulse",
         ]
+
+    def test_non_finite_rate_is_domain_error(self, tmp_path, capsys):
+        series = tmp_path / "rates.csv"
+        series.write_text("0.5,1.6\n1.0,nan\n")
+        rc, out, err = run_cli(["feedback-sim", "--in", str(series)], capsys)
+        assert rc == 1 and out == ""
+        assert ":2: rate row '1.0,nan' is not finite" in err
 
     def test_dead_band_suppresses_flicker(self, tmp_path, capsys):
         # 1.6 chews/s normalizes to 0.5; +-0.16 wobbles across the 0.6 edge.

@@ -64,6 +64,14 @@ class TestMapLevel:
     def test_top_closed(self):
         assert map_level(1.0) is FeedbackLevel.INTENSE_DOUBLE
 
+    @pytest.mark.parametrize("norm", [math.nan, math.inf, -math.inf])
+    def test_non_finite_norm_rejected(self, norm):
+        # Clamping used to turn nan into no_pulse.
+        with pytest.raises(ValueError, match="not finite"):
+            map_level(norm)
+        with pytest.raises(ValueError, match="not finite"):
+            map_level(norm, prev=FeedbackLevel.SINGLE_PULSE, dead_band=0.05)
+
     def test_out_of_range_clamped_with_warning(self):
         with pytest.warns(UserWarning, match="clamp"):
             assert map_level(1.3) is FeedbackLevel.INTENSE_DOUBLE

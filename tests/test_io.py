@@ -8,13 +8,16 @@ pacing and still produce the transcripts a real-time client would see.
 import math
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emgeat.feedback as feedback
 import emgeat.io as io
 import emgeat.learn as learn
+import emgeat.realtime as rt
 import emgeat.synth as synth
 from emgeat.features import FeatureMatrix
 from emgeat.metrics import ChewEvent
@@ -225,6 +228,13 @@ class TestEventLogs:
         path = tmp_path / "r.csv"
         path.write_text("1.0,0.5,9\n")
         with pytest.raises(io.FormatError, match="expected t_s,rate_hz"):
+            io.read_rate_series(path)
+
+    @pytest.mark.parametrize("row", ["1.0,nan", "1.0,inf", "1.0,-inf", "nan,0.5"])
+    def test_rate_series_non_finite_rejected(self, tmp_path, row):
+        path = tmp_path / "r.csv"
+        path.write_text(f"t_s,rate_hz\n0.0,0.5\n{row}\n")
+        with pytest.raises(io.FormatError, match=":3: rate row .* is not finite"):
             io.read_rate_series(path)
 
 
@@ -919,6 +929,279 @@ class TestServerErrors:
             assert "streaming_feature_set" in fields["detail"]
         finally:
             srv.shutdown()
+
+
+def per_frame_reference(model, profile, samples, fs, n_frame, participant):
+    """Replies and events of a server that pushes each frame on arrival.
+
+    An in-process engine gets one push per `n_frame` samples and is ticked
+    after each; returns, per frame, the rate/level lines it answers with and
+    the events it closes, plus the events the final bye closes.
+    """
+    engine = rt.StreamEngine(
+        model,
+        rt.CalibrationProfile(
+            reference_amplitude=profile.reference_amplitude,
+            mu0=profile.mu0,
+            delta0=profile.delta0,
+            sample_rate=fs,
+            source=participant,
+        ),
+    )
+    normalizer = feedback.RateNormalizer(io.DEFAULT_REFERENCE_RATE_HZ)
+    second, level = 0, feedback.FeedbackLevel.NO_PULSE
+    replies, closed = [], []
+    for start in range(0, samples.size, n_frame):
+        closed.append(engine.push(samples[start : start + n_frame]))
+        lines = []
+        while second < int(engine.current_time_s):
+            second += 1
+            rate = engine.rate_at(float(second))
+            lines.append(io.format_frame("rate", {"t": float(second), "value": rate}))
+            new = feedback.map_level(feedback.normalize_rate(rate, normalizer))
+            if new is not level:
+                lines.append(io.format_frame("level", {"t": float(second), "value": new.label}))
+                level = new
+        replies.append(lines)
+    return replies, closed, engine.finalize()
+
+
+def hello_line(profile, fs, participant):
+    return io.format_frame(
+        "hello",
+        {
+            "participant": participant,
+            "sample_rate": fs,
+            "ref": profile.reference_amplitude,
+            "mu0": profile.mu0,
+            "delta0": profile.delta0,
+        },
+    )
+
+
+def sample_frames(samples, fs, n_frame):
+    """The samples frames a client sends, `n_frame` values each."""
+    return [
+        io.format_frame(
+            "samples",
+            {
+                "t_us": round(start * 1_000_000 / fs),
+                "n": samples[start : start + n_frame].size,
+                "v": ",".join(repr(float(v)) for v in samples[start : start + n_frame]),
+            },
+        )
+        for start in range(0, samples.size, n_frame)
+    ]
+
+
+def log_text(events):
+    return "".join(io.format_event_line(e) + "\n" for e in events)
+
+
+def wait_for_text(path, expected, timeout_s=10.0):
+    """The file's text once it equals `expected`, or whatever it holds after
+    `timeout_s` (a handler may still be finishing after its client left)."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        text = path.read_text() if path.exists() else ""
+        if text == expected or time.monotonic() > deadline:
+            return text
+        time.sleep(0.01)
+
+
+@pytest.fixture
+def logged_server(rt_model, tmp_path):
+    """A server of its own, so its first session logs to session_001.events."""
+    srv = io.serve(rt_model, io.ServerConfig(log_dir=tmp_path)).start_background()
+    yield srv
+    srv.shutdown()
+
+
+class TestBatchedPushes:
+    """The server feeds the engine once per streamed second; clients and log
+    readers must see exactly what one push per frame would give."""
+
+    def test_one_push_per_streamed_second(self, server, profile, monkeypatch):
+        sizes = []
+        push = rt.StreamEngine.push
+
+        def spy(engine, samples):
+            sizes.append(len(samples))
+            return push(engine, samples)
+
+        monkeypatch.setattr(rt.StreamEngine, "push", spy)
+        rec = short_session(seed=41, duration_s=10.0)
+        result = io.stream_client(rec, "127.0.0.1", server.port, speed=0, profile=profile)
+        assert result.errors == [] and result.reported_events > 0
+        assert sizes == [1024] * 10  # 80 frames of 128 samples
+
+    def test_seconds_ending_inside_frames(self, logged_server, rt_model, profile):
+        # 12.8 frames of 100 samples per second at 1280 Hz: most seconds end
+        # inside a frame, so each push takes part of a frame's samples' second.
+        fs, n_frame = 1280.0, 100
+        rec = synth.gen_session(
+            synth.SessionPlan(duration_s=10.0, seed=42, sample_rate=fs, participant_id="R")
+        )
+        result = io.stream_client(
+            rec, "127.0.0.1", logged_server.port, speed=0, profile=profile,
+            frame_s=n_frame / fs,
+        )
+        replies, closed, final = per_frame_reference(
+            rt_model, profile, rec.channel("masseter"), fs, n_frame, "R"
+        )
+        events = [e for c in closed for e in c] + final
+        assert len(events) > 3
+        assert result.transcript == (
+            ["hello participant=R"]
+            + [line for lines in replies for line in lines]
+            + [f"bye events={len(events)}"]
+        )
+        log = logged_server.config.log_dir / "session_001.events"
+        assert log.read_text() == log_text(events)
+
+    @pytest.mark.parametrize("end", ["bye", "nan", "t_us", "disconnect"])
+    def test_event_log_whatever_ends_the_session(
+        self, logged_server, rt_model, profile, test_session, end
+    ):
+        fs, n_frame = test_session.sample_rate, 128
+        samples = test_session.channel("masseter")[: int(20 * fs)]
+        replies, closed, final = per_frame_reference(
+            rt_model, profile, samples, fs, n_frame, "E"
+        )
+        frames = sample_frames(samples, fs, n_frame)
+        lines = [hello_line(profile, fs, "E")]
+        if end == "bye":
+            last, events = len(frames) - 1, [e for c in closed for e in c] + final
+        else:
+            # The last frame to close an event without completing a second:
+            # the session ends while that event is held with its samples.
+            last = max(
+                k for k, c in enumerate(closed)
+                if c and (k + 1) * n_frame % int(fs) and k + 1 < len(frames)
+            )
+            events = [e for c in closed[: last + 1] for e in c]
+            assert not replies[last] and events[-1] in closed[last]
+        lines += frames[: last + 1]
+        expected = ["hello participant=E"] + [r for rs in replies[: last + 1] for r in rs]
+        t_us = round((last + 1) * n_frame * 1_000_000 / fs)
+        if end == "bye":
+            lines.append("bye")
+            expected.append(f"bye events={len(events)}")
+        elif end == "nan":
+            lines.append(f"samples t_us={t_us} n=2 v=0.5,nan")
+            expected.append(
+                "error reason=protocol detail=samples_value_nan_at_index_1_is_not_finite"
+            )
+        elif end == "t_us":
+            lines.append(f"samples t_us={t_us + 1} n=2 v=0.5,0.5")
+            expected.append(
+                f"error reason=protocol detail=samples_timestamp_{t_us + 1}_is_not_{t_us}:"
+                f"_the_clock_must_advance_with_the_{(last + 1) * n_frame}_samples_received"
+            )
+        log = logged_server.config.log_dir / "session_001.events"
+        if end == "disconnect":
+            # Read the replies, then hang up without bye (the reader must be
+            # closed too, or the socket stays open).
+            with socket.create_connection(("127.0.0.1", logged_server.port), timeout=10) as sock:
+                sock.sendall("".join(line + "\n" for line in lines).encode())
+                with sock.makefile("r") as fh:
+                    got = [fh.readline().rstrip("\n") for _ in expected]
+            assert got == expected
+        else:
+            assert raw_exchange(logged_server.port, lines) == expected
+        assert wait_for_text(log, log_text(events)) == log_text(events)
+
+    def test_log_failure_on_the_ending_flush_keeps_the_error_frame(
+        self, logged_server, rt_model, profile, test_session
+    ):
+        # The held samples close an event whose log write fails while the
+        # session is already ending on a protocol error: the client still
+        # gets that error, and the server still answers the next session.
+        fs, n_frame = test_session.sample_rate, 128
+        samples = test_session.channel("masseter")[: int(20 * fs)]
+        replies, closed, _ = per_frame_reference(rt_model, profile, samples, fs, n_frame, "E")
+        first = min(k for k, c in enumerate(closed) if c)
+        assert not replies[first]  # no second ends there: the event is held
+        (logged_server.config.log_dir / "session_001.events").mkdir()
+        t_us = round((first + 1) * n_frame * 1_000_000 / fs)
+        lines = (
+            [hello_line(profile, fs, "E")]
+            + sample_frames(samples, fs, n_frame)[: first + 1]
+            + [f"samples t_us={t_us} n=1 v=nan"]
+        )
+        assert raw_exchange(logged_server.port, lines) == (
+            ["hello participant=E"]
+            + [r for rs in replies[: first + 1] for r in rs]
+            + ["error reason=protocol detail=samples_value_nan_at_index_0_is_not_finite"]
+        )
+        assert raw_exchange(logged_server.port, [lines[0], "bye"]) == [
+            "hello participant=E", "bye events=0"
+        ]
+
+
+def byte_exchange(port, payload):
+    """Send raw bytes, return the reply lines until the server closes,
+    surviving the reset a close with unread input can cause."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        try:
+            sock.sendall(payload)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        data = b""
+        try:
+            while chunk := sock.recv(65536):
+                data += chunk
+        except ConnectionResetError:
+            pass
+    return data.decode().splitlines()
+
+
+# Random lines, and random tails on frame prefixes so that some lines parse
+# and reach the session's checks.
+_RANDOM_LINE = st.one_of(
+    st.binary(max_size=120),
+    st.builds(
+        bytes.__add__,
+        st.sampled_from(
+            [b"hello ", b"bye", b"samples ", b"samples t_us=0 n=", b"samples t_us=0 n=2 v="]
+        ),
+        st.binary(max_size=40),
+    ),
+    st.lists(
+        st.sampled_from([b"0.5", b"-3e2", b"", b"nan", b"1e400", b"1e300", b"x"]),
+        min_size=1,
+        max_size=8,
+    ).map(lambda vs: b"samples t_us=0 n=%d v=" % len(vs) + b",".join(vs)),
+).map(lambda line: line.replace(b"\n", b""))
+
+
+class TestRandomLines:
+    HELLO = b"hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02\n"
+
+    @settings(max_examples=80, deadline=None)
+    @given(line=_RANDOM_LINE)
+    def test_any_line_gets_one_error_or_its_reply(self, server, line):
+        # hello, the line, then bye: a line the session accepts leaves bye
+        # answered; any other gets exactly one error frame and ends it.
+        failures = []
+        server._tcp.handle_error = lambda request, address: failures.append(address)
+        try:
+            replies = byte_exchange(server.port, self.HELLO + line + b"\nbye\n")
+            again = byte_exchange(server.port, self.HELLO + b"bye\n")
+        finally:
+            del server._tcp.handle_error
+        assert failures == []  # no handler died
+        assert replies[0] == "hello participant=P"
+        frames = [io.parse_frame(r) for r in replies[1:]]
+        kinds = [kind for kind, _ in frames]
+        if kinds[-1:] == ["bye"]:
+            # Accepted: at most a slowdown refusal before bye (a few values
+            # cannot complete a streamed second, so no rate frame).
+            assert kinds[:-1] in ([], ["error"])
+            assert all(f["reason"] == "slowdown" for k, f in frames[:-1])
+        else:
+            assert kinds == ["error"] and frames[0][1]["reason"] == "protocol"
+        assert again == ["hello participant=P", "bye events=0"]
 
 
 class TestGoldenTranscript:

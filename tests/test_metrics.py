@@ -91,6 +91,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             correct_and_segment(ev([(0, 0.5)]), 0.0)
 
+    @pytest.mark.parametrize("cap", [math.nan, -math.inf])
+    def test_nan_and_negative_infinite_caps_rejected(self, cap):
+        # nan passed the old `cap <= 0` test and gave a nan rate; inf stays
+        # valid (no cap, see test_infinite_cap_is_identity).
+        with pytest.raises(ValueError, match="must be positive"):
+            correct_and_segment(ev([(0, 0.5), (3.6, 4.1)]), cap)
+
     def test_degenerate_event_rejected(self):
         with pytest.raises(ValueError):
             ChewEvent(1.0, 1.0)

@@ -177,11 +177,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_serve(args) -> int:
     model = _io.load_model(args.model)
-    if tuple(model.feature_names) != _realtime.RT_FEATURE_NAMES:
-        raise ValueError(
-            "model was not trained on the streaming feature set; build one"
-            " with `featurize --realtime` + `train`"
-        )
     config = _io.ServerConfig(
         host=args.host,
         port=args.port,

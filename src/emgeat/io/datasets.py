@@ -56,13 +56,17 @@ def read_dataset(path) -> FeatureMatrix:
                 f"{path}:{lineno + 1}: expected {len(columns)} fields, got {len(parts)}"
             )
         try:
-            participants.append(parts[0])
-            labels.append(parts[1])
-            onsets.append(float(parts[2]))
-            terms.append(float(parts[3]))
-            values.append([float(p) for p in parts[4:]])
+            numbers = [float(p) for p in parts[2:]]
         except ValueError:
             raise FormatError(f"{path}:{lineno + 1}: unparseable row") from None
+        if not all(map(math.isfinite, numbers)):
+            k = next(k for k, v in enumerate(numbers) if not math.isfinite(v)) + 2
+            raise FormatError(f"{path}:{lineno + 1}: {columns[k]} value {parts[k]} is not finite")
+        participants.append(parts[0])
+        labels.append(parts[1])
+        onsets.append(numbers[0])
+        terms.append(numbers[1])
+        values.append(numbers[2:])
     if not values:
         raise FormatError(f"{path}: no data rows")
     return FeatureMatrix(

@@ -18,6 +18,12 @@ SERVER_KINDS = ("hello", "rate", "level", "bye", "error")
 # client pushing further ahead of processing gets a slowdown error instead.
 MAX_BUFFERED_S = 10.0
 
+# Largest sample magnitude and the range of a hello's ref (the calibration
+# reference the engine divides by). Within them |v| / ref stays below 1e100,
+# so its squares and power spectra stay finite in every feature.
+MAX_SAMPLE_ABS = 1e50
+REF_RANGE = (1e-50, 1e50)
+
 
 class ProtocolError(ValueError):
     pass

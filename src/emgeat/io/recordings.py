@@ -111,6 +111,10 @@ def read_recording(path) -> RawRecording:
             values = [float(p) for p in parts[1:]]
         except ValueError:
             raise FormatError(f"{path}:{lineno + 1}: unparseable sample row") from None
+        if not all(map(math.isfinite, values)):
+            k = next(k for k, v in enumerate(values) if not math.isfinite(v))
+            where = f"{path}:{lineno + 1}: {channel_names[k]} sample {parts[k + 1]}"
+            raise FormatError(f"{where} is not finite")
         if t_us <= last_t:
             raise FormatError(
                 f"{path}:{lineno + 1}: timestamp {t_us} does not increase"

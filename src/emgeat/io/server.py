@@ -25,8 +25,8 @@ from pathlib import Path
 
 from ..feedback import FeedbackLevel, RateNormalizer, map_level, normalize_rate
 from ..learn import LinearModel
-from ..realtime import CalibrationProfile, StreamEngine
-from ..signal import FilterSpec
+from ..realtime import CalibrationProfile, StreamEngine, check_streaming_model
+from ..signal import bandpass
 from . import protocol
 from .datasets import append_events
 
@@ -80,11 +80,14 @@ class _Session:
                 f"hello sample_rate {sample_rate!r} is above {_MAX_SAMPLE_RATE_HZ!r} Hz"
             )
         try:
-            FilterSpec(sample_rate=sample_rate)  # the band-pass must fit the rate
+            bandpass(sample_rate)  # the band-pass must fit the rate
         except ValueError as exc:
             raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
+        ref, (low, high) = _positive_float(fields, "ref"), protocol.REF_RANGE
+        if not low <= ref <= high:
+            raise protocol.ProtocolError(f"hello ref {ref!r} is outside [{low!r}, {high!r}]")
         profile = CalibrationProfile(
-            reference_amplitude=_positive_float(fields, "ref"),
+            reference_amplitude=ref,
             mu0=protocol.parse_float("hello", fields, "mu0"),
             delta0=protocol.parse_float("hello", fields, "delta0"),
             sample_rate=sample_rate,
@@ -105,15 +108,19 @@ class _Session:
             raise protocol.ProtocolError(
                 f"samples frame field n is {n} but {len(values)} values follow"
             )
-        if not math.isfinite(sum(values)):
-            # One sum per frame; the scan only runs to name the culprit.
-            # Rejecting here keeps nan/inf out of the engine's filter state.
-            bad = next((i for i, v in enumerate(values) if not math.isfinite(v)), None)
-            raise protocol.ProtocolError(
-                f"samples value {values[bad]!r} at index {bad} is not finite"
-                if bad is not None
-                else "samples values overflow when summed"
-            )
+        # One C call per frame: the norm is nan, inf or above the limit
+        # whenever a value is, and the scan only runs then. Rejecting here
+        # keeps nan, inf and values whose features would overflow out of the
+        # engine's filter state.
+        limit = protocol.MAX_SAMPLE_ABS
+        if not math.hypot(*values) <= limit:
+            bad = next((i for i, v in enumerate(values) if not abs(v) <= limit), None)
+            if bad is not None:
+                v = values[bad]
+                problem = "is not finite" if not math.isfinite(v) else (
+                    f"exceeds {limit!r} in magnitude, where features overflow"
+                )
+                raise protocol.ProtocolError(f"samples value {v!r} at index {bad} {problem}")
         # t_us is the sample clock: a dropped, repeated or reordered frame
         # shows as a mismatch with the samples received so far.
         fs = self.engine.profile.sample_rate
@@ -250,10 +257,11 @@ class EmgServer:
     """Lifecycle wrapper: bind, run (optionally in a thread), shut down."""
 
     def __init__(self, model: LinearModel, config: ServerConfig = None):
+        # Checked before binding: a model of the wrong features or a bad
+        # reference rate is the operator's fault, not that of every session.
+        check_streaming_model(model)
         self.model = model
         self.config = config or ServerConfig()
-        # Checked before binding: a bad reference rate is the operator's
-        # fault, not that of every session that omits r_ref.
         self.normalizer = RateNormalizer(self.config.reference_rate_hz)
         self._tcp = _ThreadingServer(
             (self.config.host, self.config.port), _Handler

@@ -20,10 +20,7 @@ once per chunk, classifying every segment the chunk makes ready in one pass.
 
 The live server feeds the engine once per whole streamed second, since a
 push's cost is mostly the fixed price of each numpy call rather than
-arithmetic; other callers may still push one short frame at a time. The
-band-pass therefore calls the compiled kernel behind scipy.signal.sosfilt
-directly, in place, skipping the public function's validation and copies;
-its results are bit-identical to the public filter's (a test pins this).
+arithmetic; other callers may still push one short frame at a time.
 
 Timing uses the sample clock throughout, never the wall clock, so replaying
 a stream reproduces the event log exactly regardless of pacing.
@@ -32,7 +29,6 @@ a stream reproduces the event log exactly regardless of pacing.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal._sosfilt import _sosfilt
 
 from . import features as _features
 from . import signal as _signal
@@ -87,7 +83,7 @@ def calibrate(
     """
     if not segments:
         raise ValueError("no calibration segments")
-    sos = _signal.design_bandpass(_signal.FilterSpec(sample_rate=sample_rate))
+    sos = _signal.bandpass(sample_rate)
     rectified = [_signal.rectify(_signal.apply_filter(s, sos)) for s in segments]
 
     chunk = max(1, int(_CHUNK_S * sample_rate))
@@ -122,36 +118,19 @@ def calibrate(
     )
 
 
-def _bandpass(sample_rate: float) -> np.ndarray:
-    """The streaming band-pass as C-contiguous float sections, the layout
-    the compiled sosfilt kernel takes."""
-    sos = _signal.design_bandpass(_signal.FilterSpec(sample_rate=sample_rate))
-    return np.ascontiguousarray(sos, dtype=float)
+def _condition(filtered: np.ndarray, carry: np.ndarray):
+    """Rectify (in place) and block-mean decimate a band-passed chunk.
 
-
-def _condition(sos, factor: int, samples: np.ndarray, zi, carry: np.ndarray):
-    """Band-pass, rectify and block-mean decimate one chunk of raw samples.
-
-    Filter state `zi` (None when fresh) and the rectified samples short of a
-    full block (`carry`) pass from chunk to chunk, so every chunking of a
-    stream gives the same envelope. `sos` comes from _bandpass; `zi` is
-    updated in place. Returns (envelope, zi, carry).
+    The rectified samples short of a full block (`carry`) pass from chunk to
+    chunk, as the filter state does in apply_filter, so every chunking of a
+    stream gives the same envelope. Returns (envelope, carry).
     """
-    finite = np.isfinite(samples)
-    if not finite.all():
-        raise ValueError(f"non-finite sample at index {int(np.argmin(finite))}")
-    if zi is None:
-        zi = np.zeros((sos.shape[0], 2))
-    # The carry and the new samples share one buffer; the kernel filters the
-    # samples' (1, n) row in place, exactly as sosfilt does on its own copy.
-    buf = np.concatenate([carry, samples])
-    x = buf[carry.size :]
-    _sosfilt(sos, x.reshape(1, -1), zi.reshape(1, -1, 2))
-    np.abs(x, out=x)
+    factor = _signal.DECIMATION_FACTOR
+    buf = np.concatenate([carry, np.abs(filtered, out=filtered)])
     n_full = buf.size // factor
     blocks = buf[: n_full * factor].reshape(n_full, factor)
     envelope = np.add.reduce(blocks, axis=1) / factor
-    return envelope, zi, buf[n_full * factor :]
+    return envelope, buf[n_full * factor :]
 
 
 def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
@@ -237,6 +216,15 @@ def live_rate(events, t: float, window_s: float = RATE_WINDOW_S) -> float:
     return n / window_s
 
 
+def check_streaming_model(model: LinearModel) -> None:
+    """Reject a model that was not trained on RT_FEATURE_NAMES."""
+    if tuple(model.feature_names) != RT_FEATURE_NAMES:
+        raise ValueError(
+            "model was not trained on the streaming feature set; build one"
+            " with `featurize --realtime` + `train`"
+        )
+
+
 @dataclass
 class StreamState:
     """Mutable per-session detector state (one per live stream).
@@ -268,15 +256,14 @@ class StreamEngine:
     """
 
     def __init__(self, model: LinearModel, profile: CalibrationProfile):
-        if tuple(model.feature_names) != RT_FEATURE_NAMES:
-            raise ValueError("model was not trained on the streaming feature set")
+        check_streaming_model(model)
         self.model = model
         self.profile = profile
-        self.sos = _bandpass(profile.sample_rate)
+        self.sos = _signal.bandpass(profile.sample_rate)
         self.n_segment, self.n_hop = _features._window_geometry(
             SEGMENT_S, HOP_S, profile.effective_rate
         )
-        self.state = StreamState()
+        self.state = StreamState(zi=np.zeros((self.sos.shape[0], 2)))
 
     @property
     def current_time_s(self) -> float:
@@ -287,17 +274,11 @@ class StreamEngine:
         return list(self.state.events)
 
     def push(self, samples: np.ndarray) -> list:
-        """Consume raw samples; return events closed by this chunk."""
-        samples = np.asarray(samples, dtype=float)
-        if samples.ndim != 1:
-            raise ValueError("expected a 1-D chunk of samples")
-        if samples.size == 0:
-            return []
+        """Consume a 1-D chunk of raw samples; return events it closed."""
         st = self.state
-        envelope, st.zi, st.carry = _condition(
-            self.sos, _signal.DECIMATION_FACTOR, samples, st.zi, st.carry
-        )
-        st.raw_consumed += samples.size
+        filtered = _signal.apply_filter(samples, self.sos, st.zi)
+        envelope, st.carry = _condition(filtered, st.carry)
+        st.raw_consumed += filtered.size
         st.envelope = np.concatenate([st.envelope, envelope])
         if st.envelope.size < self.n_segment:
             return []
@@ -346,10 +327,10 @@ def rt_training_set(recording, profile: CalibrationProfile):
             f"profile calibrated at {profile.sample_rate!r} Hz, recording"
             f" sampled at {recording.sample_rate!r} Hz"
         )
-    sos = _bandpass(profile.sample_rate)
-    env, _, _ = _condition(
-        sos, _signal.DECIMATION_FACTOR, recording.channel("masseter"), None, np.zeros(0)
+    filtered = _signal.apply_filter(
+        recording.channel("masseter"), _signal.bandpass(profile.sample_rate)
     )
+    env, _ = _condition(filtered, np.zeros(0))
     eff = profile.effective_rate
     n_segment, n_hop = _features._window_geometry(SEGMENT_S, HOP_S, eff)
     starts = _features.window_starts(env.size, n_segment, n_hop)

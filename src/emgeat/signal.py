@@ -8,17 +8,18 @@ per-recording normalization, is reused by the streaming path.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import butter, sosfilt
+from scipy.signal import butter
+from scipy.signal._sosfilt import _sosfilt
 
 from .events import check_interval
 
-# Conditioning defaults. The band keeps the useful surface-EMG energy while
-# removing motion drift below 20 Hz and out-of-band noise above 500 Hz.
-DEFAULT_LOW_HZ = 20.0
-DEFAULT_HIGH_HZ = 500.0
-DEFAULT_ORDER = 5
+# The conditioning band keeps the useful surface-EMG energy while removing
+# motion drift below 20 Hz and out-of-band noise above 500 Hz.
+EMG_BAND_HZ = (20.0, 500.0)
+FILTER_ORDER = 5
 DECIMATION_FACTOR = 10
 
 # Annotation vocabulary used across the code base.
@@ -93,56 +94,58 @@ class RawRecording:
         return [a for a in self.annotations if a.kind == kind]
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Band-pass design parameters for one sampling rate."""
-
-    low_hz: float = DEFAULT_LOW_HZ
-    high_hz: float = DEFAULT_HIGH_HZ
-    order: int = DEFAULT_ORDER
-    sample_rate: float = 1024.0
-
-    def __post_init__(self):
-        nyquist = self.sample_rate / 2.0
-        if not 0 < self.low_hz < self.high_hz:
-            raise ValueError(
-                f"invalid band edges low={self.low_hz} high={self.high_hz}"
-            )
-        if self.high_hz >= nyquist:
-            raise ValueError(
-                f"high cut {self.high_hz} Hz must stay below Nyquist ({nyquist} Hz)"
-            )
-        if self.order < 1:
-            raise ValueError("filter order must be >= 1")
+@lru_cache(maxsize=32)
+def _design(sample_rate: float, low_hz: float, high_hz: float) -> np.ndarray:
+    nyquist = sample_rate / 2.0
+    if not 0 < low_hz < high_hz:
+        raise ValueError(f"invalid band edges low={low_hz} high={high_hz}")
+    if not high_hz < nyquist:
+        raise ValueError(f"high cut {high_hz} Hz must stay below Nyquist ({nyquist} Hz)")
+    wn = [low_hz / nyquist, high_hz / nyquist]
+    return butter(FILTER_ORDER, wn, btype="bandpass", output="sos")
 
 
-def design_bandpass(spec: FilterSpec) -> np.ndarray:
-    """Design the Butterworth band-pass as second-order sections.
+def bandpass(sample_rate: float, band=EMG_BAND_HZ) -> np.ndarray:
+    """The order-FILTER_ORDER Butterworth band-pass as second-order sections.
 
-    The analog prototype of the given order is mapped with the bilinear
-    transform, pre-warped so the digital response is -3 dB at both cut
-    frequencies. Returns an sos array suitable for apply_filter.
+    The analog prototype is mapped with the bilinear transform, pre-warped
+    so the digital response is -3 dB at both band edges. Each (rate, band)
+    is designed once; every call returns a fresh writeable copy, the layout
+    apply_filter (and scipy.signal.sosfilt) takes.
     """
-    nyquist = spec.sample_rate / 2.0
-    low = spec.low_hz / nyquist
-    high = spec.high_hz / nyquist
-    return butter(spec.order, [low, high], btype="bandpass", output="sos")
+    return _design(sample_rate, *band).copy()
 
 
-def apply_filter(x: np.ndarray, sos: np.ndarray) -> np.ndarray:
+def apply_filter(x: np.ndarray, sos: np.ndarray, zi: np.ndarray = None) -> np.ndarray:
     """Run the filter causally over the samples (single forward pass).
 
     A forward pass keeps the path usable sample-by-sample in the streaming
     detector; no zero-phase (forward-backward) filtering is done anywhere.
+    `zi`, the (sections, 2) state carried between chunks, starts at zero
+    when omitted and is updated in place when given, so successive chunks
+    filter exactly like their concatenation.
+
+    This is the one caller of the compiled kernel behind scipy.signal.sosfilt.
+    Calling it directly skips the public function's validation and copies,
+    which are most of the cost of a short live chunk; the results are
+    bit-identical to the public filter's (a test pins this).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
+    y = np.array(x, dtype=float)
+    if y.ndim != 1:
         raise ValueError("expected a 1-D sample array")
-    finite = np.isfinite(x)
+    finite = np.isfinite(y)
     if not finite.all():
-        bad = int(np.argmin(finite))
-        raise ValueError(f"non-finite sample at index {bad}")
-    return sosfilt(sos, x)
+        raise ValueError(f"non-finite sample at index {int(np.argmin(finite))}")
+    if zi is None:
+        zi = np.zeros((len(sos), 2))
+    # The kernel reads and writes raw buffers: check what it cannot. A
+    # "carray" is C-contiguous, aligned and writeable.
+    for name, a, shape in (("sos", sos, (len(sos), 6)), ("zi", zi, (len(sos), 2))):
+        layout = isinstance(a, np.ndarray) and a.flags.carray and a.dtype == float
+        if not (layout and a.shape == shape):
+            raise ValueError(f"{name} must be a writeable C-contiguous float {shape} array")
+    _sosfilt(sos, y.reshape(1, -1), zi.reshape(1, -1, 2))
+    return y
 
 
 def rectify(x: np.ndarray) -> np.ndarray:
@@ -206,8 +209,7 @@ class ProcessedSignal:
 def preprocess(x: np.ndarray, sample_rate: float, mode: str = "mean") -> ProcessedSignal:
     """Full conditioning chain: band-pass, rectify, normalize, decimate by
     DECIMATION_FACTOR (`mode` as in downsample)."""
-    sos = design_bandpass(FilterSpec(sample_rate=sample_rate))
-    y = apply_filter(x, sos)
+    y = apply_filter(x, bandpass(sample_rate))
     y = normalize(rectify(y))
     y = downsample(y, DECIMATION_FACTOR, mode=mode)
     return ProcessedSignal(samples=y, rate=sample_rate / DECIMATION_FACTOR)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import Annotation, FilterSpec, RawRecording, apply_filter, design_bandpass
+from .signal import Annotation, RawRecording, apply_filter, bandpass
 
 CHANNELS = ("masseter", "submental")
 
@@ -64,8 +64,7 @@ class SessionPlan:
 
 def _band_noise(n: int, sample_rate: float, band, rng) -> np.ndarray:
     """Unit-variance-ish Gaussian noise restricted to a frequency band."""
-    spec = FilterSpec(low_hz=band[0], high_hz=band[1], sample_rate=sample_rate)
-    return apply_filter(rng.standard_normal(n), design_bandpass(spec))
+    return apply_filter(rng.standard_normal(n), bandpass(sample_rate, band))
 
 
 def gen_baseline_noise(

@@ -139,20 +139,19 @@ def test_criterion_02_spectral_features_on_pure_tone():
 
 def test_criterion_03_bandpass_fidelity():
     def body():
-        spec = sig.FilterSpec()
-        sos = sig.design_bandpass(spec)
-        edge_lo = db(digital_mag(sos, spec.low_hz, spec.sample_rate))
-        edge_hi = db(digital_mag(sos, spec.high_hz, spec.sample_rate))
-        stop = db(digital_mag(sos, 5.0, spec.sample_rate))
+        fs = 1024.0
+        low_hz, high_hz = sig.EMG_BAND_HZ
+        sos = sig.bandpass(fs)
+        edge_lo = db(digital_mag(sos, low_hz, fs))
+        edge_hi = db(digital_mag(sos, high_hz, fs))
+        stop = db(digital_mag(sos, 5.0, fs))
         _, poles, _ = sos2zpk(sos)
         sweep = np.linspace(6.0, 508.0, 257)
         oracle_err = max(
             abs(
-                db(digital_mag(sos, f, spec.sample_rate))
+                db(digital_mag(sos, f, fs))
                 - db(
-                    analytic_bandpass_mag(
-                        f, spec.low_hz, spec.high_hz, spec.order, fs=spec.sample_rate
-                    )
+                    analytic_bandpass_mag(f, low_hz, high_hz, sig.FILTER_ORDER, fs=fs)
                 )
             )
             for f in sweep

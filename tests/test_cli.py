@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import emgeat.io as io
-import emgeat.learn as learn
 from emgeat.cli import main
 from emgeat.metrics import ChewEvent
 
@@ -133,6 +132,18 @@ class TestFeaturize:
         assert mat.feature_names == ("mean", "sd", "peak_amp", "rms", "iemg", "mnf", "mnp")
         assert mat.values.shape[0] == 325
 
+    @pytest.mark.parametrize("realtime", [False, True])
+    def test_non_finite_sample_names_file_and_line(
+        self, session_file, tmp_path, capsys, realtime
+    ):
+        lines = session_file.read_text().splitlines()
+        lines[100] = lines[100].split(",")[0] + ",nan," + lines[100].split(",")[2]
+        session_file.write_text("\n".join(lines) + "\n")
+        args = ["featurize", "--in", str(session_file), "--out", str(tmp_path / "x.csv")]
+        rc, out, err = run_cli(args + ["--realtime"] * realtime, capsys)
+        assert rc == 1 and out == ""
+        assert f"{session_file}:101: masseter sample nan is not finite" in err
+
 
 def featurize_sessions(tmp_path, capsys, seeds, duration=20.0):
     """Generate + featurize one offline chew dataset per seed."""
@@ -200,6 +211,20 @@ class TestTrainAndEval:
             assert 0.0 <= f1 <= 1.0
         assert lines[-2].startswith("average,,")
         assert lines[-1].startswith("f1_std,,,,")
+
+    def test_non_finite_feature_names_file_and_line(self, tmp_path, capsys):
+        (dataset,) = featurize_sessions(tmp_path, capsys, seeds=(33,))
+        lines = dataset.read_text().splitlines()
+        parts = lines[9].split(",")
+        parts[6] = "inf"
+        lines[9] = ",".join(parts)
+        dataset.write_text("\n".join(lines) + "\n")
+        column = lines[1].split(",")[6]
+        rc, out, err = run_cli(
+            ["train", "--in", str(dataset), "--out", str(tmp_path / "m.model")], capsys
+        )
+        assert rc == 1 and out == ""
+        assert f"{dataset}:10: {column} value inf is not finite" in err
 
     def test_single_participant_is_domain_error(self, tmp_path, capsys):
         datasets = featurize_sessions(tmp_path, capsys, seeds=(38,))
@@ -327,16 +352,11 @@ class TestReplay:
         assert lines[0].startswith("hello")
         assert lines[-1].startswith("bye events=")
 
-    def test_server_error_reported(self, session_file, capsys):
-        offline = learn.LinearModel(
-            feature_names=("mav", "rms"),
-            weights=np.zeros(2),
-            bias=0.0,
-            mean=np.zeros(2),
-            scale=np.ones(2),
-            positive_label="C",
-        )
-        srv = io.serve(offline, io.ServerConfig()).start_background()
+    def test_server_error_reported(self, rt_model, session_file, tmp_path, capsys):
+        # The server cannot create its log directory: a file holds the name.
+        log_dir = tmp_path / "not_a_dir"
+        log_dir.write_text("")
+        srv = io.serve(rt_model, io.ServerConfig(log_dir=log_dir)).start_background()
         try:
             rc, _, err = run_cli(
                 [

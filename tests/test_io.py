@@ -122,6 +122,17 @@ class TestRecordingFiles:
         with pytest.raises(io.FormatError, match="unparseable"):
             io.read_recording(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_sample_names_line(self, tmp_path, value):
+        path = io.write_recording(small_recording(), tmp_path / "p.csv")
+        lines = path.read_text().splitlines()
+        lines[100] = lines[100].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            io.FormatError, match=f"p.csv:101: submental sample {value} is not finite"
+        ):
+            io.read_recording(path)
+
 
 def small_matrix():
     rng = np.random.default_rng(8)
@@ -178,6 +189,22 @@ class TestDatasetFiles:
         path = tmp_path / "d.csv"
         path.write_text("# emg-dataset v1\nparticipant,label,onset_s,termination_s,mav\n")
         with pytest.raises(io.FormatError, match="no data rows"):
+            io.read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "column, value", [(5, "nan"), (4, "inf"), (6, "-inf"), (2, "nan")]
+    )
+    def test_non_finite_value_names_line(self, tmp_path, column, value):
+        path = io.write_dataset(small_matrix(), tmp_path / "d.csv")
+        lines = path.read_text().splitlines()
+        parts = lines[6].split(",")
+        name = lines[1].split(",")[column]
+        parts[column] = value
+        lines[6] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(
+            io.FormatError, match=f"d.csv:7: {name} value {value} is not finite"
+        ):
             io.read_dataset(path)
 
 
@@ -909,9 +936,58 @@ class TestServerErrors:
         with pytest.raises(ValueError, match="reference rate"):
             io.serve(rt_model, io.ServerConfig(reference_rate_hz=rate))
 
-    def test_mismatched_model_reported_as_server_error(self, profile, tmp_path):
-        # A server accidentally loaded with an offline-featured model must
-        # reply with a server error frame instead of dropping the connection.
+    def test_huge_samples_refused_at_their_frame(self, server):
+        # 1e200 is finite, but its square is not: a second of such frames
+        # once reached the engine and failed there as a server error.
+        hello = "hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02"
+        huge = ",".join(["1e200"] * 128)
+        frames = [f"samples t_us={k * 125000} n=128 v={huge}" for k in range(8)]
+        assert exchange_past_reset(server.port, [hello] + frames) == [
+            "hello participant=P",
+            "error reason=protocol detail=samples_value_1e+200_at_index_0_exceeds"
+            "_1e+50_in_magnitude,_where_features_overflow",
+        ]
+
+    @pytest.mark.parametrize("ref", ["1e-300", "1e-51", "1e51"])
+    def test_ref_outside_its_range_refused_at_hello(self, server, ref):
+        # Ordinary samples divided by ref=1e-300 overflow the features.
+        hello = f"hello participant=P sample_rate=1024.0 ref={ref} mu0=0.1 delta0=0.02"
+        good = ",".join(["0.5"] * 128)
+        replies = exchange_past_reset(
+            server.port, [hello, f"samples t_us=0 n=128 v={good}"]
+        )
+        assert replies == [
+            f"error reason=protocol detail=hello_ref_{float(ref)!r}_is_outside"
+            "_[1e-50,_1e+50]"
+        ]
+
+    @pytest.mark.parametrize(
+        "ref, scale",
+        [
+            (io.protocol.REF_RANGE[0], io.protocol.MAX_SAMPLE_ABS),
+            (io.protocol.REF_RANGE[1], 1e-300),
+        ],
+    )
+    def test_extremes_inside_the_bounds_stream_cleanly(self, server, ref, scale):
+        # The largest samples over the smallest ref, and the reverse, keep
+        # every feature finite: the session runs to its bye.
+        fs = 1024.0
+        rng = np.random.default_rng(5)
+        samples = np.clip(rng.standard_normal(int(3 * fs)), -1.0, 1.0) * scale
+        lines = (
+            [f"hello participant=P sample_rate={fs!r} ref={ref!r} mu0=0.1 delta0=0.02"]
+            + sample_frames(samples, fs, 128)
+            + ["bye"]
+        )
+        replies = raw_exchange(server.port, lines)
+        assert [r.split(" ")[0] for r in replies if not r.startswith("level")] == (
+            ["hello"] + ["rate"] * 3 + ["bye"]
+        )
+
+    def test_mismatched_model_refused_before_binding(self):
+        # A model of the wrong features is the operator's fault: the server
+        # refuses it at construction, not with an error on every hello. The
+        # port is taken, so binding first would raise OSError instead.
         offline = learn.LinearModel(
             feature_names=("mav", "rms"),
             weights=np.zeros(2),
@@ -920,15 +996,12 @@ class TestServerErrors:
             scale=np.ones(2),
             positive_label="C",
         )
-        srv = io.serve(offline, io.ServerConfig()).start_background()
-        try:
-            hello = "hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02"
-            replies = raw_exchange(srv.port, [hello])
-            kind, fields = io.parse_frame(replies[0])
-            assert kind == "error" and fields["reason"] == "server"
-            assert "streaming_feature_set" in fields["detail"]
-        finally:
-            srv.shutdown()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            config = io.ServerConfig(port=taken.getsockname()[1])
+            with pytest.raises(ValueError, match="featurize --realtime"):
+                io.serve(offline, config)
 
 
 def per_frame_reference(model, profile, samples, fs, n_frame, participant):
@@ -1059,7 +1132,7 @@ class TestBatchedPushes:
         log = logged_server.config.log_dir / "session_001.events"
         assert log.read_text() == log_text(events)
 
-    @pytest.mark.parametrize("end", ["bye", "nan", "t_us", "disconnect"])
+    @pytest.mark.parametrize("end", ["bye", "nan", "huge", "t_us", "disconnect"])
     def test_event_log_whatever_ends_the_session(
         self, logged_server, rt_model, profile, test_session, end
     ):
@@ -1091,6 +1164,12 @@ class TestBatchedPushes:
             lines.append(f"samples t_us={t_us} n=2 v=0.5,nan")
             expected.append(
                 "error reason=protocol detail=samples_value_nan_at_index_1_is_not_finite"
+            )
+        elif end == "huge":
+            lines.append(f"samples t_us={t_us} n=2 v=0.5,1e200")
+            expected.append(
+                "error reason=protocol detail=samples_value_1e+200_at_index_1_exceeds"
+                "_1e+50_in_magnitude,_where_features_overflow"
             )
         elif end == "t_us":
             lines.append(f"samples t_us={t_us + 1} n=2 v=0.5,0.5")

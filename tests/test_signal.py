@@ -1,18 +1,23 @@
 """Conditioning chain tests against an independently coded analytic oracle."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.signal import sosfreqz
+from scipy.signal import sosfilt, sosfreqz
 
+import emgeat.features as features
+import emgeat.realtime as rt
+import emgeat.signal as sig
+import emgeat.synth as synth
 from emgeat.signal import (
     DECIMATION_FACTOR,
     Annotation,
-    FilterSpec,
     RawRecording,
     apply_filter,
-    design_bandpass,
+    bandpass,
     downsample,
     normalize,
     preprocess,
@@ -52,8 +57,7 @@ def db(x):
     return 20.0 * np.log10(max(x, 1e-300))
 
 
-SPEC = FilterSpec()
-SOS = design_bandpass(SPEC)
+SOS = bandpass(1024.0)
 
 
 class TestBandpassDesign:
@@ -84,8 +88,81 @@ class TestBandpassDesign:
         assert np.all(np.abs(poles) < 1.0)
 
     def test_high_cut_at_nyquist_rejected(self):
-        with pytest.raises(ValueError):
-            FilterSpec(low_hz=20.0, high_hz=600.0, sample_rate=1024.0)
+        with pytest.raises(ValueError, match="below Nyquist"):
+            bandpass(1024.0, (20.0, 600.0))
+
+    @pytest.mark.parametrize(
+        "band", [(0.0, 100.0), (-5.0, 100.0), (100.0, 50.0), (math.nan, 100.0), (20.0, math.nan)]
+    )
+    def test_bad_band_rejected(self, band):
+        with pytest.raises(ValueError, match="invalid band edges"):
+            bandpass(1024.0, band)
+
+    def test_returned_sections_are_fresh_writeable_copies(self):
+        first = bandpass(1024.0)
+        first[:] = 0.0
+        again = bandpass(1024.0)
+        assert np.array_equal(again, SOS) and again.flags.writeable
+        x = np.random.default_rng(12).standard_normal(512)
+        assert np.array_equal(sosfilt(again, x), apply_filter(x, again))
+
+    def test_each_rate_and_band_designed_once(self, monkeypatch, rt_model, profile):
+        designs = Counter()
+        butter = sig.butter
+
+        def counting_butter(order, wn, **kwargs):
+            designs[(order, tuple(wn))] += 1
+            return butter(order, wn, **kwargs)
+
+        monkeypatch.setattr(sig, "butter", counting_butter)
+        sig._design.cache_clear()
+        plan = synth.SessionPlan(
+            duration_s=20.0, seed=3, artifact_schedule=(("speech", 5.0, 8.0),)
+        )
+        rec = synth.gen_session(plan)
+        features.build_feature_matrix(rec, features.WindowSpec(1.0, 0.5), "chew")
+        for rate in (1024.0, 1024.0, 2048.0):
+            engine = rt.StreamEngine(rt_model, dataclasses.replace(profile, sample_rate=rate))
+            engine.push(rec.channel("masseter")[:2048])
+        bands = {
+            sig.EMG_BAND_HZ, synth.CHEW_BAND, synth.SWALLOW_BAND, synth.ARTIFACT_BAND, (1.0, 5.0)
+        }
+        assert len(designs) == len(bands) + 1  # and the EMG band at 2048 Hz
+        assert set(designs.values()) == {1}
+
+    def test_zi_carries_state_in_place(self):
+        x = np.random.default_rng(13).standard_normal(1000)
+        zi = np.zeros((SOS.shape[0], 2))
+        head = apply_filter(x[:300], SOS, zi)
+        with pytest.raises(ValueError, match="index 2"):
+            apply_filter([0.0, 1.0, math.inf], SOS, zi)  # leaves zi untouched
+        tail = apply_filter(x[300:], SOS, zi)
+        assert np.array_equal(np.concatenate([head, tail]), apply_filter(x, SOS))
+
+    @pytest.mark.parametrize(
+        "zi",
+        [
+            np.zeros((5, 2), dtype=np.float32),
+            np.zeros((4, 2)),
+            np.zeros((5, 4))[:, ::2],
+            np.zeros((5, 2)).tolist(),
+            np.frombuffer(bytes(80)).reshape(5, 2),
+        ],
+        ids=["float32", "shape", "strided", "list", "read-only"],
+    )
+    def test_zi_that_cannot_be_updated_in_place_rejected(self, zi):
+        with pytest.raises(ValueError, match="zi must be"):
+            apply_filter(np.ones(8), SOS, zi)
+
+    @pytest.mark.parametrize(
+        "sos",
+        [SOS.astype(np.float32), SOS[:, :5].copy(), SOS.T.copy().T, SOS.tolist(),
+         np.frombuffer(SOS.tobytes()).reshape(SOS.shape)],
+        ids=["float32", "shape", "strided", "list", "read-only"],
+    )
+    def test_sections_the_kernel_cannot_take_rejected(self, sos):
+        with pytest.raises(ValueError, match="sos must be"):
+            apply_filter(np.ones(8), sos)
 
     def test_dc_is_blocked(self):
         out = apply_filter(np.ones(4096), SOS)

@@ -5,6 +5,7 @@ so downstream scripts (and the test suite) can diff them directly.
 """
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 
@@ -80,10 +81,9 @@ def cmd_preprocess(args) -> int:
 def cmd_featurize(args) -> int:
     recording = _io.read_recording(args.infile)
     if args.realtime:
+        masseter = recording.channel("masseter")
         profile = _realtime.calibrate(
-            [recording.channel(args.channel)],
-            recording.sample_rate,
-            source=recording.participant_id,
+            [masseter], recording.sample_rate, source=recording.participant_id
         )
         matrix = _realtime.rt_training_set(recording, profile)
     else:
@@ -184,12 +184,19 @@ def cmd_serve(args) -> int:
         reference_rate_hz=args.reference_rate,
     )
     server = _io.serve(model, config)
-    print(f"listening on {config.host}:{server.port}", flush=True)
+    previous = {}
     try:
+        # `serve &` from a non-interactive shell starts with SIGINT ignored;
+        # both stop signals raise KeyboardInterrupt, so the shutdown runs.
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            previous[signum] = signal.signal(signum, signal.default_int_handler)
+        print(f"listening on {config.host}:{server.port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
         server.shutdown()
     return 0
 
@@ -280,9 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--realtime",
         action="store_true",
-        help="streaming 7-feature variant (self-calibrated, chew task only)",
+        help="streaming 7-feature variant (calibrated on masseter, chew task only)",
     )
-    p.add_argument("--channel", default="masseter", help="calibration channel")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="fit the linear classifier on datasets")
@@ -301,9 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser(
-        "eval-lopo", help="leave-one-participant-out evaluation table"
-    )
+    p = sub.add_parser("eval-lopo", help="leave-one-participant-out evaluation table")
     p.add_argument("--in", dest="infile", nargs="+", required=True)
     p.add_argument("--positive", default="C")
     p.add_argument("--c", type=float, default=_learn.DEFAULT_C)
@@ -341,11 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feedback-sim", help="rate series -> level transitions")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument(
-        "--reference-rate",
-        type=float,
-        default=_io.DEFAULT_REFERENCE_RATE_HZ,
-    )
+    p.add_argument("--reference-rate", type=float, default=_io.DEFAULT_REFERENCE_RATE_HZ)
     p.add_argument("--dead-band", type=float, default=0.0)
     p.set_defaults(func=cmd_feedback_sim)
 

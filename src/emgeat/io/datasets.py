@@ -111,9 +111,12 @@ def read_event_log(path) -> list:
             if len(parts) != 4 or parts[0] != "event":
                 raise FormatError(f"{path}:{lineno}: expected event,onset,term,duration")
             try:
-                events.append(ChewEvent(float(parts[1]), float(parts[2])))
+                event = ChewEvent(float(parts[1]), float(parts[2]))
+                if not math.isclose(float(parts[3]), event.duration_s, abs_tol=1e-9):
+                    raise ValueError(f"duration {parts[3]} is not termination - onset")
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            events.append(event)
     return events
 
 
@@ -138,5 +141,7 @@ def read_rate_series(path) -> list:
                 raise FormatError(f"{path}:{lineno}: unparseable rate row") from None
             if not (math.isfinite(t) and math.isfinite(rate)):
                 raise FormatError(f"{path}:{lineno}: rate row {line!r} is not finite")
+            if rate < 0:
+                raise FormatError(f"{path}:{lineno}: rate {parts[1]} is negative")
             out.append((t, rate))
     return out

@@ -83,13 +83,13 @@ def parse_int(kind: str, fields: dict, name: str) -> int:
         raise ProtocolError(f"{kind} frame field {name} is not an integer") from None
 
 
-def parse_values(kind: str, fields: dict, name: str = "v"):
-    """Comma-separated floats; empty tokens (",," or a trailing ",") are skipped."""
-    require_fields(kind, fields, [name])
-    tokens = fields[name].split(",")
+def parse_values(fields: dict):
+    """A samples frame's `v`: comma-separated floats, empty tokens skipped."""
+    require_fields("samples", fields, ["v"])
+    tokens = fields["v"].split(",")
     if "" in tokens:
         tokens = [t for t in tokens if t]
     try:
         return list(map(float, tokens))
     except ValueError:
-        raise ProtocolError(f"{kind} frame carries unparseable samples") from None
+        raise ProtocolError("samples frame carries unparseable samples") from None

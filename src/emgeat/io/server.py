@@ -26,7 +26,6 @@ from pathlib import Path
 from ..feedback import FeedbackLevel, RateNormalizer, map_level, normalize_rate
 from ..learn import LinearModel
 from ..realtime import CalibrationProfile, StreamEngine, check_streaming_model
-from ..signal import bandpass
 from . import protocol
 from .datasets import append_events
 
@@ -79,10 +78,6 @@ class _Session:
             raise protocol.ProtocolError(
                 f"hello sample_rate {sample_rate!r} is above {_MAX_SAMPLE_RATE_HZ!r} Hz"
             )
-        try:
-            bandpass(sample_rate)  # the band-pass must fit the rate
-        except ValueError as exc:
-            raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
         ref, (low, high) = _positive_float(fields, "ref"), protocol.REF_RANGE
         if not low <= ref <= high:
             raise protocol.ProtocolError(f"hello ref {ref!r} is outside [{low!r}, {high!r}]")
@@ -93,14 +88,17 @@ class _Session:
             sample_rate=sample_rate,
             source=fields["participant"],
         )
-        self.engine = StreamEngine(self.model, profile)
+        try:
+            self.engine = StreamEngine(self.model, profile)
+        except ValueError as exc:  # the band-pass must fit the rate
+            raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
         if "r_ref" in fields:
             self.normalizer = RateNormalizer(_positive_float(fields, "r_ref"))
         return [protocol.format_frame("hello", {"participant": fields["participant"]})]
 
     def samples(self, fields) -> list:
         t_us = protocol.parse_int("samples", fields, "t_us")
-        values = protocol.parse_values("samples", fields)
+        values = protocol.parse_values(fields)
         if not values:
             raise protocol.ProtocolError("samples frame carries no values")
         n = protocol.parse_int("samples", fields, "n")

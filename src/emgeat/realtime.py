@@ -12,15 +12,9 @@ and its sample rate alone sets the envelope rate, so segment sizes and
 decimation cannot disagree. Segments are cut with the window helpers of
 emgeat.features, the same ones the offline feature matrix uses.
 
-Training and serving share one conditioning path (band-pass with carried
-filter state, rectify, block-mean decimation with a carried ragged tail),
-one feature kernel over a stack of segments, one vote step and one run
-assembler: rt_training_set runs them once over a recording, StreamEngine.push
-once per chunk, classifying every segment the chunk makes ready in one pass.
-
-The live server feeds the engine once per whole streamed second, since a
-push's cost is mostly the fixed price of each numpy call rather than
-arithmetic; other callers may still push one short frame at a time.
+Training and serving share one segment pass (_segment_pass): rt_training_set
+runs it once over a recording, StreamEngine.push once per chunk before the
+vote and the run assembly.
 
 Timing uses the sample clock throughout, never the wall clock, so replaying
 a stream reproduces the event log exactly regardless of pacing.
@@ -87,16 +81,11 @@ def calibrate(
     rectified = [_signal.rectify(_signal.apply_filter(s, sos)) for s in segments]
 
     chunk = max(1, int(_CHUNK_S * sample_rate))
-    chunk_rms = []
-    for x in rectified:
-        for i in range(0, x.size - chunk + 1, chunk):
-            piece = x[i : i + chunk]
-            chunk_rms.append((float(np.sqrt(np.mean(piece**2))), piece))
-    if not chunk_rms:
+    pieces = [x[i : i + chunk] for x in rectified for i in range(0, x.size - chunk + 1, chunk)]
+    if not pieces:
         raise ValueError("calibration segments shorter than one chunk")
-    chunk_rms.sort(key=lambda item: item[0])
-    n_quiet = max(1, int(len(chunk_rms) * _QUIET_FRACTION))
-    quiet = np.concatenate([piece for _, piece in chunk_rms[:n_quiet]])
+    pieces.sort(key=lambda piece: float(np.sqrt(np.mean(piece**2))))
+    quiet = np.concatenate(pieces[: max(1, int(len(pieces) * _QUIET_FRACTION))])
     stats = baseline_stats(quiet)
     thr = compute_threshold(stats.mu, stats.sigma)
 
@@ -118,21 +107,6 @@ def calibrate(
     )
 
 
-def _condition(filtered: np.ndarray, carry: np.ndarray):
-    """Rectify (in place) and block-mean decimate a band-passed chunk.
-
-    The rectified samples short of a full block (`carry`) pass from chunk to
-    chunk, as the filter state does in apply_filter, so every chunking of a
-    stream gives the same envelope. Returns (envelope, carry).
-    """
-    factor = _signal.DECIMATION_FACTOR
-    buf = np.concatenate([carry, np.abs(filtered, out=filtered)])
-    n_full = buf.size // factor
-    blocks = buf[: n_full * factor].reshape(n_full, factor)
-    envelope = np.add.reduce(blocks, axis=1) / factor
-    return envelope, buf[n_full * factor :]
-
-
 def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     """Seven features of one envelope segment, ordered as RT_FEATURE_NAMES.
 
@@ -144,8 +118,6 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     the features of each segment alone.
     """
     x = np.asarray(segment, dtype=float) / profile.reference_amplitude
-    if x.size == 0:
-        raise ValueError("empty segment")
     freqs, power = _features.periodogram(x, profile.effective_rate)
     f = _features
     out = np.empty(x.shape[:-1] + (len(RT_FEATURE_NAMES),))
@@ -159,28 +131,28 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     return out
 
 
-def vote_filter(predictions, window: int = VOTE_WINDOW) -> np.ndarray:
-    """Majority vote over the trailing `window` raw predictions.
+def vote_filter(predictions) -> np.ndarray:
+    """Majority vote over the trailing VOTE_WINDOW raw predictions.
 
-    Position t looks at predictions[max(0, t-window+1) .. t]; a tie counts
-    as negative, and early positions use however many predictions exist.
+    Position t looks at predictions[max(0, t-VOTE_WINDOW+1) .. t]; a tie
+    counts as negative, and early positions use however many exist.
     """
     predictions = np.asarray(predictions, dtype=bool)
     positives = np.add.accumulate(predictions, dtype=int)
-    positives[window:] -= positives[:-window]  # numpy buffers the overlap
-    seen = np.minimum(np.arange(1, predictions.size + 1), window)
+    positives[VOTE_WINDOW:] -= positives[:-VOTE_WINDOW]  # numpy buffers the overlap
+    seen = np.minimum(np.arange(1, predictions.size + 1), VOTE_WINDOW)
     return positives * 2 > seen
 
 
-def _assemble(st, votes, times) -> list:
+def _assemble(st, votes, onsets, ends) -> list:
     """Feed votes into the open run of `st`; return the events closed.
 
-    `times` holds each vote's segment (start_s, end_s). A maximal run of
-    positive votes spans from its first segment's start to its last
-    segment's end.
+    Vote k belongs to the segment spanning onsets[k] to ends[k] seconds. A
+    maximal run of positive votes spans from its first segment's start to
+    its last segment's end.
     """
     closed = []
-    for vote, (start_s, end_s) in zip(votes, times):
+    for vote, start_s, end_s in zip(votes, onsets, ends):
         if vote:
             if st.run_start_s is None:
                 st.run_start_s = start_s
@@ -204,16 +176,14 @@ def _close_run(st) -> list:
     return [event]
 
 
-def live_rate(events, t: float, window_s: float = RATE_WINDOW_S) -> float:
-    """Chews per second over the trailing window at time t.
+def live_rate(events, t: float) -> float:
+    """Chews per second over the trailing RATE_WINDOW_S at time t.
 
-    Counts events lying wholly inside [t - window_s, t] and divides by the
-    window length, so the rate ramps up over the first window of a session.
+    Counts events lying wholly inside [t - RATE_WINDOW_S, t] and divides by
+    the window length, so the rate ramps up over a session's first window.
     """
-    if window_s <= 0:
-        raise ValueError("window must be positive")
-    n = sum(1 for e in events if e.onset_s >= t - window_s and e.termination_s <= t)
-    return n / window_s
+    n = sum(1 for e in events if e.onset_s >= t - RATE_WINDOW_S and e.termination_s <= t)
+    return n / RATE_WINDOW_S
 
 
 def check_streaming_model(model: LinearModel) -> None:
@@ -229,14 +199,20 @@ def check_streaming_model(model: LinearModel) -> None:
 class StreamState:
     """Mutable per-session detector state (one per live stream).
 
-    `envelope` starts at the next segment, so between pushes it is shorter
-    than one segment; segment k (counted by `segments`) starts at k * hop.
-    `raw_predictions` holds the last VOTE_WINDOW - 1 segment predictions,
-    all that the next majority vote looks back on.
+    The profile fixes `sos` (its rate's band-pass) and `n_segment`/`n_hop`
+    (envelope samples), computed here once. `envelope` starts at the next
+    segment, so between pushes it is shorter than one segment; segment k
+    (counted by `segments`) starts at k * n_hop. `raw_predictions` holds the
+    last VOTE_WINDOW - 1 predictions, all the next vote looks back on;
+    `events` keeps every event of the session.
     """
 
+    profile: CalibrationProfile
+    sos: np.ndarray = field(init=False)
+    n_segment: int = field(init=False)
+    n_hop: int = field(init=False)
+    zi: np.ndarray = field(init=False)
     raw_consumed: int = 0
-    zi: np.ndarray = None
     carry: np.ndarray = field(default_factory=lambda: np.zeros(0))
     envelope: np.ndarray = field(default_factory=lambda: np.zeros(0))
     segments: int = 0
@@ -244,6 +220,36 @@ class StreamState:
     run_start_s: float = None
     last_positive_end_s: float = None
     events: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.sos = _signal.bandpass(self.profile.sample_rate)
+        self.n_segment, self.n_hop = _features._window_geometry(
+            SEGMENT_S, HOP_S, self.profile.effective_rate
+        )
+        self.zi = np.zeros((self.sos.shape[0], 2))
+
+
+def _segment_pass(st: StreamState, samples) -> tuple:
+    """Band-pass (state in st.zi), rectify and block-mean decimate (tail in
+    st.carry) a chunk of raw samples; return (rows, starts), the rt_features
+    of every segment it completes, in one call, and their start indices in
+    the session's envelope. Any chunking gives the rows of one whole pass.
+    """
+    filtered = _signal.apply_filter(samples, st.sos, st.zi)
+    envelope, st.carry = _signal.block_means(
+        np.abs(filtered, out=filtered), _signal.DECIMATION_FACTOR, st.carry
+    )
+    st.raw_consumed += filtered.size
+    st.envelope = np.concatenate([st.envelope, envelope])
+    if st.envelope.size < st.n_segment:
+        return np.empty((0, len(RT_FEATURE_NAMES))), np.empty(0, dtype=int)
+    segments = _features._segment_stack(st.envelope, st.n_segment, st.n_hop)
+    k = segments.shape[0]
+    rows = rt_features(segments, st.profile)
+    starts = np.arange(st.segments, st.segments + k) * st.n_hop
+    st.segments += k
+    st.envelope = st.envelope[k * st.n_hop :]
+    return rows, starts
 
 
 class StreamEngine:
@@ -259,11 +265,7 @@ class StreamEngine:
         check_streaming_model(model)
         self.model = model
         self.profile = profile
-        self.sos = _signal.bandpass(profile.sample_rate)
-        self.n_segment, self.n_hop = _features._window_geometry(
-            SEGMENT_S, HOP_S, profile.effective_rate
-        )
-        self.state = StreamState(zi=np.zeros((self.sos.shape[0], 2)))
+        self.state = StreamState(profile)
 
     @property
     def current_time_s(self) -> float:
@@ -276,34 +278,21 @@ class StreamEngine:
     def push(self, samples: np.ndarray) -> list:
         """Consume a 1-D chunk of raw samples; return events it closed."""
         st = self.state
-        filtered = _signal.apply_filter(samples, self.sos, st.zi)
-        envelope, st.carry = _condition(filtered, st.carry)
-        st.raw_consumed += filtered.size
-        st.envelope = np.concatenate([st.envelope, envelope])
-        if st.envelope.size < self.n_segment:
+        rows, starts = _segment_pass(st, samples)
+        if not starts.size:
             return []
-
-        # Every ready segment in one pass; decision_values is per row, so the
-        # outcome does not depend on how many segments share the push.
-        segments = _features._segment_stack(st.envelope, self.n_segment, self.n_hop)
-        k = segments.shape[0]
-        feats = rt_features(segments, self.profile)
+        # decision_values is per row, so the outcome does not depend on how
+        # many segments share the push.
         history = np.concatenate(
-            [st.raw_predictions, decision_values(self.model, feats) > 0]
+            [st.raw_predictions, decision_values(self.model, rows) > 0]
         )
-        votes = vote_filter(history)[-k:]
+        votes = vote_filter(history)[-starts.size :]
         # The next vote looks back on only the last VOTE_WINDOW - 1 predictions.
         st.raw_predictions = history[max(0, history.size - VOTE_WINDOW + 1) :]
-
-        first = st.segments * self.n_hop
-        eff = self.profile.effective_rate
-        times = [
-            _features._segment_times(start, self.n_segment, eff)
-            for start in range(first, first + k * self.n_hop, self.n_hop)
-        ]
-        st.segments += k
-        st.envelope = st.envelope[k * self.n_hop :]
-        return _assemble(st, votes.tolist(), times)
+        onsets, ends = _features._segment_times(
+            starts, st.n_segment, self.profile.effective_rate
+        )
+        return _assemble(st, votes.tolist(), onsets.tolist(), ends.tolist())
 
     def finalize(self) -> list:
         """Close a trailing open event at end of stream."""
@@ -316,26 +305,24 @@ class StreamEngine:
 def rt_training_set(recording, profile: CalibrationProfile):
     """Windowed streaming features for one recording, as a FeatureMatrix.
 
-    Runs the engine's conditioning and feature kernel over the masseter
-    channel in one pass, so the rows are exactly the segments a StreamEngine
-    classifies on the same samples. A row is labelled "C" when at least half
-    of it overlaps one chew annotation. The profile must have been calibrated
-    at the recording's sample rate.
+    Runs the engine's segment pass once over the whole masseter channel, so
+    the rows are exactly the segments a StreamEngine classifies on the same
+    samples. A row is labelled "C" when at least half of it overlaps one
+    chew annotation. The profile must have been calibrated at the
+    recording's sample rate.
     """
     if recording.sample_rate != profile.sample_rate:
         raise ValueError(
             f"profile calibrated at {profile.sample_rate!r} Hz, recording"
             f" sampled at {recording.sample_rate!r} Hz"
         )
-    filtered = _signal.apply_filter(
-        recording.channel("masseter"), _signal.bandpass(profile.sample_rate)
+    st = StreamState(profile)
+    X, starts = _segment_pass(st, recording.channel("masseter"))
+    if not starts.size:
+        raise ValueError("signal shorter than one window")
+    onsets, terminations = _features._segment_times(
+        starts, st.n_segment, profile.effective_rate
     )
-    env, _ = _condition(filtered, np.zeros(0))
-    eff = profile.effective_rate
-    n_segment, n_hop = _features._window_geometry(SEGMENT_S, HOP_S, eff)
-    starts = _features.window_starts(env.size, n_segment, n_hop)
-    X = rt_features(_features._segment_stack(env, n_segment, n_hop), profile)
-    onsets, terminations = _features._segment_times(starts, n_segment, eff)
     positive, kind = _features.TASKS["chew"]
     return _features.FeatureMatrix(
         feature_names=RT_FEATURE_NAMES,

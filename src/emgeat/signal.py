@@ -168,6 +168,17 @@ def normalize(x: np.ndarray) -> np.ndarray:
     return (x - lo) / span
 
 
+def block_means(x: np.ndarray, factor: int, carry: np.ndarray = None):
+    """Means of the full blocks of `factor` samples of carry + x, and the
+    samples left over; passing each leftover as the next call's `carry`
+    decimates a chunked signal exactly like the whole of it."""
+    if carry is not None and carry.size:
+        x = np.concatenate([carry, x])
+    n_full = x.size // factor
+    blocks = x[: n_full * factor].reshape(n_full, factor)
+    return np.add.reduce(blocks, axis=1) / factor, x[n_full * factor :]
+
+
 def downsample(x: np.ndarray, factor: int, mode: str = "mean") -> np.ndarray:
     """Reduce the rate by an integer factor.
 
@@ -185,13 +196,8 @@ def downsample(x: np.ndarray, factor: int, mode: str = "mean") -> np.ndarray:
         return x[::factor].copy()
     if mode != "mean":
         raise ValueError(f"unknown downsample mode {mode!r}")
-    n_full = x.size // factor
-    out = np.empty(int(np.ceil(x.size / factor)))
-    if n_full:
-        out[:n_full] = x[: n_full * factor].reshape(n_full, factor).mean(axis=1)
-    if x.size % factor:
-        out[n_full] = x[n_full * factor :].mean()
-    return out
+    means, leftover = block_means(x, factor)
+    return np.append(means, leftover.mean()) if leftover.size else means
 
 
 @dataclass

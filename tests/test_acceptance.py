@@ -308,7 +308,7 @@ def test_criterion_07_streaming_count_rate_latency():
                 worst_count, abs(len(engine.events) - truth) / truth
             )
             rates = [
-                rt.live_rate(engine.events, t, rt.RATE_WINDOW_S)
+                rt.live_rate(engine.events, t)
                 for t in np.arange(6.0, 60.0, 1.0)
             ]
             worst_rate = max(
@@ -401,13 +401,13 @@ def test_criterion_09_trailing_rate_exactness():
             metrics.ChewEvent(9.5, 9.8),
         ]
         cases = (
-            rt.live_rate(inside, 10.0, 5.0) == 1.0,
-            rt.live_rate([], 3.0, 5.0) == 0.0,
+            rt.live_rate(inside, 10.0) == 1.0,
+            rt.live_rate([], 3.0) == 0.0,
             # straddling either window edge must not count
-            rt.live_rate([metrics.ChewEvent(4.9, 5.2)], 10.0, 5.0) == 0.0,
-            rt.live_rate([metrics.ChewEvent(9.8, 10.2)], 10.0, 5.0) == 0.0,
+            rt.live_rate([metrics.ChewEvent(4.9, 5.2)], 10.0) == 0.0,
+            rt.live_rate([metrics.ChewEvent(9.8, 10.2)], 10.0) == 0.0,
             # touching the edges exactly does count
-            rt.live_rate([metrics.ChewEvent(5.0, 10.0)], 10.0, 5.0) == 0.2,
+            rt.live_rate([metrics.ChewEvent(5.0, 10.0)], 10.0) == 0.2,
         )
         ok = all(cases)
         return ok, f"{sum(cases)}/5 exact window cases"

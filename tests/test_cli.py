@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import emgeat.io as io
+import emgeat.realtime as rt
 from emgeat.cli import main
 from emgeat.metrics import ChewEvent
 
@@ -131,6 +132,22 @@ class TestFeaturize:
         mat = io.read_dataset(out_file)
         assert mat.feature_names == ("mean", "sd", "peak_amp", "rms", "iemg", "mnf", "mnp")
         assert mat.values.shape[0] == 325
+
+    def test_realtime_rows_are_the_masseter_calibrated_training_set(
+        self, session_file, tmp_path, capsys
+    ):
+        out_file = tmp_path / "rt.csv"
+        args = ["featurize", "--in", str(session_file), "--out", str(out_file), "--realtime"]
+        assert run_cli(args, capsys)[0] == 0
+        rec = io.read_recording(session_file)
+        profile = rt.calibrate([rec.channel("masseter")], rec.sample_rate)
+        expected = rt.rt_training_set(rec, profile)
+        mat = io.read_dataset(out_file)
+        assert np.array_equal(mat.values, expected.values)
+        assert mat.labels.tolist() == expected.labels.tolist()
+        # There is no other calibration channel to choose.
+        with pytest.raises(SystemExit):
+            main(args + ["--channel", "submental"])
 
     @pytest.mark.parametrize("realtime", [False, True])
     def test_non_finite_sample_names_file_and_line(
@@ -295,6 +312,13 @@ class TestFeedbackSim:
         assert rc == 1 and out == ""
         assert ":2: rate row '1.0,nan' is not finite" in err
 
+    def test_negative_rate_names_file_and_line(self, tmp_path, capsys):
+        series = tmp_path / "rates.csv"
+        series.write_text("t_s,rate_hz\n1.0,0.5\n2.0,-0.25\n")
+        rc, out, err = run_cli(["feedback-sim", "--in", str(series)], capsys)
+        assert rc == 1 and out == ""
+        assert f"{series}:3: rate -0.25 is negative" in err
+
     def test_dead_band_suppresses_flicker(self, tmp_path, capsys):
         # 1.6 chews/s normalizes to 0.5; +-0.16 wobbles across the 0.6 edge.
         series = tmp_path / "rates.csv"
@@ -457,3 +481,29 @@ class TestServe:
         finally:
             proc.send_signal(os_signal.SIGINT)
             assert proc.wait(timeout=10) == 0
+
+    @pytest.mark.parametrize(
+        "signum", [os_signal.SIGINT, os_signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+    )
+    def test_stop_signal_ends_serve_started_with_sigint_ignored(
+        self, rt_model, tmp_path, signum
+    ):
+        # A non-interactive shell starts `emgeat serve ... &` with SIGINT ignored.
+        model_path = io.save_model(rt_model, tmp_path / "rt.model")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "emgeat.cli", "serve", "--model",
+                str(model_path), "--port", "0",
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+            preexec_fn=lambda: os_signal.signal(os_signal.SIGINT, os_signal.SIG_IGN),
+        )
+        try:
+            assert proc.stdout.readline().startswith("listening on 127.0.0.1:")
+            proc.send_signal(signum)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()

@@ -230,6 +230,13 @@ class TestEventLogs:
         with pytest.raises(io.FormatError, match=":2:"):
             io.read_event_log(path)
 
+    @pytest.mark.parametrize("duration", ["banana", "nan", "0.5"])
+    def test_duration_must_be_termination_minus_onset(self, tmp_path, duration):
+        path = tmp_path / "s.events"
+        path.write_text(f"event,0.5,0.9,0.4\nevent,1.0,2.0,{duration}\n")
+        with pytest.raises(io.FormatError, match=r"s\.events:2: "):
+            io.read_event_log(path)
+
     @pytest.mark.parametrize(
         "line", ["event,nan,nan,nan", "event,1.0,inf,inf", "event,-inf,1.0,inf"]
     )
@@ -365,8 +372,8 @@ class TestProtocol:
         with pytest.raises(io.ProtocolError, match="not an integer"):
             protocol.parse_int("samples", {"t_us": "1.5"}, "t_us")
         with pytest.raises(io.ProtocolError, match="unparseable samples"):
-            protocol.parse_values("samples", {"v": "1.0,oops"})
-        assert protocol.parse_values("samples", {"v": "1.0,2.0"}) == [1.0, 2.0]
+            protocol.parse_values({"v": "1.0,oops"})
+        assert protocol.parse_values({"v": "1.0,2.0"}) == [1.0, 2.0]
 
     @settings(max_examples=300, deadline=None)
     @given(line=st.text(), allowed=st.sampled_from([None, io.protocol.CLIENT_KINDS]))
@@ -381,7 +388,7 @@ class TestProtocol:
         from emgeat.io import protocol
 
         def parse(v):
-            return protocol.parse_values("samples", {"v": v})
+            return protocol.parse_values({"v": v})
 
         # Empty tokens are skipped wherever they fall.
         assert parse("1.0,,2.0,") == [1.0, 2.0]
@@ -394,7 +401,7 @@ class TestProtocol:
             with pytest.raises(io.ProtocolError, match="unparseable samples"):
                 parse(bad)
         with pytest.raises(io.ProtocolError, match="missing field 'v'"):
-            protocol.parse_values("samples", {})
+            protocol.parse_values({})
 
 
 # --- live server ------------------------------------------------------------

@@ -17,7 +17,13 @@ import emgeat.learn as learn
 import emgeat.realtime as rt
 import emgeat.synth as synth
 from emgeat.metrics import ChewEvent
-from emgeat.signal import DECIMATION_FACTOR, RawRecording, apply_filter, bandpass
+from emgeat.signal import (
+    DECIMATION_FACTOR,
+    RawRecording,
+    apply_filter,
+    bandpass,
+    block_means,
+)
 
 FS = 1024.0
 
@@ -162,48 +168,47 @@ class TestVoteFilter:
     def test_isolated_positive_suppressed(self):
         preds = np.zeros(12, dtype=bool)
         preds[5] = True
-        assert not rt.vote_filter(preds, window=8).any()
+        assert not rt.vote_filter(preds).any()
 
     def test_tie_counts_negative(self):
         # 4 of 8 at the first full window is a tie -> negative.
         preds = [True] * 4 + [False] * 4
-        out = rt.vote_filter(preds, window=8)
+        out = rt.vote_filter(preds)
         assert not out[7]
         assert out[:7].all()  # early partial windows are majority-positive
 
     def test_startup_uses_partial_window(self):
-        out = rt.vote_filter([True, False, False], window=8)
+        out = rt.vote_filter([True, False, False])
         assert out.tolist() == [True, False, False]
 
     def test_known_sequence(self):
         preds = [False, True, True, True, True, False, False, False, False, False]
-        out = rt.vote_filter(preds, window=4)
-        # t=1 sees [F,T]: a tie, so the run only opens at t=2.
+        out = rt.vote_filter(preds)
+        # t=1 sees [F,T]: a tie, so the run only opens at t=2; t=7 sees
+        # four of eight, a tie, so it closes there.
         assert out.tolist() == [
-            False, False, True, True, True, True, False, False, False, False,
+            False, False, True, True, True, True, True, False, False, False,
         ]
 
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        preds=st.lists(st.booleans(), max_size=80),
-        window=st.integers(1, 12),
-    )
-    def test_matches_trailing_window_loop(self, preds, window):
+    @given(preds=st.lists(st.booleans(), max_size=80))
+    def test_matches_trailing_window_loop(self, preds):
+        window = rt.VOTE_WINDOW
         expected = []
         for t in range(len(preds)):
             votes = preds[max(0, t - window + 1) : t + 1]
             expected.append(sum(votes) * 2 > len(votes))
-        assert rt.vote_filter(preds, window).tolist() == expected
+        assert rt.vote_filter(preds).tolist() == expected
 
 
 def assemble(votes, segment_s, hop_s, t0=0.0):
     """Run the engine's assembler over votes whose segment k covers
     [t0 + k*hop_s, t0 + k*hop_s + segment_s); returns (state, events closed
     by the votes). The run still open at the end stays open in the state."""
-    state = rt.StreamState()
-    times = [(t0 + k * hop_s, t0 + k * hop_s + segment_s) for k in range(len(votes))]
-    closed = rt._assemble(state, votes, times)
+    state = rt.StreamState(make_profile())
+    onsets = [t0 + k * hop_s for k in range(len(votes))]
+    closed = rt._assemble(state, votes, onsets, [t + segment_s for t in onsets])
     assert closed == state.events
     return state, closed
 
@@ -262,7 +267,7 @@ class TestLiveRate:
             ChewEvent(8.0, 8.3),
             ChewEvent(9.5, 9.8),
         ]
-        assert rt.live_rate(events, t=10.0, window_s=5.0) == pytest.approx(1.0)
+        assert rt.live_rate(events, t=10.0) == pytest.approx(1.0)
 
     def test_empty_log(self):
         assert rt.live_rate([], t=3.0) == 0.0
@@ -270,14 +275,10 @@ class TestLiveRate:
     def test_partial_overlap_excluded(self):
         # Only events lying wholly inside the window count.
         events = [ChewEvent(4.9, 5.2), ChewEvent(9.8, 10.2), ChewEvent(6.0, 6.4)]
-        assert rt.live_rate(events, t=10.0, window_s=5.0) == pytest.approx(0.2)
+        assert rt.live_rate(events, t=10.0) == pytest.approx(0.2)
 
     def test_boundary_event_included(self):
-        assert rt.live_rate([ChewEvent(5.0, 10.0)], 10.0, 5.0) == pytest.approx(0.2)
-
-    def test_bad_window(self):
-        with pytest.raises(ValueError, match="window"):
-            rt.live_rate([], 1.0, window_s=0.0)
+        assert rt.live_rate([ChewEvent(5.0, 10.0)], 10.0) == pytest.approx(0.2)
 
 
 class TestStreamGeometry:
@@ -394,7 +395,7 @@ class TestStreamEngine:
         )
         span_rate = len(test_session.annotations_of("chew")) / 60.0
         rates = [
-            rt.live_rate(events, t, 5.0) for t in np.arange(6.0, 59.0, 1.0)
+            rt.live_rate(events, t) for t in np.arange(6.0, 59.0, 1.0)
         ]
         assert np.mean(rates) == pytest.approx(span_rate, rel=0.2)
 
@@ -414,7 +415,7 @@ class TestStreamEngine:
         engine.push(raw)
         t = engine.current_time_s
         assert engine.rate_at(t) == pytest.approx(
-            rt.live_rate(engine.events, t, 5.0)
+            rt.live_rate(engine.events, t)
         )
 
 
@@ -424,7 +425,8 @@ def predictions_push_by_push(engine, raw):
     so each push makes exactly one segment ready."""
     factor = DECIMATION_FACTOR
     start, predictions = 0, []
-    for end in range(engine.n_segment * factor, raw.size + 1, engine.n_hop * factor):
+    n_segment, n_hop = engine.state.n_segment, engine.state.n_hop
+    for end in range(n_segment * factor, raw.size + 1, n_hop * factor):
         segments = engine.state.segments
         engine.push(raw[start:end])
         start = end
@@ -505,12 +507,13 @@ class TestRtTrainingSet:
         )
         eff = fs / DECIMATION_FACTOR
         engine = rt.StreamEngine(rt_model, profile)
-        assert (engine.n_segment, engine.n_hop) == (102, 6)
+        n_segment, n_hop = engine.state.n_segment, engine.state.n_hop
+        assert (n_segment, n_hop) == (102, 6)
         # Segments span SEGMENT_S, truncated to whole envelope samples.
-        assert rt.SEGMENT_S - 1 / eff < engine.n_segment / eff <= rt.SEGMENT_S
+        assert rt.SEGMENT_S - 1 / eff < n_segment / eff <= rt.SEGMENT_S
         mat = rt.rt_training_set(session, profile)
-        assert np.allclose(mat.terminations_s - mat.onsets_s, engine.n_segment / eff)
-        assert np.allclose(np.diff(mat.onsets_s), engine.n_hop / eff)
+        assert np.allclose(mat.terminations_s - mat.onsets_s, n_segment / eff)
+        assert np.allclose(np.diff(mat.onsets_s), n_hop / eff)
         raw = predictions_push_by_push(engine, session.channel("masseter"))
         assert mat.n_rows == len(raw) > 100 and any(raw)
         assert (learn.predict(rt_model, mat.values) == "C").tolist() == raw
@@ -529,10 +532,8 @@ class TestRtTrainingSet:
         # engine never emits; counted as a block it would add one segment.
         n = 61435
         engine = rt.StreamEngine(rt_model, profile)
-        n_env = n // 10
-        assert n % 10 and (n_env + 1 - engine.n_segment) // engine.n_hop > (
-            n_env - engine.n_segment
-        ) // engine.n_hop
+        n_env, n_segment, n_hop = n // 10, engine.state.n_segment, engine.state.n_hop
+        assert n % 10 and (n_env + 1 - n_segment) // n_hop > (n_env - n_segment) // n_hop
         rec = RawRecording(
             "E",
             FS,
@@ -583,7 +584,7 @@ class TestChunkingProperty:
         for chunk in np.split(raw, bounds[bounds < raw.size]):
             engine.push(chunk)
             st = engine.state
-            assert len(st.envelope) < engine.n_segment
+            assert len(st.envelope) < st.n_segment
             # The state keeps only the predictions the next vote looks back on.
             kept = len(st.raw_predictions)
             assert kept == min(st.segments, rt.VOTE_WINDOW - 1)
@@ -598,9 +599,10 @@ class TestChunkingProperty:
 
 class TestConditionMatchesPublicFilter:
     """apply_filter calls sosfilt's compiled kernel directly; any chunking of
-    a signal through it (state carried in `zi`) and through _condition must
-    give exactly what the public filter gives on the whole of it, so a scipy
-    release that changes the kernel's contract fails here."""
+    a signal through it (state carried in `zi`), rectified and decimated by
+    block_means (tail carried), must give exactly what the public filter
+    gives on the whole of it, so a scipy release that changes the kernel's
+    contract fails here."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -615,7 +617,7 @@ class TestConditionMatchesPublicFilter:
         zi, carry, chunks, pieces = np.zeros((sos.shape[0], 2)), np.zeros(0), [], []
         for chunk in np.split(x, np.cumsum(sizes)[:-1]):
             chunks.append(apply_filter(chunk, sos, zi))
-            envelope, carry = rt._condition(chunks[-1].copy(), carry)
+            envelope, carry = block_means(np.abs(chunks[-1]), DECIMATION_FACTOR, carry)
             pieces.append(envelope)
 
         filtered, zf = sosfilt(sos, x, zi=np.zeros((sos.shape[0], 2)))

@@ -209,7 +209,6 @@ def cmd_replay(args) -> int:
         args.port,
         speed=args.speed,
         frame_s=args.frame,
-        channel=args.channel,
         reference_rate_hz=args.reference_rate,
     )
     if args.transcript:
@@ -338,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8765)
     p.add_argument("--speed", type=float, default=1.0, help="0 floods, 10 = x10")
     p.add_argument("--frame", type=float, default=0.125, help="seconds per frame")
-    p.add_argument("--channel", default="masseter")
     p.add_argument("--reference-rate", type=float, default=None)
     p.add_argument("--transcript", default=None, help="write server replies here")
     p.set_defaults(func=cmd_replay)

@@ -14,6 +14,9 @@ from ..realtime import CalibrationProfile, calibrate
 from . import protocol
 
 DEFAULT_FRAME_S = 0.125
+# A server started just before the client may not be listening yet.
+CONNECT_RETRIES = 3
+CONNECT_RETRY_WAIT_S = 0.2
 
 
 @dataclass
@@ -25,15 +28,15 @@ class ClientResult:
     reported_events: int = None
 
 
-def _connect(host, port, retries, retry_wait_s):
-    last = None
-    for _ in range(retries + 1):
+def _connect(host, port):
+    last, tries = None, CONNECT_RETRIES + 1
+    for _ in range(tries):
         try:
             return socket.create_connection((host, port), timeout=30)
         except OSError as exc:
             last = exc
-            time.sleep(retry_wait_s)
-    raise ConnectionError(f"could not reach {host}:{port} after {retries + 1} tries") from last
+            time.sleep(CONNECT_RETRY_WAIT_S)
+    raise ConnectionError(f"could not reach {host}:{port} after {tries} tries") from last
 
 
 def stream_client(
@@ -42,17 +45,15 @@ def stream_client(
     port: int,
     speed: float = 1.0,
     frame_s: float = DEFAULT_FRAME_S,
-    channel: str = "masseter",
     profile: CalibrationProfile = None,
     reference_rate_hz: float = None,
-    retries: int = 3,
-    retry_wait_s: float = 0.2,
 ) -> ClientResult:
     """Send one recording through a live session and collect the replies.
 
     speed is a wall-clock divisor: 1.0 replays in real time, 10.0 ten times
-    faster, 0 floods without pacing. The calibration profile defaults to one
-    computed from the streamed channel itself. A frame may hold at most
+    faster, 0 floods without pacing. The masseter channel is streamed, the
+    one the streaming model is trained on; the calibration profile defaults
+    to one computed from it. A frame may hold at most
     protocol.MAX_BUFFERED_S of signal, the most the server accepts at once.
     """
     if speed < 0:
@@ -65,18 +66,14 @@ def stream_client(
             f"a {frame_s} s frame holds {n_frame} samples, more than the"
             f" {protocol.MAX_BUFFERED_S} s the server accepts in one frame"
         )
+    samples = recording.channel("masseter")
     if profile is None:
-        profile = calibrate(
-            [recording.channel(channel)],
-            recording.sample_rate,
-            source=recording.participant_id,
-        )
-    samples = recording.channel(channel)
+        profile = calibrate([samples], recording.sample_rate, source=recording.participant_id)
 
     result = ClientResult()
     done = threading.Event()
 
-    sock = _connect(host, port, retries, retry_wait_s)
+    sock = _connect(host, port)
     reader_file = sock.makefile("r")
 
     def reader():

@@ -13,19 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from ..learn import LinearModel
-from .recordings import FormatError
+from .recordings import FormatError, read_lines
 
 MODEL_MAGIC = "# emg-linear-model v1"
-
-_REQUIRED = (
-    "feature_names",
-    "weights",
-    "bias",
-    "mean",
-    "scale",
-    "positive_label",
-    "negative_label",
-)
 
 
 def save_model(model: LinearModel, path) -> Path:
@@ -44,7 +34,7 @@ def save_model(model: LinearModel, path) -> Path:
     }
     body = json.dumps(payload, sort_keys=True)
     digest = hashlib.sha256(body.encode()).hexdigest()
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(MODEL_MAGIC + "\n")
         fh.write(f"# sha256={digest}\n")
         fh.write(body + "\n")
@@ -52,11 +42,10 @@ def save_model(model: LinearModel, path) -> Path:
 
 
 def load_model(path) -> LinearModel:
+    """Read a model and verify its checksum and that its arrays fit its
+    features: one finite weight, mean and nonzero scale each, finite bias."""
     path = Path(path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != MODEL_MAGIC:
-        raise FormatError(f"{path}:1: not a model file (expected {MODEL_MAGIC!r})")
+    lines = read_lines(path, MODEL_MAGIC)
     if len(lines) < 3 or not lines[1].startswith("# sha256="):
         raise FormatError(f"{path}:2: missing checksum line")
     stored = lines[1][len("# sha256=") :]
@@ -66,18 +55,38 @@ def load_model(path) -> LinearModel:
         raise FormatError(f"{path}: checksum mismatch; file corrupted")
     try:
         payload = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, huge ints
         raise FormatError(f"{path}: unparseable payload: {exc}") from None
-    for key in _REQUIRED:
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: model payload is not a JSON object")
+    names = payload.get("feature_names")
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        raise FormatError(f"{path}: model field 'feature_names' is not a list of names")
+    for key in ("positive_label", "negative_label"):
         if key not in payload:
             raise FormatError(f"{path}: model payload missing field {key!r}")
+    arrays = {
+        key: _finite(path, payload, key, () if key == "bias" else (len(names),))
+        for key in ("bias", "weights", "mean", "scale")
+    }
+    if not arrays["scale"].all():
+        raise FormatError(f"{path}: model field 'scale' holds a zero")
     return LinearModel(
-        feature_names=tuple(payload["feature_names"]),
-        weights=np.asarray(payload["weights"], dtype=float),
-        bias=float(payload["bias"]),
-        mean=np.asarray(payload["mean"], dtype=float),
-        scale=np.asarray(payload["scale"], dtype=float),
+        feature_names=tuple(names),
+        bias=float(arrays.pop("bias")),
         positive_label=payload["positive_label"],
         negative_label=payload["negative_label"],
         train_info=payload.get("train_info", {}),
+        **arrays,
     )
+
+
+def _finite(path, payload, key, shape) -> np.ndarray:
+    try:
+        value = np.asarray(payload.get(key), dtype=float)  # a missing key is nan
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or value.shape != shape or not np.isfinite(value).all():
+        what = f"{shape[0]} finite numbers, one per feature" if shape else "a finite number"
+        raise FormatError(f"{path}: model field {key!r} must be {what}")
+    return value

@@ -16,10 +16,60 @@ from ..signal import Annotation, RawRecording
 
 RECORDING_MAGIC = "# emg-recording v1"
 ANNOTATION_MAGIC = "# emg-annotations v1"
+_ANNOTATION_COLUMNS = ("kind", "onset_s", "termination_s")
 
 
 class FormatError(ValueError):
     """A file does not follow the expected layout; message names the line."""
+
+
+def read_lines(path, magic=None) -> list:
+    """A UTF-8 text file's lines, split where universal-newline text mode
+    splits them. A byte that is not UTF-8, or a first line other than the
+    format's `magic`, is a FormatError at its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b"x").splitlines())  # same line ends
+        raise FormatError(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8") from None
+    if lines[-1] == "":
+        lines.pop()
+    if magic is not None and (not lines or lines[0] != magic):
+        raise FormatError(f"{path}:1: expected header {magic!r}")
+    return lines
+
+
+def rows(path, lines, start, columns):
+    """Yield (`path:line`, fields) for every non-blank line from index
+    `start`, each split at commas into one field per column name."""
+    for i in range(start, len(lines)):
+        if not lines[i]:
+            continue
+        where = f"{path}:{i + 1}"
+        fields = lines[i].split(",")
+        if len(fields) != len(columns):
+            raise FormatError(f"{where}: expected {len(columns)} fields, got {len(fields)}")
+        yield where, fields
+
+
+def parse_floats(where, columns, fields) -> list:
+    """The fields as finite floats; an unparseable or non-finite value is a
+    FormatError naming its column."""
+    try:
+        values = list(map(float, fields))
+        if all(map(math.isfinite, values)):
+            return values
+    except ValueError:
+        pass
+    for column, text in zip(columns, fields):
+        try:
+            value = float(text)
+        except ValueError:
+            raise FormatError(f"{where}: {column} value {text!r} is unparseable") from None
+        if not math.isfinite(value):
+            raise FormatError(f"{where}: {column} value {text} is not finite")
 
 
 def annotation_path(path) -> Path:
@@ -29,22 +79,17 @@ def annotation_path(path) -> Path:
 def write_recording(recording: RawRecording, path) -> Path:
     """Write samples and the annotation sidecar; returns the sample path."""
     path = Path(path)
-    timestamps = [
-        round(i * 1_000_000 / recording.sample_rate) for i in range(recording.n_samples)
-    ]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(RECORDING_MAGIC + "\n")
         fh.write(f"# participant={recording.participant_id}\n")
         fh.write(f"# sample_rate_hz={recording.sample_rate!r}\n")
         fh.write("timestamp_us," + ",".join(recording.channel_names) + "\n")
-        columns = recording.samples
-        for i, t_us in enumerate(timestamps):
-            fh.write(
-                str(t_us) + "," + ",".join(repr(float(v)) for v in columns[:, i]) + "\n"
-            )
-    with open(annotation_path(path), "w") as fh:
+        for i, values in enumerate(recording.samples.T):
+            t_us = round(i * 1_000_000 / recording.sample_rate)
+            fh.write(f"{t_us}," + ",".join(repr(float(v)) for v in values) + "\n")
+    with open(annotation_path(path), "w", encoding="utf-8") as fh:
         fh.write(ANNOTATION_MAGIC + "\n")
-        fh.write("kind,onset_s,termination_s\n")
+        fh.write(",".join(_ANNOTATION_COLUMNS) + "\n")
         for ann in recording.annotations:
             fh.write(
                 f"{ann.kind},{float(ann.onset_s)!r},{float(ann.termination_s)!r}\n"
@@ -52,14 +97,12 @@ def write_recording(recording: RawRecording, path) -> Path:
     return path
 
 
-def _read_headers(lines, magic, path):
-    if not lines or lines[0].rstrip("\n") != magic:
-        raise FormatError(f"{path}:1: expected header {magic!r}")
+def _read_headers(lines, path):
     headers = {}
     i = 1
     while i < len(lines) and lines[i].startswith("# "):
         try:
-            key, value = lines[i][2:].rstrip("\n").split("=", 1)
+            key, value = lines[i][2:].split("=", 1)
         except ValueError:
             raise FormatError(f"{path}:{i + 1}: malformed header line") from None
         headers[key] = value
@@ -70,9 +113,8 @@ def _read_headers(lines, magic, path):
 def read_recording(path) -> RawRecording:
     """Parse a recording and its annotation sidecar (absent sidecar = none)."""
     path = Path(path)
-    with open(path) as fh:
-        lines = fh.readlines()
-    headers, i = _read_headers(lines, RECORDING_MAGIC, path)
+    lines = read_lines(path, RECORDING_MAGIC)
+    headers, i = _read_headers(lines, path)
     for key in ("participant", "sample_rate_hz"):
         if key not in headers:
             raise FormatError(f"{path}: missing header {key!r}")
@@ -88,72 +130,49 @@ def read_recording(path) -> RawRecording:
 
     if i >= len(lines) or not lines[i].startswith("timestamp_us,"):
         raise FormatError(f"{path}:{i + 1}: expected column header")
-    channel_names = tuple(lines[i].rstrip("\n").split(",")[1:])
-    if not channel_names:
-        raise FormatError(f"{path}:{i + 1}: no channels declared")
-    i += 1
+    columns = lines[i].split(",")
+    channel_names = tuple(columns[1:])
 
-    n_cols = len(channel_names) + 1
-    rows = []
+    samples = []
     last_t = -1
-    for lineno in range(i, len(lines)):
-        line = lines[lineno].rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise FormatError(
-                f"{path}:{lineno + 1}: expected {n_cols} fields, got {len(parts)}"
-                " (file truncated mid-row?)"
-            )
+    for where, fields in rows(path, lines, i + 1, columns):
+        values = parse_floats(where, channel_names, fields[1:])
         try:
-            t_us = int(parts[0])
-            values = [float(p) for p in parts[1:]]
+            t_us = int(fields[0])
         except ValueError:
-            raise FormatError(f"{path}:{lineno + 1}: unparseable sample row") from None
-        if not all(map(math.isfinite, values)):
-            k = next(k for k, v in enumerate(values) if not math.isfinite(v))
-            where = f"{path}:{lineno + 1}: {channel_names[k]} sample {parts[k + 1]}"
-            raise FormatError(f"{where} is not finite")
+            raise FormatError(f"{where}: timestamp {fields[0]!r} is not an integer") from None
         if t_us <= last_t:
-            raise FormatError(
-                f"{path}:{lineno + 1}: timestamp {t_us} does not increase"
-            )
+            raise FormatError(f"{where}: timestamp {t_us} does not increase")
         last_t = t_us
-        rows.append(values)
-    if not rows:
+        samples.append(values)
+    if not samples:
         raise FormatError(f"{path}: no sample rows")
 
-    annotations = []
     ann_file = annotation_path(path)
-    if ann_file.exists():
-        annotations = read_annotations(ann_file)
-    return RawRecording(
-        participant_id=headers["participant"],
-        sample_rate=sample_rate,
-        channel_names=channel_names,
-        samples=np.asarray(rows, dtype=float).T,
-        annotations=annotations,
-    )
+    annotations = read_annotations(ann_file) if ann_file.exists() else []
+    try:
+        return RawRecording(
+            participant_id=headers["participant"],
+            sample_rate=sample_rate,
+            channel_names=channel_names,
+            samples=np.asarray(samples, dtype=float).T,
+            annotations=annotations,
+        )
+    except ValueError as exc:  # an annotation ends after the last sample
+        raise FormatError(f"{ann_file}: {exc}") from None
 
 
 def read_annotations(path) -> list:
     path = Path(path)
-    with open(path) as fh:
-        lines = fh.readlines()
-    _, i = _read_headers(lines, ANNOTATION_MAGIC, path)
+    lines = read_lines(path, ANNOTATION_MAGIC)
+    _, i = _read_headers(lines, path)
     if i < len(lines) and lines[i].startswith("kind,"):
         i += 1
     out = []
-    for lineno in range(i, len(lines)):
-        line = lines[lineno].rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FormatError(f"{path}:{lineno + 1}: expected kind,onset,termination")
+    for where, (kind, *times) in rows(path, lines, i, _ANNOTATION_COLUMNS):
+        onset, termination = parse_floats(where, _ANNOTATION_COLUMNS[1:], times)
         try:
-            out.append(Annotation(parts[0], float(parts[1]), float(parts[2])))
+            out.append(Annotation(kind, onset, termination))
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno + 1}: {exc}") from None
+            raise FormatError(f"{where}: {exc}") from None
     return out

@@ -274,14 +274,17 @@ class EmgServer:
         return self._tcp.server_address[1]
 
     def next_log_path(self):
+        """The next unused session number's log: never an earlier run's."""
         if self.config.log_dir is None:
             return None
-        with self._lock:
-            self._session_counter += 1
-            n = self._session_counter
         log_dir = Path(self.config.log_dir)
         log_dir.mkdir(parents=True, exist_ok=True)
-        return log_dir / f"session_{n:03d}.events"
+        with self._lock:
+            while True:
+                self._session_counter += 1
+                path = log_dir / f"session_{self._session_counter:03d}.events"
+                if not path.exists():
+                    return path
 
     def serve_forever(self):
         self._tcp.serve_forever(poll_interval=0.05)
@@ -292,10 +295,11 @@ class EmgServer:
         return self
 
     def shutdown(self):
-        self._tcp.shutdown()
-        self._tcp.server_close()
+        # socketserver's shutdown() waits forever unless serve_forever runs in another thread.
         if self._thread is not None:
+            self._tcp.shutdown()
             self._thread.join(timeout=5)
+        self._tcp.server_close()
 
 
 def serve(model: LinearModel, config: ServerConfig = None) -> EmgServer:

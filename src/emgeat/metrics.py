@@ -32,6 +32,17 @@ class ChewEvent:
         return self.termination_s - self.onset_s
 
 
+def check_event_order(prev: ChewEvent, cur: ChewEvent) -> None:
+    """Reject `cur` unless it starts no earlier than `prev` ends; an onset
+    may equal the previous termination."""
+    if cur.onset_s < prev.onset_s:
+        raise ValueError("events must be ordered by onset")
+    if cur.onset_s < prev.termination_s:
+        raise ValueError(
+            f"events overlap at {cur.onset_s}s (previous ends {prev.termination_s}s)"
+        )
+
+
 @dataclass
 class CorrectedTimeline:
     """Events with pause-attenuated clocks plus sequence grouping."""
@@ -73,12 +84,7 @@ def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> Correct
     if not events:
         raise ValueError("no events to analyze")
     for prev, cur in zip(events, events[1:]):
-        if cur.onset_s < prev.onset_s:
-            raise ValueError("events must be ordered by onset")
-        if cur.onset_s < prev.termination_s:
-            raise ValueError(
-                f"events overlap at {cur.onset_s}s (previous ends {prev.termination_s}s)"
-            )
+        check_event_order(prev, cur)
 
     durations = np.array([e.duration_s for e in events])
     onsets = np.array([e.onset_s for e in events])

@@ -207,10 +207,6 @@ class ProcessedSignal:
     samples: np.ndarray
     rate: float
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.rate
-
 
 def preprocess(x: np.ndarray, sample_rate: float, mode: str = "mean") -> ProcessedSignal:
     """Full conditioning chain: band-pass, rectify, normalize, decimate by

@@ -4,6 +4,7 @@ Most tests drive main(argv) in-process and inspect stdout/stderr through
 capsys; one test boots the real `serve` process to cover the console path.
 """
 
+import dataclasses
 import signal as os_signal
 import subprocess
 import sys
@@ -159,7 +160,7 @@ class TestFeaturize:
         args = ["featurize", "--in", str(session_file), "--out", str(tmp_path / "x.csv")]
         rc, out, err = run_cli(args + ["--realtime"] * realtime, capsys)
         assert rc == 1 and out == ""
-        assert f"{session_file}:101: masseter sample nan is not finite" in err
+        assert f"{session_file}:101: masseter value nan is not finite" in err
 
 
 def featurize_sessions(tmp_path, capsys, seeds, duration=20.0):
@@ -310,7 +311,7 @@ class TestFeedbackSim:
         series.write_text("0.5,1.6\n1.0,nan\n")
         rc, out, err = run_cli(["feedback-sim", "--in", str(series)], capsys)
         assert rc == 1 and out == ""
-        assert ":2: rate row '1.0,nan' is not finite" in err
+        assert ":2: rate_hz value nan is not finite" in err
 
     def test_negative_rate_names_file_and_line(self, tmp_path, capsys):
         series = tmp_path / "rates.csv"
@@ -452,6 +453,29 @@ class TestServe:
         assert done.returncode == 1
         assert done.stdout == ""  # never got as far as "listening on"
         assert "reference rate" in done.stderr
+
+    @pytest.mark.parametrize(
+        "change", [lambda w: w[:3], lambda w: w * np.nan], ids=["three", "nan"]
+    )
+    def test_model_arrays_not_fitting_its_features_exit_before_binding(
+        self, rt_model, tmp_path, change
+    ):
+        # Loaded as is, such a model would fail every session at its first
+        # push (three weights) or never detect a chew (NaN weights).
+        model = dataclasses.replace(rt_model, weights=change(rt_model.weights))
+        model_path = io.save_model(model, tmp_path / "rt.model")
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "emgeat.cli", "serve", "--model",
+                str(model_path), "--port", "0",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""  # never got as far as "listening on"
+        assert f"{model_path}: model field 'weights' must be 7 finite numbers" in done.stderr
 
     def test_serve_process_end_to_end(self, rt_model, session_file, tmp_path, capsys):
         model_path = io.save_model(rt_model, tmp_path / "rt.model")

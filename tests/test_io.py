@@ -5,7 +5,9 @@ timing-related in the protocol is sample-clock based, so these run at flood
 pacing and still produce the transcripts a real-time client would see.
 """
 
+import dataclasses
 import math
+import pickle
 import socket
 import threading
 import time
@@ -65,7 +67,7 @@ class TestRecordingFiles:
         lines = path.read_text().splitlines()
         lines[-1] = lines[-1].rsplit(",", 1)[0]  # chop the last field
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(io.FormatError, match=r"truncated mid-row"):
+        with pytest.raises(io.FormatError, match=r"expected 3 fields, got 2"):
             io.read_recording(path)
         with pytest.raises(io.FormatError, match=str(len(lines))):
             io.read_recording(path)
@@ -129,7 +131,7 @@ class TestRecordingFiles:
         lines[100] = lines[100].rsplit(",", 1)[0] + "," + value
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(
-            io.FormatError, match=f"p.csv:101: submental sample {value} is not finite"
+            io.FormatError, match=f"p.csv:101: submental value {value} is not finite"
         ):
             io.read_recording(path)
 
@@ -243,8 +245,30 @@ class TestEventLogs:
     def test_non_finite_event_rejected(self, tmp_path, line):
         path = tmp_path / "s.events"
         path.write_text(f"event,0.5,0.9,0.4\n{line}\n")
-        with pytest.raises(io.FormatError, match=":2: event interval .* is not finite"):
+        with pytest.raises(
+            io.FormatError, match=":2: (onset|termination)_s value -?(nan|inf) is not finite"
+        ):
             io.read_event_log(path)
+
+    @pytest.mark.parametrize(
+        "onset, termination, problem",
+        [
+            (0.2, 0.4, "events must be ordered by onset"),
+            (1.2, 1.8, r"events overlap at 1\.2s \(previous ends 1\.5s\)"),
+        ],
+    )
+    def test_events_out_of_order_name_their_line(self, tmp_path, onset, termination, problem):
+        path = io.append_events(
+            [ChewEvent(0.5, 0.9), ChewEvent(1.0, 1.5), ChewEvent(onset, termination)],
+            tmp_path / "s.events",
+        )
+        with pytest.raises(io.FormatError, match=rf"s\.events:3: {problem}"):
+            io.read_event_log(path)
+
+    def test_event_may_start_where_the_previous_ends(self, tmp_path):
+        # The server clamps each onset to the previous termination.
+        events = [ChewEvent(0.5, 0.9), ChewEvent(0.9, 1.3)]
+        assert io.read_event_log(io.append_events(events, tmp_path / "s.events")) == events
 
     def test_rate_series_round_trip(self, tmp_path):
         # The rows `replay` prints as `rate,<t>,<value>`, minus the tag.
@@ -261,14 +285,16 @@ class TestEventLogs:
     def test_rate_series_malformed(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("1.0,0.5,9\n")
-        with pytest.raises(io.FormatError, match="expected t_s,rate_hz"):
+        with pytest.raises(io.FormatError, match=r"r\.csv:1: expected 2 fields, got 3"):
             io.read_rate_series(path)
 
     @pytest.mark.parametrize("row", ["1.0,nan", "1.0,inf", "1.0,-inf", "nan,0.5"])
     def test_rate_series_non_finite_rejected(self, tmp_path, row):
         path = tmp_path / "r.csv"
         path.write_text(f"t_s,rate_hz\n0.0,0.5\n{row}\n")
-        with pytest.raises(io.FormatError, match=":3: rate row .* is not finite"):
+        with pytest.raises(
+            io.FormatError, match=":3: (t_s|rate_hz) value -?(nan|inf) is not finite"
+        ):
             io.read_rate_series(path)
 
 
@@ -311,10 +337,30 @@ class TestModelFiles:
         with pytest.raises(io.FormatError, match="feature_names"):
             io.load_model(path)
 
+    @pytest.mark.parametrize(
+        "field, change, message",
+        [
+            ("weights", lambda v: v[:3], "'weights' must be 7 finite numbers, one per feature"),
+            ("weights", lambda v: v * np.nan, "'weights' must be 7 finite"),
+            ("mean", lambda v: np.append(v, 0.0), "'mean' must be 7 finite"),
+            ("scale", lambda v: v * np.inf, "'scale' must be 7 finite"),
+            ("scale", lambda v: v * 0.0, "'scale' holds a zero"),
+            ("bias", lambda v: np.nan, "'bias' must be a finite number"),
+        ],
+        ids=["short_weights", "nan_weights", "long_mean", "inf_scale", "zero_scale", "nan_bias"],
+    )
+    def test_arrays_must_fit_the_features(self, tmp_path, rt_model, field, change, message):
+        # save_model writes what it is given, NaN included (Python's json
+        # accepts it); load_model must refuse what would fail every session.
+        model = dataclasses.replace(rt_model, **{field: change(getattr(rt_model, field))})
+        path = io.save_model(model, tmp_path / "m.model")
+        with pytest.raises(io.FormatError, match=f"m.model: model field {message}"):
+            io.load_model(path)
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("hello\n")
-        with pytest.raises(io.FormatError, match="not a model file"):
+        with pytest.raises(io.FormatError, match=":1: expected header '# emg-linear-model v1'"):
             io.load_model(path)
 
     def test_missing_checksum_line(self, tmp_path):
@@ -322,6 +368,104 @@ class TestModelFiles:
         path.write_text("# emg-linear-model v1\n{}\n")
         with pytest.raises(io.FormatError, match="checksum"):
             io.load_model(path)
+
+
+@pytest.fixture(scope="module")
+def reader_files(tmp_path_factory):
+    """reader name -> (reader, a valid file it reads). Each reader also gets
+    a `case_<name>` directory beside the file for altered copies; the
+    recording's holds a valid annotation sidecar."""
+    d = tmp_path_factory.mktemp("readers")
+    recording = io.write_recording(small_recording(), d / "p.csv")
+    model = learn.LinearModel(
+        feature_names=("a", "b"),
+        weights=np.array([0.5, -1.0]),
+        bias=0.25,
+        mean=np.zeros(2),
+        scale=np.ones(2),
+        positive_label="C",
+    )
+    rates = d / "r.csv"
+    rates.write_text("t_s,rate_hz\n1.0,0.5\n2.0,1.25\n3.0,0.0\n")
+    events = [ChewEvent(0.5, 0.9), ChewEvent(0.9, 1.3), ChewEvent(2.0, 2.5)]
+    files = {
+        "recording": (io.read_recording, recording),
+        "annotations": (io.read_annotations, d / "p.csv.ann"),
+        "dataset": (io.read_dataset, io.write_dataset(small_matrix(), d / "d.csv")),
+        "event_log": (io.read_event_log, io.append_events(events, d / "s.events")),
+        "rate_series": (io.read_rate_series, rates),
+        "model": (io.load_model, io.save_model(model, d / "m.model")),
+    }
+    for name, (_, path) in files.items():
+        (d / f"case_{name}").mkdir()
+    (d / "case_recording" / "p.csv.ann").write_bytes((d / "p.csv.ann").read_bytes())
+    return files
+
+
+def altered(reader_files, name, content):
+    """Write `content` as the reader's case file; returns the reader's result."""
+    reader, path = reader_files[name]
+    case = path.parent / f"case_{name}" / path.name
+    case.write_bytes(content)
+    return reader(case)
+
+
+def same_result(a, b):
+    return pickle.dumps(a) == pickle.dumps(b)
+
+
+# Edits of a valid file: each cuts up to 3 bytes somewhere and puts one byte
+# (or none) in their place. The bytes include ones that are not UTF-8.
+_EDIT_BYTES = [bytes([b]) for b in b"0123456789.,-+e\n\r #nai"] + [b"", b"\xff", b"\x80", b"\xc3"]
+
+
+def edited(original):
+    def apply(edits):
+        data = bytearray(original)
+        for at, cut, insert in edits:
+            data[at : at + cut] = insert
+        return bytes(data)
+
+    edit = st.tuples(
+        st.integers(0, len(original)), st.integers(0, 3), st.sampled_from(_EDIT_BYTES)
+    )
+    return st.lists(edit, min_size=1, max_size=4).map(apply)
+
+
+READERS = ["recording", "annotations", "dataset", "event_log", "rate_series", "model"]
+
+
+class TestSharedReader:
+    """All six readers take their lines from `read_lines` and their rows
+    from `rows`, so they agree on decoding, line ends and errors."""
+
+    @pytest.mark.parametrize("name", READERS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_only_format_errors_escape(self, reader_files, name, data):
+        original = reader_files[name][1].read_bytes()
+        content = data.draw(st.one_of(st.binary(max_size=200), edited(original)))
+        try:
+            altered(reader_files, name, content)
+        except io.FormatError:
+            pass
+
+    @pytest.mark.parametrize("name", READERS)
+    def test_non_utf8_byte_names_its_line(self, reader_files, name):
+        path = reader_files[name][1]
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        with pytest.raises(
+            io.FormatError, match=rf"case_{name}/{path.name}:3: byte 0xff is not UTF-8"
+        ):
+            altered(reader_files, name, b"\n".join(lines))
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("name", READERS)
+    def test_any_line_end_reads_the_same(self, reader_files, name, end):
+        reader, path = reader_files[name]
+        content = path.read_bytes().replace(b"\n", end)
+        assert same_result(altered(reader_files, name, content), reader(path))
 
 
 class TestProtocol:
@@ -577,6 +721,27 @@ def exchange_past_reset(port, lines):
     return replies
 
 
+def exchange_with_log_blocked(port, lines, log_path):
+    """exchange_past_reset, but `log_path` is made a directory once hello is
+    answered, so the session's event-log writes fail. (Made any earlier, the
+    server would skip the name and log the session to the next one.)"""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        fh = sock.makefile("r")
+        sock.sendall((lines[0] + "\n").encode())
+        replies = [fh.readline().rstrip("\n")]
+        log_path.mkdir()
+        try:
+            sock.sendall("".join(line + "\n" for line in lines[1:]).encode())
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        try:
+            for reply in fh:
+                replies.append(reply.rstrip("\n"))
+        except ConnectionResetError:
+            pass
+    return replies
+
+
 class TestServerSessions:
     def test_round_trip(self, server, profile):
         rec = short_session(seed=21)
@@ -646,6 +811,26 @@ class TestServerSessions:
         assert log_counts == counts
         assert results["long"].reported_events > results["short"].reported_events
 
+    def test_restarted_server_continues_the_log_numbering(self, rt_model, profile, tmp_path):
+        # Two servers in turn on one log dir: the second must not append its
+        # session, whose times restart at 0, to the first one's log.
+        results = []
+        for seed in (31, 32):
+            srv = io.serve(rt_model, io.ServerConfig(log_dir=tmp_path)).start_background()
+            try:
+                results.append(
+                    io.stream_client(
+                        short_session(seed, duration_s=10.0), "127.0.0.1", srv.port,
+                        speed=0, profile=profile,
+                    )
+                )
+            finally:
+                srv.shutdown()
+        logs = sorted(tmp_path.glob("session_*.events"))
+        assert [p.name for p in logs] == ["session_001.events", "session_002.events"]
+        counts = [len(io.read_event_log(p)) for p in logs]
+        assert counts == [r.reported_events for r in results] and min(counts) > 0
+
     def test_rate_frames_once_per_streamed_second(self, server, profile):
         rec = short_session(seed=28, duration_s=7.0)
         result = io.stream_client(rec, "127.0.0.1", server.port, speed=0, profile=profile)
@@ -664,7 +849,7 @@ class TestServerSessions:
         with pytest.raises(ValueError, match=message):
             io.stream_client(
                 short_session(seed=29), "127.0.0.1", free_port, speed=0,
-                frame_s=frame_s, retries=0,
+                frame_s=frame_s,
             )
 
     def test_frame_of_exactly_the_cap_is_accepted(self, server, profile):
@@ -684,8 +869,6 @@ class TestServerSessions:
                 "127.0.0.1",
                 free_port,
                 speed=0,
-                retries=0,
-                retry_wait_s=0.01,
             )
 
 
@@ -788,21 +971,24 @@ class TestServerErrors:
     ):
         # The first session's log path is a directory: the first closed event
         # ends that session with an error frame instead of killing the handler.
-        (tmp_path / "session_001.events").mkdir()
+        fs = test_session.sample_rate
+        lines = (
+            [hello_line(profile, fs, "E")]
+            + sample_frames(test_session.channel("masseter")[: int(20 * fs)], fs, 128)
+            + ["bye"]
+        )
         srv = io.serve(rt_model, io.ServerConfig(log_dir=tmp_path)).start_background()
         try:
-            first = io.stream_client(
-                test_session, "127.0.0.1", srv.port, speed=0, profile=profile
-            )
+            first = exchange_with_log_blocked(srv.port, lines, tmp_path / "session_001.events")
             second = io.stream_client(
                 test_session, "127.0.0.1", srv.port, speed=0, profile=profile
             )
         finally:
             srv.shutdown()
-        kind, fields = io.parse_frame(first.transcript[-1])
+        kind, fields = io.parse_frame(first[-1])
         assert kind == "error" and fields["reason"] == "server"
         assert "Is_a_directory" in fields["detail"]
-        assert first.errors == first.transcript[-1:] and first.reported_events is None
+        assert [r for r in first if r.startswith(("error", "bye"))] == first[-1:]
         assert second.errors == [] and second.reported_events > 0
         logged = io.read_event_log(tmp_path / "session_002.events")
         assert len(logged) == second.reported_events
@@ -1208,14 +1394,14 @@ class TestBatchedPushes:
         replies, closed, _ = per_frame_reference(rt_model, profile, samples, fs, n_frame, "E")
         first = min(k for k, c in enumerate(closed) if c)
         assert not replies[first]  # no second ends there: the event is held
-        (logged_server.config.log_dir / "session_001.events").mkdir()
         t_us = round((first + 1) * n_frame * 1_000_000 / fs)
         lines = (
             [hello_line(profile, fs, "E")]
             + sample_frames(samples, fs, n_frame)[: first + 1]
             + [f"samples t_us={t_us} n=1 v=nan"]
         )
-        assert raw_exchange(logged_server.port, lines) == (
+        log = logged_server.config.log_dir / "session_001.events"
+        assert exchange_with_log_blocked(logged_server.port, lines, log) == (
             ["hello participant=E"]
             + [r for rs in replies[: first + 1] for r in rs]
             + ["error reason=protocol detail=samples_value_nan_at_index_0_is_not_finite"]

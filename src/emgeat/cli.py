@@ -66,9 +66,7 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     recording = _io.read_recording(args.infile)
-    processed = _signal.preprocess(
-        recording.channel(args.channel), recording.sample_rate, mode=args.mode
-    )
+    processed = _signal.preprocess(recording.channel(args.channel), recording.sample_rate)
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("t_s,value\n")
@@ -87,11 +85,7 @@ def cmd_featurize(args) -> int:
         )
         matrix = _realtime.rt_training_set(recording, profile)
     else:
-        length = (
-            _features.CHEW_WINDOW_S
-            if args.task == "chew"
-            else _features.SWALLOW_WINDOW_S
-        )
+        length = _features.CHEW_WINDOW_S if args.task == "chew" else _features.SWALLOW_WINDOW_S
         spec = _features.WindowSpec(length_s=length, hop_s=args.hop)
         matrix = _features.build_feature_matrix(recording, spec, args.task)
     path = _io.write_dataset(matrix, args.out)
@@ -274,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="condition one channel to a text file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--channel", default="masseter")
-    p.add_argument("--mode", choices=("mean", "stride"), default="mean")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_preprocess)
 

@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass, field
 
 from ..realtime import CalibrationProfile, calibrate
+from ..signal import sample_time_us
 from . import protocol
 
 DEFAULT_FRAME_S = 0.125
@@ -115,7 +116,7 @@ def stream_client(
         sock.sendall((protocol.format_frame("hello", hello) + "\n").encode())
         for start in range(0, samples.size, n_frame):
             chunk = samples[start : start + n_frame]
-            t_us = round(start * 1_000_000 / recording.sample_rate)
+            t_us = sample_time_us(start, recording.sample_rate)
             frame = protocol.format_frame(
                 "samples",
                 {"t_us": t_us, "n": chunk.size, "v": ",".join(repr(float(v)) for v in chunk)},

@@ -7,6 +7,7 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from ..metrics import ChewEvent, check_event_order
+from ..signal import check_field
 from .recordings import FormatError, parse_floats, read_lines, rows
 
 DATASET_MAGIC = "# emg-dataset v1"
@@ -15,6 +16,9 @@ _META_COLUMNS = ("participant", "label", "onset_s", "termination_s")
 
 
 def write_dataset(matrix: FeatureMatrix, path) -> Path:
+    for what, texts in (("participant", matrix.participants), ("label", matrix.labels)):
+        for text in set(map(str, texts)):
+            check_field(what, text)  # before the file is opened
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(DATASET_MAGIC + "\n")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..signal import Annotation, RawRecording
+from ..signal import Annotation, RawRecording, check_within, sample_time_us
 
 RECORDING_MAGIC = "# emg-recording v1"
 ANNOTATION_MAGIC = "# emg-annotations v1"
@@ -85,7 +85,7 @@ def write_recording(recording: RawRecording, path) -> Path:
         fh.write(f"# sample_rate_hz={recording.sample_rate!r}\n")
         fh.write("timestamp_us," + ",".join(recording.channel_names) + "\n")
         for i, values in enumerate(recording.samples.T):
-            t_us = round(i * 1_000_000 / recording.sample_rate)
+            t_us = sample_time_us(i, recording.sample_rate)
             fh.write(f"{t_us}," + ",".join(repr(float(v)) for v in values) + "\n")
     with open(annotation_path(path), "w", encoding="utf-8") as fh:
         fh.write(ANNOTATION_MAGIC + "\n")
@@ -134,22 +134,19 @@ def read_recording(path) -> RawRecording:
     channel_names = tuple(columns[1:])
 
     samples = []
-    last_t = -1
     for where, fields in rows(path, lines, i + 1, columns):
-        values = parse_floats(where, channel_names, fields[1:])
-        try:
-            t_us = int(fields[0])
-        except ValueError:
-            raise FormatError(f"{where}: timestamp {fields[0]!r} is not an integer") from None
-        if t_us <= last_t:
-            raise FormatError(f"{where}: timestamp {t_us} does not increase")
-        last_t = t_us
-        samples.append(values)
+        # Exactly the clock write_recording writes: a deleted row or a wrong
+        # sample_rate_hz header shows at the first row off it.
+        expected = str(sample_time_us(len(samples), sample_rate))
+        if fields[0] != expected:
+            raise FormatError(f"{where}: timestamp {fields[0]} is not the clock's {expected}")
+        samples.append(parse_floats(where, channel_names, fields[1:]))
     if not samples:
         raise FormatError(f"{path}: no sample rows")
 
     ann_file = annotation_path(path)
-    annotations = read_annotations(ann_file) if ann_file.exists() else []
+    duration_s = len(samples) / sample_rate
+    annotations = _read_annotations(ann_file, duration_s) if ann_file.exists() else []
     try:
         return RawRecording(
             participant_id=headers["participant"],
@@ -158,11 +155,17 @@ def read_recording(path) -> RawRecording:
             samples=np.asarray(samples, dtype=float).T,
             annotations=annotations,
         )
-    except ValueError as exc:  # an annotation ends after the last sample
-        raise FormatError(f"{ann_file}: {exc}") from None
+    except ValueError as exc:  # a participant id that no field can hold
+        line = lines.index(f"# participant={headers['participant']}") + 1
+        raise FormatError(f"{path}:{line}: {exc}") from None
 
 
 def read_annotations(path) -> list:
+    return _read_annotations(path, math.inf)
+
+
+def _read_annotations(path, duration_s) -> list:
+    """The sidecar's annotations; each must end by `duration_s`."""
     path = Path(path)
     lines = read_lines(path, ANNOTATION_MAGIC)
     _, i = _read_headers(lines, path)
@@ -173,6 +176,7 @@ def read_annotations(path) -> list:
         onset, termination = parse_floats(where, _ANNOTATION_COLUMNS[1:], times)
         try:
             out.append(Annotation(kind, onset, termination))
+            check_within(out[-1], duration_s)
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from None
     return out

@@ -26,6 +26,7 @@ from pathlib import Path
 from ..feedback import FeedbackLevel, RateNormalizer, map_level, normalize_rate
 from ..learn import LinearModel
 from ..realtime import CalibrationProfile, StreamEngine, check_streaming_model
+from ..signal import sample_time_us
 from . import protocol
 from .datasets import append_events
 
@@ -122,7 +123,7 @@ class _Session:
         # t_us is the sample clock: a dropped, repeated or reordered frame
         # shows as a mismatch with the samples received so far.
         fs = self.engine.profile.sample_rate
-        expected = round(self.received * 1_000_000 / fs)
+        expected = sample_time_us(self.received, fs)
         if t_us != expected:
             raise protocol.ProtocolError(
                 f"samples timestamp {t_us} is not {expected}: the clock must"

@@ -9,10 +9,12 @@ hinge makes F piecewise quadratic, so each iteration solves one linear system
 in the generalized Hessian over the rows inside the margin and backtracks
 along that direction until the Armijo condition holds. Every accepted step
 decreases F, and the iterate is exact once the active set stops changing, so
-a fit takes a handful of iterations. The bias is not regularized; per-class
-weights cw compensate for label imbalance. Features are standardized per
-column and the standardization is stored on the model so prediction is
-self-contained.
+a fit takes a handful of iterations. The iterate is one vector theta = (w, b)
+over the rows with a bias column appended, evaluated once per trial point:
+the accepted trial's objective, gradient and active set feed the next step.
+The bias is not regularized; per-class weights cw compensate for label
+imbalance. Features are standardized per column and the standardization is
+stored on the model so prediction is self-contained.
 """
 
 from dataclasses import dataclass, field, replace
@@ -71,10 +73,11 @@ def compute_class_weights(labels) -> dict:
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("no labels")
-    classes, counts = np.unique(labels, return_counts=True)
-    total = labels.size
-    k = classes.size
-    return {str(c): total / (k * n) for c, n in zip(classes, counts)}
+    return _inverse_frequency(*np.unique(labels, return_counts=True))
+
+
+def _inverse_frequency(classes, counts) -> dict:
+    return dict(zip(map(str, classes), (counts.sum() / (counts.size * counts)).tolist()))
 
 
 def balance_test_set(labels, seed: int) -> np.ndarray:
@@ -110,17 +113,14 @@ def _check_features(X, feature_names):
     return X
 
 
-def _objective(Z, y, sw, c, w, b):
-    margin = np.maximum(0.0, 1.0 - y * (Z @ w + b))
-    return 0.5 * float(w @ w) + c * float(sw @ margin**2)
-
-
-def _gradient(Z, y, sw, c, w, b):
-    margin = np.maximum(0.0, 1.0 - y * (Z @ w + b))
-    coeff = sw * y * margin  # zero outside the active margin
-    grad_w = w - 2.0 * c * (Z.T @ coeff)
-    grad_b = -2.0 * c * float(coeff.sum())
-    return grad_w, grad_b
+def _evaluate(Z1, y, sw, c, theta):
+    """Objective, gradient and active rows (positive slack) at theta = (w, b)
+    over Z1 = [Z | 1]: one product for the margins, one transposed back."""
+    slack = np.maximum(0.0, 1.0 - y * (Z1 @ theta))
+    w = theta[:-1]
+    grad = -2.0 * c * (Z1.T @ (sw * y * slack))  # zero outside the margin
+    grad[:-1] += w
+    return 0.5 * float(w @ w) + c * float(sw @ slack**2), grad, slack > 0.0
 
 
 def train_linear_svm(
@@ -140,44 +140,35 @@ def train_linear_svm(
     labels = np.asarray(labels)
     if X.shape[0] != labels.size:
         raise ValueError("row count mismatch between features and labels")
-    present = set(str(l) for l in np.unique(labels))
+    classes, inverse = np.unique(labels, return_inverse=True)
+    present = [str(c) for c in classes]
     if len(present) < 2:
-        raise ValueError(f"training data has a single class: {sorted(present)}")
+        raise ValueError(f"training data has a single class: {present}")
     if positive_label not in present:
         raise ValueError(f"positive label {positive_label!r} absent from training data")
 
-    weights_by_class = (
-        dict(config.class_weights)
-        if config.class_weights is not None
-        else compute_class_weights(labels)
-    )
-    sw = np.array([weights_by_class[str(l)] for l in labels], dtype=float)
+    weights_by_class = config.class_weights
+    if weights_by_class is None:
+        weights_by_class = _inverse_frequency(classes, np.bincount(inverse))
+    sw = np.array([weights_by_class[c] for c in present], dtype=float)[inverse]
     y = np.where(labels == positive_label, 1.0, -1.0)
 
     mean = X.mean(axis=0)
     scale = X.std(axis=0)
     scale[scale < _SCALE_FLOOR] = 1.0
-    Z = (X - mean) / scale
-
+    Z1 = np.hstack([(X - mean) / scale, np.ones((X.shape[0], 1))])  # bias column
     d = X.shape[1]
-    Z1 = np.hstack([Z, np.ones((Z.shape[0], 1))])  # bias as a last column
-    ridge = np.eye(d + 1)
-    ridge[d, d] = 0.0  # the bias is not regularized
-    w = np.zeros(d)
-    b = 0.0
-    f = _objective(Z, y, sw, config.c, w, b)
-    history = [float(f)]
+    ridge = np.diag([1.0] * d + [0.0])  # the bias is not regularized
+    theta = np.zeros(d + 1)
+    f, grad, active = _evaluate(Z1, y, sw, config.c, theta)
+    history = [f]
     converged = False
     epoch = 0
     for epoch in range(1, _MAX_ITERATIONS + 1):
-        grad_w, grad_b = _gradient(Z, y, sw, config.c, w, b)
-        grad = np.append(grad_w, grad_b)
-        active = y * (Z @ w + b) < 1.0
         rows = Z1[active]
-        # Positive definite: every iterate keeps a row inside the margin (a
-        # step toward the quadratic model's minimizer cannot satisfy all of
-        # its active rows while both classes are present), so the bias entry
-        # is positive.
+        # Positive definite: a step toward the quadratic model's minimizer
+        # cannot satisfy all its active rows while both classes are present,
+        # so every iterate keeps a row inside the margin: the bias entry is > 0.
         hess = ridge + 2.0 * config.c * (rows.T * sw[active]) @ rows
         step = np.linalg.solve(hess, -grad)
         slope = float(grad @ step)  # -slope is the squared Newton decrement
@@ -186,34 +177,32 @@ def train_linear_svm(
         last = -0.5 * slope <= _TOL * max(1.0, f)
         t = 1.0
         for _ in range(60):
-            w_new = w + t * step[:d]
-            b_new = b + t * float(step[d])
-            f_new = _objective(Z, y, sw, config.c, w_new, b_new)
-            if f_new <= f + _ARMIJO * t * slope:
+            trial = _evaluate(Z1, y, sw, config.c, theta + t * step)
+            if trial[0] <= f + _ARMIJO * t * slope:
                 break
             t *= 0.5
         else:
             converged = last  # no decrease left at float resolution
             break
-        w, b, f = w_new, b_new, f_new
-        history.append(float(f))
+        theta = theta + t * step
+        f, grad, active = trial  # the next step starts from the accepted trial
+        history.append(f)
         if last:
             converged = True
             break
-    grad_w, grad_b = _gradient(Z, y, sw, config.c, w, b)
 
     return LinearModel(
         feature_names=tuple(feature_names),
-        weights=w,
-        bias=float(b),
+        weights=theta[:d],
+        bias=float(theta[d]),
         mean=mean,
         scale=scale,
         positive_label=positive_label,
         train_info={
             "converged": converged,
             "epochs": epoch,
-            "objective": float(f),
-            "grad_norm": float(np.sqrt(grad_w @ grad_w + grad_b**2)),
+            "objective": f,
+            "grad_norm": float(np.sqrt(grad @ grad)),
             "objective_history": history,
             "c": config.c,
             "class_weights": {k: float(v) for k, v in weights_by_class.items()},
@@ -353,12 +342,10 @@ def lopo_evaluate(
     participants = sorted(set(map(str, matrix.participants)))
     if len(participants) < 2:
         raise ValueError("leave-one-participant-out needs at least 2 participants")
-    for participant in participants:
-        mask = matrix.participants == participant
-        if not np.any(matrix.labels[mask] == positive_label):
-            raise ValueError(
-                f"participant {participant} has no {positive_label} windows"
-            )
+    with_positive = set(map(str, matrix.participants[matrix.labels == positive_label]))
+    missing = [p for p in participants if p not in with_positive]
+    if missing:
+        raise ValueError(f"participant {missing[0]} has no {positive_label} windows")
     X, labels = matrix.values, matrix.labels
     folds = []
     for i, participant in enumerate(participants):

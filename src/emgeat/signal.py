@@ -46,6 +46,25 @@ class Annotation:
         return self.termination_s - self.onset_s
 
 
+def sample_time_us(n: int, sample_rate: float) -> int:
+    """Sample n's time in whole microseconds: the clock of files and the wire."""
+    return round(n * 1_000_000 / sample_rate)
+
+
+def check_field(what: str, text: str):
+    """Refuse text that one field of a comma-separated line cannot hold."""
+    if any(c in text for c in ",\r\n"):
+        raise ValueError(f"{what} {text!r} holds a comma or a line break")
+
+
+def check_within(ann: Annotation, duration_s: float):
+    if ann.termination_s > duration_s + 1e-9:
+        raise ValueError(
+            f"annotation {ann.kind} ends at {ann.termination_s}s, "
+            f"after the recording ({duration_s}s)"
+        )
+
+
 @dataclass
 class RawRecording:
     """Multichannel EMG stream plus its ground-truth annotations.
@@ -68,14 +87,11 @@ class RawRecording:
             raise ValueError("channel_names does not match samples shape")
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ValueError(f"sample_rate {self.sample_rate} must be positive and finite")
+        check_field("participant id", self.participant_id)
         # Annotations are kept sorted so downstream sweeps can assume order.
         self.annotations = sorted(self.annotations, key=lambda a: (a.onset_s, a.termination_s))
         for ann in self.annotations:
-            if ann.termination_s > self.duration_s + 1e-9:
-                raise ValueError(
-                    f"annotation {ann.kind} ends at {ann.termination_s}s, "
-                    f"after the recording ({self.duration_s}s)"
-                )
+            check_within(ann, self.duration_s)
 
     @property
     def n_samples(self) -> int:
@@ -179,11 +195,9 @@ def block_means(x: np.ndarray, factor: int, carry: np.ndarray = None):
     return np.add.reduce(blocks, axis=1) / factor, x[n_full * factor :]
 
 
-def downsample(x: np.ndarray, factor: int, mode: str = "mean") -> np.ndarray:
-    """Reduce the rate by an integer factor.
-
-    mode "mean" averages each block of `factor` samples (anti-alias smoothing
-    of the rectified envelope); "stride" keeps every factor-th sample. A
+def downsample(x: np.ndarray, factor: int) -> np.ndarray:
+    """Reduce the rate by an integer factor: the mean of each block of
+    `factor` samples (anti-alias smoothing of the rectified envelope). A
     ragged final block is averaged over the samples it actually has.
     """
     x = np.asarray(x, dtype=float)
@@ -192,10 +206,6 @@ def downsample(x: np.ndarray, factor: int, mode: str = "mean") -> np.ndarray:
     factor = int(factor)
     if x.size == 0:
         raise ValueError("cannot downsample an empty signal")
-    if mode == "stride":
-        return x[::factor].copy()
-    if mode != "mean":
-        raise ValueError(f"unknown downsample mode {mode!r}")
     means, leftover = block_means(x, factor)
     return np.append(means, leftover.mean()) if leftover.size else means
 
@@ -208,12 +218,12 @@ class ProcessedSignal:
     rate: float
 
 
-def preprocess(x: np.ndarray, sample_rate: float, mode: str = "mean") -> ProcessedSignal:
-    """Full conditioning chain: band-pass, rectify, normalize, decimate by
-    DECIMATION_FACTOR (`mode` as in downsample)."""
+def preprocess(x: np.ndarray, sample_rate: float) -> ProcessedSignal:
+    """Full conditioning chain: band-pass, rectify, normalize, block-mean
+    decimation by DECIMATION_FACTOR."""
     y = apply_filter(x, bandpass(sample_rate))
     y = normalize(rectify(y))
-    y = downsample(y, DECIMATION_FACTOR, mode=mode)
+    y = downsample(y, DECIMATION_FACTOR)
     return ProcessedSignal(samples=y, rate=sample_rate / DECIMATION_FACTOR)
 
 

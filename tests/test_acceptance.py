@@ -221,28 +221,23 @@ def test_criterion_05_classifier_training_correctness():
         monotone = all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
         rng = np.random.default_rng(7)
-        Z = rng.standard_normal((40, 3))
+        Z1 = np.hstack([rng.standard_normal((40, 3)), np.ones((40, 1))])
         labels = np.where(rng.uniform(size=40) > 0.5, 1.0, -1.0)
         sw = rng.uniform(0.5, 2.0, size=40)
         eps, c = 1e-6, 5.0
         worst = 0.0
         for _ in range(10):
             w = rng.standard_normal(3)
-            b = float(rng.standard_normal())
-            grad_w, grad_b = learn._gradient(Z, labels, sw, c, w, b)
-            for k in range(3):
-                step = np.zeros(3)
+            theta = np.append(w, float(rng.standard_normal()))  # (w, b)
+            _, grad, _ = learn._evaluate(Z1, labels, sw, c, theta)
+            for k in range(4):
+                step = np.zeros(4)
                 step[k] = eps
                 num = (
-                    learn._objective(Z, labels, sw, c, w + step, b)
-                    - learn._objective(Z, labels, sw, c, w - step, b)
+                    learn._evaluate(Z1, labels, sw, c, theta + step)[0]
+                    - learn._evaluate(Z1, labels, sw, c, theta - step)[0]
                 ) / (2 * eps)
-                worst = max(worst, abs(grad_w[k] - num) / max(1.0, abs(num)))
-            num_b = (
-                learn._objective(Z, labels, sw, c, w, b + eps)
-                - learn._objective(Z, labels, sw, c, w, b - eps)
-            ) / (2 * eps)
-            worst = max(worst, abs(grad_b - num_b) / max(1.0, abs(num_b)))
+                worst = max(worst, abs(grad[k] - num) / max(1.0, abs(num)))
         ok = accuracy == 1.0 and monotone and worst <= 1e-5
         return ok, (
             f"blob accuracy {accuracy:.3f}, objective monotone {monotone},"

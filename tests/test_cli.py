@@ -60,6 +60,16 @@ class TestGenerate:
             main(["generate", "--out", str(tmp_path), "--artifact", "speech:10"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("participant", ["P,1", "P\n1"])
+    def test_id_no_file_can_hold_exits_before_writing(self, tmp_path, capsys, participant):
+        out = tmp_path / "out"
+        rc, _, err = run_cli(
+            ["generate", "--out", str(out), "--participant", participant, "--duration", "2"],
+            capsys,
+        )
+        assert rc == 1 and "holds a comma or a line break" in err
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

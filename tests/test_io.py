@@ -93,7 +93,55 @@ class TestRecordingFiles:
             "# emg-recording v1\n# participant=P\n# sample_rate_hz=1024.0\n"
             "timestamp_us,masseter\n0,0.1\n0,0.2\n"
         )
-        with pytest.raises(io.FormatError, match="does not increase"):
+        with pytest.raises(io.FormatError, match=r"x\.csv:6: timestamp 0 is not the clock's 977"):
+            io.read_recording(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (  # sample rows 100-199 deleted
+                lambda lines: lines[:104] + lines[204:],
+                r"p\.csv:105: timestamp 195312 is not the clock's 97656",
+            ),
+            (
+                lambda lines: [s.replace("=1024.0", "=2048.0") for s in lines],
+                r"p\.csv:6: timestamp 977 is not the clock's 488",
+            ),
+        ],
+        ids=["deleted-rows", "wrong-rate"],
+    )
+    def test_rows_off_the_sample_clock_name_the_first(self, tmp_path, edit, message):
+        rec = dataclasses.replace(small_recording(), annotations=[])
+        path = io.write_recording(rec, tmp_path / "p.csv")
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(io.FormatError, match=message):
+            io.read_recording(path)
+
+    def test_annotation_after_the_last_sample_names_its_line(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rec = RawRecording(
+            participant_id="P",
+            sample_rate=1024.0,
+            channel_names=("masseter",),
+            samples=rng.normal(0.0, 0.3, (1, 2048)),
+            annotations=[Annotation("chew", 0.3, 0.5), Annotation("chew", 1.0, 1.147)],
+        )
+        path = io.write_recording(rec, tmp_path / "p.csv")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[: 4 + 1000]) + "\n")  # headers + 1000 rows
+        with pytest.raises(
+            io.FormatError,
+            match=r"p\.csv\.ann:4: annotation chew ends at 1\.147s, after the recording"
+            r" \(0\.9765625s\)",
+        ):
+            io.read_recording(path)
+
+    def test_participant_header_no_field_can_hold_names_its_line(self, tmp_path):
+        path = io.write_recording(small_recording(), tmp_path / "p.csv")
+        path.write_text(path.read_text().replace("participant=P07", "participant=P,07"))
+        with pytest.raises(
+            io.FormatError, match=r"p\.csv:2: participant id 'P,07' holds a comma or a line break"
+        ):
             io.read_recording(path)
 
     def test_no_sample_rows(self, tmp_path):
@@ -600,6 +648,30 @@ class TestRoundTripProperties:
         )
         assert same_bits(back.samples, rec.samples)
         assert back.annotations == rec.annotations
+
+    @settings(max_examples=80, deadline=None)
+    @given(text=st.text(st.one_of(st.sampled_from(",\r\n"), st.characters()), max_size=8))
+    def test_text_ids_come_back_or_are_refused_before_writing(self, tmp_path_factory, text):
+        """A participant id or label comes back from its file unchanged, or
+        is refused before any file is written."""
+        d = tmp_path_factory.mktemp("ids")
+        try:
+            rec = dataclasses.replace(small_recording(), participant_id=text)
+        except ValueError:
+            assert any(c in text for c in ",\r\n")
+        else:
+            assert io.read_recording(io.write_recording(rec, d / "r.csv")).participant_id == text
+        for field in ("participants", "labels"):
+            mat = dataclasses.replace(
+                small_matrix(), **{field: np.array([text] * 12, dtype=object)}
+            )
+            try:
+                back = io.read_dataset(io.write_dataset(mat, d / f"{field}.csv"))
+            except ValueError:
+                assert not (d / f"{field}.csv").exists()
+                assert any(c in text for c in ",\r\n")
+            else:
+                assert getattr(back, field).tolist() == [text] * 12
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n_rows=st.integers(1, 6), n_features=st.integers(1, 4))

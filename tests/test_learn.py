@@ -18,8 +18,7 @@ from emgeat.learn import (
     predict,
     prf_metrics,
     train_linear_svm,
-    _gradient,
-    _objective,
+    _evaluate,
 )
 
 
@@ -102,6 +101,7 @@ class TestTraining:
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(7)
         Z = rng.standard_normal((40, 3))
+        Z1 = np.hstack([Z, np.ones((40, 1))])
         y = np.where(rng.uniform(size=40) > 0.5, 1.0, -1.0)
         sw = rng.uniform(0.5, 2.0, size=40)
         c = 5.0
@@ -109,20 +109,45 @@ class TestTraining:
         for _ in range(10):
             w = rng.standard_normal(3)
             b = float(rng.standard_normal())
-            grad_w, grad_b = _gradient(Z, y, sw, c, w, b)
-            for k in range(3):
-                step = np.zeros(3)
+            theta = np.append(w, b)
+            _, grad, active = _evaluate(Z1, y, sw, c, theta)
+            assert np.array_equal(active, y * (Z @ w + b) < 1.0)
+            for k in range(4):  # the last entry is the bias
+                step = np.zeros(4)
                 step[k] = eps
                 num = (
-                    _objective(Z, y, sw, c, w + step, b)
-                    - _objective(Z, y, sw, c, w - step, b)
+                    _evaluate(Z1, y, sw, c, theta + step)[0]
+                    - _evaluate(Z1, y, sw, c, theta - step)[0]
                 ) / (2 * eps)
-                assert abs(grad_w[k] - num) <= 1e-5 * max(1.0, abs(num))
-            num_b = (
-                _objective(Z, y, sw, c, w, b + eps)
-                - _objective(Z, y, sw, c, w, b - eps)
-            ) / (2 * eps)
-            assert abs(grad_b - num_b) <= 1e-5 * max(1.0, abs(num_b))
+                assert abs(grad[k] - num) <= 1e-5 * max(1.0, abs(num))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(6, 60),
+        d=st.integers(1, 5),
+        c=st.floats(1e-3, 1e3),
+    )
+    def test_reported_state_is_that_of_the_returned_iterate(self, seed, n, d, c):
+        """objective and grad_norm are the loop's own final values; they must
+        equal a from-scratch recomputation at the returned weights and bias."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        labels = np.where(rng.uniform(size=n) < 0.4, "C", "NA").astype(object)
+        labels[:2] = ["C", "NA"]  # both classes, and overlapping: not separable
+        X[1] = X[0]
+        weights = {"C": float(rng.uniform(0.2, 5.0)), "NA": float(rng.uniform(0.2, 5.0))}
+        model = train_linear_svm(
+            X, labels, tuple(f"f{i}" for i in range(d)), "C",
+            TrainConfig(c=c, class_weights=weights),
+        )
+        Z1 = np.hstack([(X - model.mean) / model.scale, np.ones((n, 1))])
+        y = np.where(labels == "C", 1.0, -1.0)
+        sw = np.array([weights[label] for label in labels])
+        f, grad, _ = _evaluate(Z1, y, sw, c, np.append(model.weights, model.bias))
+        info = model.train_info
+        assert info["objective"] == pytest.approx(f, rel=1e-12, abs=0.0)
+        assert info["grad_norm"] == pytest.approx(float(np.linalg.norm(grad)), rel=1e-12, abs=0.0)
 
     def test_tiny_penalty_shrinks_weights(self):
         X, y = make_blobs()

@@ -259,10 +259,6 @@ class TestDownsample:
         x = np.arange(20.0)
         assert np.allclose(downsample(x, 10), [4.5, 14.5])
 
-    def test_stride_mode(self):
-        x = np.arange(20.0)
-        assert np.array_equal(downsample(x, 10, mode="stride"), [0.0, 10.0])
-
     def test_ragged_tail_mean(self):
         x = np.arange(25.0)
         out = downsample(x, 10)

@@ -79,9 +79,10 @@ def cmd_preprocess(args) -> int:
 def cmd_featurize(args) -> int:
     recording = _io.read_recording(args.infile)
     if args.realtime:
-        masseter = recording.channel("masseter")
         profile = _realtime.calibrate(
-            [masseter], recording.sample_rate, source=recording.participant_id
+            [recording.channel(_realtime.STREAM_CHANNEL)],
+            recording.sample_rate,
+            source=recording.participant_id,
         )
         matrix = _realtime.rt_training_set(recording, profile)
     else:
@@ -245,14 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    plan = _synth.SessionPlan()  # the defaults of every generate flag
     p = sub.add_parser("generate", help="synthesize a session recording")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--participant", default="P00")
-    p.add_argument("--duration", type=float, default=60.0, help="seconds")
-    p.add_argument("--rate", type=float, default=1.5, help="chews per second")
-    p.add_argument("--chew-duration", type=float, default=0.42, help="mean seconds")
-    p.add_argument("--swallow-every", type=int, default=10, metavar="N")
-    p.add_argument("--snr", type=float, default=20.0, help="dB")
+    p.add_argument("--participant", default=plan.participant_id)
+    p.add_argument("--duration", type=float, default=plan.duration_s, help="seconds")
+    p.add_argument("--rate", type=float, default=plan.chew_rate_hz, help="chews per second")
+    p.add_argument(
+        "--chew-duration", type=float, default=plan.chew_duration_mean_s, help="mean seconds"
+    )
+    p.add_argument(
+        "--swallow-every", type=int, default=plan.swallow_every_n_chews, metavar="N"
+    )
+    p.add_argument("--snr", type=float, default=plan.snr_db, help="dB")
     p.add_argument(
         "--artifact",
         action="append",
@@ -261,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KIND:ON:OFF",
         help="speech/motion interval, repeatable",
     )
-    p.add_argument("--baseline-lead", type=float, default=0.75, help="seconds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--baseline-lead", type=float, default=plan.baseline_lead_s, help="seconds")
+    p.add_argument("--seed", type=int, default=plan.seed)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("preprocess", help="condition one channel to a text file")
@@ -329,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
     p.add_argument("--speed", type=float, default=1.0, help="0 floods, 10 = x10")
-    p.add_argument("--frame", type=float, default=0.125, help="seconds per frame")
+    p.add_argument(
+        "--frame", type=float, default=_io.client.DEFAULT_FRAME_S, help="seconds per frame"
+    )
     p.add_argument("--reference-rate", type=float, default=None)
     p.add_argument("--transcript", default=None, help="write server replies here")
     p.set_defaults(func=cmd_replay)

@@ -312,16 +312,11 @@ def _window_geometry(length_s: float, hop_s: float, rate: float):
     return n_window, n_hop
 
 
-def window_starts(n_samples: int, n_window: int, n_hop: int) -> np.ndarray:
-    """Start indices of every full window that fits in n_samples."""
-    if n_window > n_samples:
-        raise ValueError("signal shorter than one window")
-    return np.arange(0, n_samples - n_window + 1, n_hop)
-
-
 def _segment_stack(x: np.ndarray, n_window: int, n_hop: int) -> np.ndarray:
     """Read-only (k, n_window) view of every full window of a contiguous
     signal, one every n_hop samples (a strided sliding_window_view)."""
+    if n_window > x.size:
+        raise ValueError("signal shorter than one window")
     k = (x.size - n_window) // n_hop + 1
     step = x.itemsize
     stack = np.ndarray(
@@ -331,8 +326,10 @@ def _segment_stack(x: np.ndarray, n_window: int, n_hop: int) -> np.ndarray:
     return stack
 
 
-def _segment_times(starts, n_window: int, rate: float):
-    """Start and end seconds of the windows at sample indices `starts`."""
+def _segment_times(first: int, k: int, n_window: int, n_hop: int, rate: float):
+    """Start and end seconds of windows first .. first + k - 1 of a signal
+    cut every n_hop samples into windows of n_window."""
+    starts = np.arange(first, first + k) * n_hop
     return starts / rate, (starts + n_window) / rate
 
 
@@ -377,18 +374,34 @@ def _best_overlap(t0, t1, intervals):
     return best, which
 
 
-def constant_column(value, n: int) -> np.ndarray:
-    """n rows of one shared object (np.full would copy a string into each)."""
-    return np.array([value] * n, dtype=object)
+def _task(task: str):
+    """The task's (positive label, annotation kind)."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; expected one of {sorted(TASKS)}")
+    return TASKS[task]
 
 
-def window_labels(t0, t1, annotations, kind, positive):
-    """Label each window [t0, t1): positive when a single annotation of
-    `kind` covers at least LABEL_MIN_FRACTION of it, NEGATIVE_LABEL otherwise."""
-    best, _ = _best_overlap(t0, t1, [a for a in annotations if a.kind == kind])
-    labels = constant_column(NEGATIVE_LABEL, best.size)
-    labels[best >= LABEL_MIN_FRACTION * (np.asarray(t1) - np.asarray(t0))] = positive
-    return labels
+def window_matrix(recording, task, feature_names, values, onsets, terms) -> FeatureMatrix:
+    """The FeatureMatrix of one recording's windows [onsets, terms), one row
+    of `values` each.
+
+    A window takes the task's positive label when a single annotation of the
+    task's kind covers at least LABEL_MIN_FRACTION of it, NEGATIVE_LABEL
+    otherwise; every row carries the recording's participant id. The label
+    and participant columns hold shared str objects (np.full would copy).
+    """
+    positive, kind = _task(task)
+    best, _ = _best_overlap(onsets, terms, recording.annotations_of(kind))
+    labels = np.array([NEGATIVE_LABEL] * best.size, dtype=object)
+    labels[best >= LABEL_MIN_FRACTION * (terms - onsets)] = positive
+    return FeatureMatrix(
+        feature_names=feature_names,
+        values=values,
+        labels=labels,
+        participants=np.array([recording.participant_id] * best.size, dtype=object),
+        onsets_s=onsets,
+        terminations_s=terms,
+    )
 
 
 def _resolve_threshold(processed, recording):
@@ -419,19 +432,18 @@ def build_feature_matrix(
     task's positive class when at least half of it overlaps one matching
     annotation, NA otherwise.
     """
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}; expected one of {sorted(TASKS)}")
-    positive, kind = TASKS[task]
+    _task(task)  # before the feature work
     processed = _signal.preprocess_recording(recording)
-    first = processed[recording.channel_names[0]]
-    rate = first.rate
-
+    rate = processed[recording.channel_names[0]].rate
     n_window, n_hop = _window_geometry(spec.length_s, spec.hop_s, rate)
-    starts = window_starts(first.samples.size, n_window, n_hop)
-    onsets, terms = _segment_times(starts, n_window, rate)
+    stacks = [
+        _segment_stack(processed[name].samples, n_window, n_hop)
+        for name in recording.channel_names
+    ]
+    onsets, terms = _segment_times(0, len(stacks[0]), n_window, n_hop, rate)
 
     blocks = []
-    for name in recording.channel_names:
+    for name, stack in zip(recording.channel_names, stacks):
         sig = processed[name]
         thr = spec.thr_f if spec.thr_f is not None else _resolve_threshold(sig, recording)
         bursts = _events.detect_bursts(sig.samples, sig.rate, thr)
@@ -444,7 +456,7 @@ def build_feature_matrix(
         seq_lengths = np.array(per_burst + [0.0])
         blocks.append(
             extract_features(
-                _segment_stack(sig.samples, n_window, n_hop),
+                stack,
                 sig.rate,
                 thr,
                 cycle_duration=durations[which],
@@ -452,17 +464,8 @@ def build_feature_matrix(
             )
         )
 
-    names = tuple(
-        f"{ch}_{feat}" for ch in recording.channel_names for feat in FEATURE_NAMES
-    )
-    return FeatureMatrix(
-        feature_names=names,
-        values=np.hstack(blocks),
-        labels=window_labels(onsets, terms, recording.annotations, kind, positive),
-        participants=constant_column(recording.participant_id, starts.size),
-        onsets_s=onsets,
-        terminations_s=terms,
-    )
+    names = tuple(f"{ch}_{feat}" for ch in recording.channel_names for feat in FEATURE_NAMES)
+    return window_matrix(recording, task, names, np.hstack(blocks), onsets, terms)
 
 
 def concat_matrices(matrices: list) -> FeatureMatrix:

@@ -10,7 +10,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..realtime import CalibrationProfile, calibrate
+from ..realtime import STREAM_CHANNEL, CalibrationProfile, calibrate
 from ..signal import sample_time_us
 from . import protocol
 
@@ -52,7 +52,7 @@ def stream_client(
     """Send one recording through a live session and collect the replies.
 
     speed is a wall-clock divisor: 1.0 replays in real time, 10.0 ten times
-    faster, 0 floods without pacing. The masseter channel is streamed, the
+    faster, 0 floods without pacing. The STREAM_CHANNEL is streamed, the
     one the streaming model is trained on; the calibration profile defaults
     to one computed from it. A frame may hold at most
     protocol.MAX_BUFFERED_S of signal, the most the server accepts at once.
@@ -67,7 +67,7 @@ def stream_client(
             f"a {frame_s} s frame holds {n_frame} samples, more than the"
             f" {protocol.MAX_BUFFERED_S} s the server accepts in one frame"
         )
-    samples = recording.channel("masseter")
+    samples = recording.channel(STREAM_CHANNEL)
     if profile is None:
         profile = calibrate([samples], recording.sample_rate, source=recording.participant_id)
 

@@ -16,7 +16,11 @@ _META_COLUMNS = ("participant", "label", "onset_s", "termination_s")
 
 
 def write_dataset(matrix: FeatureMatrix, path) -> Path:
-    for what, texts in (("participant", matrix.participants), ("label", matrix.labels)):
+    for what, texts in (
+        ("feature name", matrix.feature_names),
+        ("participant", matrix.participants),
+        ("label", matrix.labels),
+    ):
         for text in set(map(str, texts)):
             check_field(what, text)  # before the file is opened
     path = Path(path)
@@ -88,7 +92,13 @@ def read_event_log(path) -> list:
     for where, (tag, *times) in rows(path, read_lines(path), 0, _EVENT_COLUMNS):
         if tag != "event":
             raise FormatError(f"{where}: expected tag 'event', got {tag!r}")
-        onset, termination, duration = parse_floats(where, _EVENT_COLUMNS[1:], times)
+        onset, termination = parse_floats(where, _EVENT_COLUMNS[1:3], times[:2])
+        # The difference of two finite times overflows to inf for an event
+        # wider than the largest float; the writer writes it as `inf`.
+        if times[2] == "inf":
+            duration = math.inf
+        else:
+            (duration,) = parse_floats(where, _EVENT_COLUMNS[3:], times[2:])
         try:
             event = ChewEvent(onset, termination)
             if not math.isclose(duration, event.duration_s, abs_tol=1e-9):

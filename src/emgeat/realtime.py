@@ -9,8 +9,9 @@ over the trailing predictions, and positive runs become chew events.
 The geometry is fixed (SEGMENT_S, HOP_S, VOTE_WINDOW, RATE_WINDOW_S and
 signal.DECIMATION_FACTOR); only the calibration profile varies per session,
 and its sample rate alone sets the envelope rate, so segment sizes and
-decimation cannot disagree. Segments are cut with the window helpers of
-emgeat.features, the same ones the offline feature matrix uses.
+decimation cannot disagree. Segments are cut, timed and (for training)
+labelled with the window helpers of emgeat.features, the same ones the
+offline feature matrix uses.
 
 Training and serving share one segment pass (_segment_pass): rt_training_set
 runs it once over a recording, StreamEngine.push once per chunk before the
@@ -31,6 +32,9 @@ from .learn import LinearModel, decision_values
 from .metrics import ChewEvent
 
 RT_FEATURE_NAMES = ("mean", "sd", "peak_amp", "rms", "iemg", "mnf", "mnp")
+
+# The one channel a live session streams and the streaming model is trained on.
+STREAM_CHANNEL = "masseter"
 
 # Streaming geometry: 0.5 s segments every 30 ms of the envelope decimated by
 # signal.DECIMATION_FACTOR, an 8-vote majority and a 5 s rate window. The hop
@@ -231,9 +235,10 @@ class StreamState:
 
 def _segment_pass(st: StreamState, samples) -> tuple:
     """Band-pass (state in st.zi), rectify and block-mean decimate (tail in
-    st.carry) a chunk of raw samples; return (rows, starts), the rt_features
-    of every segment it completes, in one call, and their start indices in
-    the session's envelope. Any chunking gives the rows of one whole pass.
+    st.carry) a chunk of raw samples; return (rows, onsets, ends), the
+    rt_features of every segment it completes, in one call, and the segments'
+    start and end seconds in the session. Any chunking gives the rows of one
+    whole pass.
     """
     filtered = _signal.apply_filter(samples, st.sos, st.zi)
     envelope, st.carry = _signal.block_means(
@@ -242,14 +247,16 @@ def _segment_pass(st: StreamState, samples) -> tuple:
     st.raw_consumed += filtered.size
     st.envelope = np.concatenate([st.envelope, envelope])
     if st.envelope.size < st.n_segment:
-        return np.empty((0, len(RT_FEATURE_NAMES))), np.empty(0, dtype=int)
+        return np.empty((0, len(RT_FEATURE_NAMES))), np.empty(0), np.empty(0)
     segments = _features._segment_stack(st.envelope, st.n_segment, st.n_hop)
     k = segments.shape[0]
     rows = rt_features(segments, st.profile)
-    starts = np.arange(st.segments, st.segments + k) * st.n_hop
+    onsets, ends = _features._segment_times(
+        st.segments, k, st.n_segment, st.n_hop, st.profile.effective_rate
+    )
     st.segments += k
     st.envelope = st.envelope[k * st.n_hop :]
-    return rows, starts
+    return rows, onsets, ends
 
 
 class StreamEngine:
@@ -278,20 +285,17 @@ class StreamEngine:
     def push(self, samples: np.ndarray) -> list:
         """Consume a 1-D chunk of raw samples; return events it closed."""
         st = self.state
-        rows, starts = _segment_pass(st, samples)
-        if not starts.size:
+        rows, onsets, ends = _segment_pass(st, samples)
+        if not onsets.size:
             return []
         # decision_values is per row, so the outcome does not depend on how
         # many segments share the push.
         history = np.concatenate(
             [st.raw_predictions, decision_values(self.model, rows) > 0]
         )
-        votes = vote_filter(history)[-starts.size :]
+        votes = vote_filter(history)[-onsets.size :]
         # The next vote looks back on only the last VOTE_WINDOW - 1 predictions.
         st.raw_predictions = history[max(0, history.size - VOTE_WINDOW + 1) :]
-        onsets, ends = _features._segment_times(
-            starts, st.n_segment, self.profile.effective_rate
-        )
         return _assemble(st, votes.tolist(), onsets.tolist(), ends.tolist())
 
     def finalize(self) -> list:
@@ -305,32 +309,19 @@ class StreamEngine:
 def rt_training_set(recording, profile: CalibrationProfile):
     """Windowed streaming features for one recording, as a FeatureMatrix.
 
-    Runs the engine's segment pass once over the whole masseter channel, so
+    Runs the engine's segment pass once over the whole STREAM_CHANNEL, so
     the rows are exactly the segments a StreamEngine classifies on the same
-    samples. A row is labelled "C" when at least half of it overlaps one
-    chew annotation. The profile must have been calibrated at the
-    recording's sample rate.
+    samples, labelled for the chew task by features.window_matrix. The
+    profile must have been calibrated at the recording's sample rate.
     """
     if recording.sample_rate != profile.sample_rate:
         raise ValueError(
             f"profile calibrated at {profile.sample_rate!r} Hz, recording"
             f" sampled at {recording.sample_rate!r} Hz"
         )
-    st = StreamState(profile)
-    X, starts = _segment_pass(st, recording.channel("masseter"))
-    if not starts.size:
+    rows, onsets, ends = _segment_pass(
+        StreamState(profile), recording.channel(STREAM_CHANNEL)
+    )
+    if not onsets.size:
         raise ValueError("signal shorter than one window")
-    onsets, terminations = _features._segment_times(
-        starts, st.n_segment, profile.effective_rate
-    )
-    positive, kind = _features.TASKS["chew"]
-    return _features.FeatureMatrix(
-        feature_names=RT_FEATURE_NAMES,
-        values=X,
-        labels=_features.window_labels(
-            onsets, terminations, recording.annotations, kind, positive
-        ),
-        participants=_features.constant_column(recording.participant_id, starts.size),
-        onsets_s=onsets,
-        terminations_s=terminations,
-    )
+    return _features.window_matrix(recording, "chew", RT_FEATURE_NAMES, rows, onsets, ends)

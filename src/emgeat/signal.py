@@ -55,6 +55,10 @@ def check_field(what: str, text: str):
     """Refuse text that one field of a comma-separated line cannot hold."""
     if any(c in text for c in ",\r\n"):
         raise ValueError(f"{what} {text!r} holds a comma or a line break")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} {text!r} has no UTF-8 encoding") from None
 
 
 def check_within(ann: Annotation, duration_s: float):
@@ -88,6 +92,8 @@ class RawRecording:
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ValueError(f"sample_rate {self.sample_rate} must be positive and finite")
         check_field("participant id", self.participant_id)
+        for name in self.channel_names:
+            check_field("channel name", name)
         # Annotations are kept sorted so downstream sweeps can assume order.
         self.annotations = sorted(self.annotations, key=lambda a: (a.onset_s, a.termination_s))
         for ann in self.annotations:

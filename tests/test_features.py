@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emgeat.features import (
     CHEW_WINDOW_S,
@@ -17,11 +18,11 @@ from emgeat.features import (
     mean_power,
     median_freq_index,
     periodogram,
-    window_starts,
+    window_matrix,
 )
 from emgeat import features as F
 from emgeat.events import detect_bursts
-from emgeat.signal import RawRecording, preprocess_recording
+from emgeat.signal import Annotation, RawRecording, preprocess_recording
 from emgeat.synth import SessionPlan, gen_session
 
 
@@ -329,10 +330,10 @@ class TestWindowMatrix:
         assert matrix.values.shape == (39, 2 * len(FEATURE_NAMES))
 
     def test_window_starts_formula(self):
-        assert window_starts(1024, 51, 25).size == 39
-        assert window_starts(51, 51, 25).size == 1
+        assert F._segment_stack(np.zeros(1024), 51, 25).shape[0] == 39
+        assert F._segment_stack(np.zeros(51), 51, 25).shape[0] == 1
         with pytest.raises(ValueError):
-            window_starts(50, 51, 25)
+            F._segment_stack(np.zeros(50), 51, 25)
 
     def test_hop_too_short_for_rate(self):
         # At 1024 Hz the envelope runs at 102.4 Hz: a 5 ms hop is less than
@@ -385,6 +386,55 @@ class TestWindowMatrix:
             extract_features(x, 102.4)
 
 
+class TestWindowMatrixLabels:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(),
+        rate=st.sampled_from([100.0, 102.4, 128.0]),
+        task=st.sampled_from(sorted(F.TASKS)),
+        n_window=st.integers(1, 64),
+        k=st.integers(1, 30),
+    )
+    def test_labels_as_a_per_window_half_overlap_loop(self, data, rate, task, n_window, k):
+        """Random annotations, their edges on the sample grid so that exact
+        half overlaps occur, against every window scanning every annotation."""
+        n_hop = data.draw(st.integers(1, n_window))
+        starts = np.arange(k) * n_hop
+        onsets, terms = starts / rate, (starts + n_window) / rate
+        n_samples = int(starts[-1]) + n_window + 8
+        edges = st.tuples(
+            st.sampled_from(["chew", "swallow", "speech"]),
+            st.integers(0, n_samples - 1),
+            st.integers(1, 2 * n_window),
+        )
+        annotations = [
+            Annotation(kind, i / rate, min(i + length, n_samples) / rate)
+            for kind, i, length in data.draw(st.lists(edges, max_size=12))
+        ]
+        recording = RawRecording("P9", rate, ("masseter",), np.zeros((1, n_samples)), annotations)
+        values = np.arange(2.0 * k).reshape(k, 2)
+
+        matrix = window_matrix(recording, task, ("a", "b"), values, onsets, terms)
+
+        positive, kind = F.TASKS[task]
+        expected = []
+        for t0, t1 in zip(onsets, terms):
+            covered = max(
+                [naive_overlap(t0, t1, a) for a in annotations if a.kind == kind], default=0.0
+            )
+            expected.append(positive if covered >= 0.5 * (t1 - t0) else NEGATIVE_LABEL)
+        assert matrix.labels.tolist() == expected
+        assert matrix.participants.tolist() == ["P9"] * k
+        assert matrix.feature_names == ("a", "b")
+        assert matrix.values is values
+        assert matrix.onsets_s is onsets and matrix.terminations_s is terms
+
+    def test_unknown_task_rejected(self):
+        recording = RawRecording("P", 100.0, ("masseter",), np.zeros((1, 8)))
+        with pytest.raises(ValueError, match="unknown task 'blink'"):
+            window_matrix(recording, "blink", ("a",), np.zeros((1, 1)), np.zeros(1), np.ones(1))
+
+
 # --- the per-window loop build_feature_matrix replaced, as a reference -------
 
 
@@ -399,7 +449,7 @@ def per_window_matrix(recording, spec, task):
     processed = preprocess_recording(recording)
     rate = processed[recording.channel_names[0]].rate
     n_window, n_hop = int(spec.length_s * rate), int(spec.hop_s * rate)
-    starts = window_starts(processed["masseter"].samples.size, n_window, n_hop)
+    starts = np.arange(0, processed["masseter"].samples.size - n_window + 1, n_hop)
     channels = []
     for name in recording.channel_names:
         sig = processed[name]

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import emgeat.feedback as feedback
 import emgeat.io as io
@@ -144,6 +144,11 @@ class TestRecordingFiles:
         ):
             io.read_recording(path)
 
+    def test_channel_name_no_field_can_hold_is_refused(self):
+        # The column header would split it: `c.csv:5: expected 3 fields, got 2`.
+        with pytest.raises(ValueError, match=r"channel name 'mass,eter' holds a comma"):
+            RawRecording("P", 1024.0, ("mass,eter",), np.zeros((1, 8)))
+
     def test_no_sample_rows(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text(
@@ -208,6 +213,13 @@ class TestDatasetFiles:
         assert back.participants.tolist() == mat.participants.tolist()
         assert np.array_equal(back.onsets_s, mat.onsets_s)
         assert np.array_equal(back.terminations_s, mat.terminations_s)
+
+    def test_feature_name_no_field_can_hold_is_refused_before_writing(self, tmp_path):
+        # The column header would split it, and read_dataset refuse every row.
+        mat = dataclasses.replace(small_matrix(), feature_names=("mav", "a,b", "mnf"))
+        with pytest.raises(ValueError, match=r"feature name 'a,b' holds a comma"):
+            io.write_dataset(mat, tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -312,6 +324,13 @@ class TestEventLogs:
         )
         with pytest.raises(io.FormatError, match=rf"s\.events:3: {problem}"):
             io.read_event_log(path)
+
+    def test_event_wider_than_the_largest_float_round_trips(self, tmp_path):
+        # Its duration overflows to inf, and the line says so.
+        events = [ChewEvent(-1e308, 1e308)]
+        path = io.append_events(events, tmp_path / "s.events")
+        assert path.read_text() == "event,-1e+308,1e+308,inf\n"
+        assert io.read_event_log(path) == events
 
     def test_event_may_start_where_the_previous_ends(self, tmp_path):
         # The server clamps each onset to the previous termination.
@@ -614,6 +633,12 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def writable(text):
+    """True if one field of a UTF-8 comma-separated line can hold text."""
+    # Surrogate code points are the only ones UTF-8 has no bytes for.
+    return not any(c in ",\r\n" or 0xD800 <= ord(c) <= 0xDFFF for c in text)
+
+
 class TestRoundTripProperties:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -651,6 +676,7 @@ class TestRoundTripProperties:
 
     @settings(max_examples=80, deadline=None)
     @given(text=st.text(st.one_of(st.sampled_from(",\r\n"), st.characters()), max_size=8))
+    @example(text="\ud800")  # a lone surrogate: no UTF-8 bytes
     def test_text_ids_come_back_or_are_refused_before_writing(self, tmp_path_factory, text):
         """A participant id or label comes back from its file unchanged, or
         is refused before any file is written."""
@@ -658,7 +684,7 @@ class TestRoundTripProperties:
         try:
             rec = dataclasses.replace(small_recording(), participant_id=text)
         except ValueError:
-            assert any(c in text for c in ",\r\n")
+            assert not writable(text)
         else:
             assert io.read_recording(io.write_recording(rec, d / "r.csv")).participant_id == text
         for field in ("participants", "labels"):
@@ -669,7 +695,7 @@ class TestRoundTripProperties:
                 back = io.read_dataset(io.write_dataset(mat, d / f"{field}.csv"))
             except ValueError:
                 assert not (d / f"{field}.csv").exists()
-                assert any(c in text for c in ",\r\n")
+                assert not writable(text)
             else:
                 assert getattr(back, field).tolist() == [text] * 12
 

@@ -8,7 +8,7 @@ functions in isolation.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import sosfilt
 
@@ -150,15 +150,32 @@ class TestRtFeatures:
         single = np.array([rt.rt_features(seg, profile) for seg in stack])
         assert np.array_equal(rt.rt_features(stack, profile), single)
 
-    def test_segment_stack_is_the_strided_window_view(self):
-        env = np.random.default_rng(14).uniform(0.0, 1.0, 130)
-        cases = ((51, 51, 3), (60, 51, 3), (130, 51, 3), (130, 7, 7))
-        for size, n_segment, n_hop in cases:
-            view = env[130 - size :]
-            stack = features._segment_stack(view, n_segment, n_hop)
-            expected = sliding_window_view(view, n_segment)[::n_hop]
-            assert np.array_equal(stack, expected)
-            assert not stack.flags.writeable
+    @settings(max_examples=120, deadline=None)
+    @given(
+        size=st.integers(1, 300),
+        n_window=st.integers(1, 80),
+        n_hop=st.integers(1, 80),
+        offset=st.integers(0, 3),
+    )
+    @example(size=1024, n_window=51, n_hop=25, offset=0)  # 39 windows
+    @example(size=51, n_window=51, n_hop=25, offset=0)  # exactly one
+    @example(size=50, n_window=51, n_hop=25, offset=0)  # none
+    @example(size=130, n_window=51, n_hop=3, offset=1)
+    @example(size=130, n_window=7, n_hop=7, offset=2)
+    def test_segment_stack_is_the_strided_window_view(self, size, n_window, n_hop, offset):
+        """Every row is a slicing loop's window, also of a view that starts
+        past its buffer's first sample; a signal too short for one window
+        has none."""
+        x = np.random.default_rng(size).uniform(0.0, 1.0, offset + size)[offset:]
+        expected = [x[s : s + n_window] for s in range(0, size - n_window + 1, n_hop)]
+        if not expected:
+            with pytest.raises(ValueError, match="signal shorter than one window"):
+                features._segment_stack(x, n_window, n_hop)
+            return
+        stack = features._segment_stack(x, n_window, n_hop)
+        assert stack.shape == (len(expected), n_window)
+        assert all(np.array_equal(row, want) for row, want in zip(stack, expected))
+        assert not stack.flags.writeable
 
 
 class TestVoteFilter:

@@ -66,7 +66,10 @@ def map_level(norm: float, prev: FeedbackLevel = None, dead_band: float = 0.0) -
     ValueError, since no band stands for them. With a previous level and a
     dead band, the level only changes once norm leaves the previous band by
     more than the dead band, which suppresses flapping right at a boundary.
+    A negative, nan or infinite dead band raises ValueError.
     """
+    if not (math.isfinite(dead_band) and dead_band >= 0.0):
+        raise ValueError(f"dead band {dead_band!r} must be non-negative and finite")
     if not math.isfinite(norm):
         raise ValueError(f"normalized rate {norm!r} is not finite")
     if not 0.0 <= norm <= 1.0:

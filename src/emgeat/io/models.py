@@ -8,6 +8,7 @@ reproduces bit-identical decision values.
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +72,17 @@ def load_model(path) -> LinearModel:
     }
     if not arrays["scale"].all():
         raise FormatError(f"{path}: model field 'scale' holds a zero")
+    # A model fitted with a nan or infinite penalty is all zeros.
+    info = payload.get("train_info", {})
+    c = info.get("c", 1.0) if isinstance(info, dict) else None
+    if not (type(c) in (int, float) and 0 < c < math.inf):
+        raise FormatError(f"{path}: model field 'train_info' needs a positive finite 'c'")
     return LinearModel(
         feature_names=tuple(names),
         bias=float(arrays.pop("bias")),
         positive_label=payload["positive_label"],
         negative_label=payload["negative_label"],
-        train_info=payload.get("train_info", {}),
+        train_info=info,
         **arrays,
     )
 

@@ -17,6 +17,7 @@ imbalance. Features are standardized per column and the standardization is
 stored on the model so prediction is self-contained.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -46,8 +47,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("penalty C must be positive")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"penalty C {self.c!r} must be positive and finite")
 
 
 @dataclass

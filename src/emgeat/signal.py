@@ -4,15 +4,25 @@ Raw two-channel recordings (masseter, submental) are conditioned in a fixed
 order before any feature extraction: band-pass filter, full-wave
 rectification, min-max normalization, decimation. The same chain, minus the
 per-recording normalization, is reused by the streaming path.
+
+This is the only module that touches scipy, and it never imports the
+scipy.signal package: that package's __init__ pulls in scipy.stats,
+interpolate and optimize, which were most of a server's start-up time and
+memory. The band-pass design is emgeat's own numpy transcription of scipy's
+Butterworth design (a test pins it bit-equal to scipy.signal.butter), and
+the compiled sosfilt kernel is loaded straight from its extension file.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import butter
-from scipy.signal._sosfilt import _sosfilt
+import scipy
 
 from .events import check_interval
 
@@ -116,6 +126,89 @@ class RawRecording:
         return [a for a in self.annotations if a.kind == kind]
 
 
+def _load_sosfilt():
+    """scipy.signal's compiled sosfilt kernel, without the package import.
+
+    The extension file is found beside scipy/signal/__init__.py and loaded
+    under its dotted name, so whichever of emgeat and scipy.signal is
+    imported first, the process holds one kernel module object. There is
+    no fallback: if scipy moves the kernel, this fails at import.
+    """
+    name = "scipy.signal._sosfilt"
+    module = sys.modules.get(name)
+    if module is None:
+        dirs = [os.path.join(path, "signal") for path in scipy.__path__]
+        found = importlib.machinery.PathFinder.find_spec("_sosfilt", dirs)
+        if found is None:
+            raise ImportError(f"no {name} extension in {dirs}", name=name)
+        spec = importlib.util.spec_from_file_location(name, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[name]
+            raise
+    return module._sosfilt
+
+
+_sosfilt = _load_sosfilt()
+
+
+def _butter_bandpass(wn: np.ndarray) -> np.ndarray:
+    """scipy.signal.butter(FILTER_ORDER, wn, btype="bandpass", output="sos").
+
+    A transcription of scipy's buttap -> lp2bp_zpk -> bilinear_zpk ->
+    zpk2sos(pairing="nearest") for this one case, with the same operations
+    in the same order, so the coefficients are bit-equal to scipy's (a test
+    pins this). wn holds the band edges as fractions of Nyquist.
+    """
+    n = FILTER_ORDER
+    # Pre-warp the edges for the bilinear transform at fs = 2.
+    warped = 2 * 2.0 * np.tan(np.pi * wn / 2.0)
+    bw = float(warped[1] - warped[0])
+    wo = float(np.sqrt(warped[0] * warped[1]))
+    # Analog low-pass prototype poles, scaled to the bandwidth and shifted
+    # to +wo and -wo. The n zeros go to the origin, n stay at infinity.
+    m = np.arange(-n + 1, n, 2, dtype=float)
+    p_lp = -np.exp(1j * np.pi * m / (2 * n)) * bw / 2
+    root = np.sqrt(p_lp**2 - wo**2)
+    analog = np.concatenate((p_lp + root, p_lp - root))
+    # Bilinear transform: the origin maps to z = 1, infinity to z = -1.
+    p = (4.0 + analog) / (4.0 - analog)
+    gain = bw**n * np.real(4.0**n / np.prod(4.0 - analog))
+    # One pole of each conjugate pair, then the real poles, as
+    # scipy's _cplxreal orders them.
+    p = p[np.lexsort((abs(p.imag), p.real))]
+    real = abs(p.imag) <= 100 * np.finfo(float).eps * abs(p)
+    p = np.concatenate((p[~real & (p.imag > 0)], p[real].real))
+    z = np.repeat([-1.0, 1.0], n)
+    sos = np.zeros((n, 6))
+    # Fill from the last section, each time with the pole nearest the unit
+    # circle, its conjugate (or the next such real pole) and the two zeros
+    # nearest it.
+    for si in range(n - 1, -1, -1):
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        p1 = p[i]
+        p = np.delete(p, i)
+        if np.isreal(p1):
+            reals = np.flatnonzero(np.isreal(p))
+            i = reals[np.argmin(np.abs(1 - np.abs(p[reals])))]
+            p2 = p[i]
+            p = np.delete(p, i)
+        else:
+            p2 = p1.conj()
+        b = np.ones(1)
+        for _ in range(2):
+            i = np.argsort(np.abs(z - p1))[0]
+            b = np.convolve(b, [1.0, -z[i]])
+            z = np.delete(z, i)
+        a = np.convolve(np.convolve([1 + 0j], [1, -p1]), [1, -p2]).real
+        sos[si] = np.concatenate((b, a))
+    sos[0, :3] *= gain
+    return sos
+
+
 @lru_cache(maxsize=32)
 def _design(sample_rate: float, low_hz: float, high_hz: float) -> np.ndarray:
     nyquist = sample_rate / 2.0
@@ -123,17 +216,19 @@ def _design(sample_rate: float, low_hz: float, high_hz: float) -> np.ndarray:
         raise ValueError(f"invalid band edges low={low_hz} high={high_hz}")
     if not high_hz < nyquist:
         raise ValueError(f"high cut {high_hz} Hz must stay below Nyquist ({nyquist} Hz)")
-    wn = [low_hz / nyquist, high_hz / nyquist]
-    return butter(FILTER_ORDER, wn, btype="bandpass", output="sos")
+    return _butter_bandpass(np.array([low_hz / nyquist, high_hz / nyquist]))
 
 
 def bandpass(sample_rate: float, band=EMG_BAND_HZ) -> np.ndarray:
     """The order-FILTER_ORDER Butterworth band-pass as second-order sections.
 
     The analog prototype is mapped with the bilinear transform, pre-warped
-    so the digital response is -3 dB at both band edges. Each (rate, band)
-    is designed once; every call returns a fresh writeable copy, the layout
-    apply_filter (and scipy.signal.sosfilt) takes.
+    so the digital response is -3 dB at both band edges. The design is
+    emgeat's own numpy transcription of scipy's, pinned bit-equal to
+    scipy.signal.butter(FILTER_ORDER, band / nyquist, btype="bandpass",
+    output="sos") by a test. Each (rate, band) is designed once; every call
+    returns a fresh writeable copy, the layout apply_filter (and
+    scipy.signal.sosfilt) takes.
     """
     return _design(sample_rate, *band).copy()
 
@@ -147,7 +242,8 @@ def apply_filter(x: np.ndarray, sos: np.ndarray, zi: np.ndarray = None) -> np.nd
     when omitted and is updated in place when given, so successive chunks
     filter exactly like their concatenation.
 
-    This is the one caller of the compiled kernel behind scipy.signal.sosfilt.
+    This is the one caller of the compiled kernel behind scipy.signal.sosfilt,
+    loaded from its extension file without the scipy.signal package.
     Calling it directly skips the public function's validation and copies,
     which are most of the cost of a short live chunk; the results are
     bit-identical to the public filter's (a test pins this).

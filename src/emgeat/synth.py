@@ -9,6 +9,7 @@ annotated with its exact sample-aligned interval, which is what makes these
 sessions usable as ground truth for detector and classifier checks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,10 @@ class SessionPlan:
     participant_id: str = "P00"
 
     def __post_init__(self):
-        if self.duration_s <= 0 or self.sample_rate <= 0:
-            raise ValueError("duration and sample rate must be positive")
+        for name in ("duration_s", "sample_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} {value!r} must be positive and finite")
         if self.chew_rate_hz < 0 or self.chew_duration_mean_s <= 0:
             raise ValueError("chew rate must be >= 0 and duration positive")
         if self.swallow_every_n_chews < 1:

@@ -437,6 +437,39 @@ class TestModelFiles:
             io.load_model(path)
 
 
+def load_model_with_penalty(c, rt_model, tmp_path):
+    model = dataclasses.replace(rt_model, train_info={**rt_model.train_info, "c": c})
+    return io.load_model(io.save_model(model, tmp_path / "m.model"))
+
+
+# Each library check on a number: a call with the value (and the fixtures
+# it may need), the words of its refusal, and whether it allows 0.
+LIBRARY_CHECKS = {
+    "TrainConfig.c": (lambda v, *_: learn.TrainConfig(c=v), "penalty C", False),
+    "SessionPlan.duration_s": (lambda v, *_: synth.SessionPlan(duration_s=v), "duration_s", False),
+    "SessionPlan.sample_rate": (lambda v, *_: synth.SessionPlan(sample_rate=v), "sample_rate", False),
+    "map_level.dead_band": (lambda v, *_: feedback.map_level(0.5, dead_band=v), "dead band", True),
+    "load_model.train_info.c": (load_model_with_penalty, "positive finite 'c'", False),
+}
+
+
+@pytest.mark.parametrize(
+    "check, value",
+    [
+        (check, value)
+        for check, (_, _, zero_allowed) in LIBRARY_CHECKS.items()
+        for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)
+        if not (value == 0.0 and zero_allowed)
+    ],
+)
+def test_library_checks_refuse_nan_inf_and_out_of_range(check, value, rt_model, tmp_path):
+    # Spelled so that nan fails too: `c <= 0` let a nan penalty through, and
+    # a nan fit writes an all-zero model.
+    call, message, _ = LIBRARY_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        call(value, rt_model, tmp_path)
+
+
 @pytest.fixture(scope="module")
 def reader_files(tmp_path_factory):
     """reader name -> (reader, a valid file it reads). Each reader also gets

@@ -1,12 +1,17 @@
 """Conditioning chain tests against an independently coded analytic oracle."""
 
 import dataclasses
+import json
 import math
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.signal import sosfilt, sosfreqz
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.signal import butter, sosfilt, sosfreqz
 
 import emgeat.features as features
 import emgeat.realtime as rt
@@ -108,13 +113,13 @@ class TestBandpassDesign:
 
     def test_each_rate_and_band_designed_once(self, monkeypatch, rt_model, profile):
         designs = Counter()
-        butter = sig.butter
+        design = sig._butter_bandpass
 
-        def counting_butter(order, wn, **kwargs):
-            designs[(order, tuple(wn))] += 1
-            return butter(order, wn, **kwargs)
+        def counting_design(wn):
+            designs[tuple(wn)] += 1
+            return design(wn)
 
-        monkeypatch.setattr(sig, "butter", counting_butter)
+        monkeypatch.setattr(sig, "_butter_bandpass", counting_design)
         sig._design.cache_clear()
         plan = synth.SessionPlan(
             duration_s=20.0, seed=3, artifact_schedule=(("speech", 5.0, 8.0),)
@@ -129,6 +134,23 @@ class TestBandpassDesign:
         }
         assert len(designs) == len(bands) + 1  # and the EMG band at 2048 Hz
         assert set(designs.values()) == {1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sample_rate=st.floats(1_000.0, 100_000.0),
+        edges=st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=2, max_size=2
+        ),
+    )
+    @example(sample_rate=1024.0, edges=[20.0 / 512.0, 500.0 / 512.0])  # two real poles
+    @example(sample_rate=100_000.0, edges=[300.0 / 50_000.0, 400.0 / 50_000.0])  # none real
+    def test_design_is_bit_equal_to_scipy_butter(self, sample_rate, edges):
+        nyquist = sample_rate / 2.0
+        low, high = sorted(edge * nyquist for edge in edges)
+        assume(0.0 < low < high < nyquist)
+        wn = [low / nyquist, high / nyquist]
+        expected = butter(sig.FILTER_ORDER, wn, btype="bandpass", output="sos")
+        assert np.array_equal(bandpass(sample_rate, (low, high)), expected)
 
     def test_zi_carries_state_in_place(self):
         x = np.random.default_rng(13).standard_normal(1000)
@@ -274,3 +296,73 @@ class TestFullChain:
         assert np.all(out.samples >= 0.0)
         assert np.all(out.samples <= 1.0)
         assert out.samples.size == 1024
+
+
+# Run in a fresh interpreter: import the CLI, featurize a short session and
+# stream it through one in-process server session, then report whether the
+# scipy.signal package was ever imported. Only after that is the package
+# imported, to compare the public filter with apply_filter.
+STARTUP_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+    import numpy as np
+    if sys.argv[1] == "scipy-first":
+        import scipy.signal
+    import emgeat.cli
+    from emgeat import learn, realtime, signal, synth
+    from emgeat.feedback import RateNormalizer
+    from emgeat.io import protocol
+    from emgeat.io.server import _Session
+
+    rec = synth.gen_session(synth.SessionPlan(duration_s=10.0, seed=5))
+    x = rec.channel(realtime.STREAM_CHANNEL)
+    profile = realtime.calibrate([x], rec.sample_rate)
+    matrix = realtime.rt_training_set(rec, profile)
+    model = learn.train_linear_svm(
+        matrix.values, matrix.labels, matrix.feature_names, "C",
+        learn.TrainConfig(class_weights=learn.compute_class_weights(matrix.labels)),
+    )
+    session = _Session(model, RateNormalizer(1.5), None)
+    hello = {"participant": "P", "sample_rate": rec.sample_rate,
+             "ref": profile.reference_amplitude, "mu0": profile.mu0,
+             "delta0": profile.delta0}
+    wire = lambda kind, fields: protocol.parse_frame(protocol.format_frame(kind, fields))[1]
+    replies = session.open(wire("hello", hello))
+    for start in range(0, x.size, 128):
+        chunk = x[start:start + 128]
+        replies += session.samples(wire("samples", {
+            "t_us": signal.sample_time_us(start, rec.sample_rate), "n": chunk.size,
+            "v": ",".join(map(repr, chunk.tolist()))}))
+    replies += session.close()
+    package_loaded = "scipy.signal" in sys.modules
+
+    import scipy.signal
+    from scipy.signal import _signaltools
+    sos = signal.bandpass(rec.sample_rate)
+    print(json.dumps({
+        "package_loaded": package_loaded,
+        "last_reply": replies[-1],
+        "one_kernel": _signaltools._sosfilt is signal._sosfilt
+        and sys.modules["scipy.signal._sosfilt"]._sosfilt is signal._sosfilt,
+        "bit_equal": bool(np.array_equal(
+            signal.apply_filter(x, sos), scipy.signal.sosfilt(sos, x))),
+    }))
+    """
+)
+
+
+class TestStartUp:
+    """A server process never imports the scipy.signal package: the kernel
+    is loaded from its extension file, and the design is emgeat's own."""
+
+    @pytest.mark.parametrize("order", ["emgeat-first", "scipy-first"])
+    def test_one_kernel_and_no_signal_package(self, order):
+        done = subprocess.run(
+            [sys.executable, "-c", STARTUP_SCRIPT, order],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["package_loaded"] == (order == "scipy-first")
+        assert report["last_reply"].startswith("bye events=")
+        assert report["one_kernel"] and report["bit_equal"]

@@ -64,23 +64,17 @@ NEGATIVE_LABEL = "NA"
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Sliding-window geometry and feature thresholds.
-
-    thr_f is the amplitude threshold shared by MYOP/WAMP/ZC/SSC; None means
-    "derive it from the recording baseline".
-    """
+    """Sliding-window geometry. The amplitude threshold shared by
+    MYOP/WAMP/ZC/SSC comes from each recording's baseline."""
 
     length_s: float
     hop_s: float
-    thr_f: float = None
 
     def __post_init__(self):
         if self.length_s <= 0:
             raise ValueError("window length must be positive")
         if not 0 < self.hop_s <= self.length_s:
             raise ValueError("hop must be positive and no longer than the window")
-        if self.thr_f is not None and self.thr_f < 0:
-            raise ValueError("amplitude threshold must be non-negative")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -445,7 +439,7 @@ def build_feature_matrix(
     blocks = []
     for name, stack in zip(recording.channel_names, stacks):
         sig = processed[name]
-        thr = spec.thr_f if spec.thr_f is not None else _resolve_threshold(sig, recording)
+        thr = _resolve_threshold(sig, recording)
         bursts = _events.detect_bursts(sig.samples, sig.rate, thr)
         # Cycle context comes from the burst overlapping the window most; the
         # trailing 0 is what index -1 (no overlapping burst) picks.

@@ -77,7 +77,16 @@ def annotation_path(path) -> Path:
 
 
 def write_recording(recording: RawRecording, path) -> Path:
-    """Write samples and the annotation sidecar; returns the sample path."""
+    """Write samples and the annotation sidecar; returns the sample path.
+    A non-finite sample, which read_recording would refuse, is refused
+    before any file is opened."""
+    finite = np.isfinite(recording.samples)
+    if not finite.all():
+        c, i = np.unravel_index(np.argmin(finite), finite.shape)
+        raise ValueError(
+            f"{recording.channel_names[c]} value {float(recording.samples[c, i])!r} "
+            f"at sample {i} is not finite"
+        )
     path = Path(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(RECORDING_MAGIC + "\n")

@@ -242,28 +242,43 @@ def apply_filter(x: np.ndarray, sos: np.ndarray, zi: np.ndarray = None) -> np.nd
     when omitted and is updated in place when given, so successive chunks
     filter exactly like their concatenation.
 
+    A (rows, n) block filters each row as its own signal, from its own zero
+    state or from row i of a given (rows, sections, 2) `zi`, in one kernel
+    call; each row comes out bit-identical to its own 1-D call. The filter
+    is causal, so zeros padded after a row leave that row's head unchanged.
+
     This is the one caller of the compiled kernel behind scipy.signal.sosfilt,
     loaded from its extension file without the scipy.signal package.
     Calling it directly skips the public function's validation and copies,
     which are most of the cost of a short live chunk; the results are
     bit-identical to the public filter's (a test pins this).
     """
-    y = np.array(x, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("expected a 1-D sample array")
+    y = np.array(x, dtype=float, order="C")
+    if y.ndim not in (1, 2):
+        raise ValueError("expected a 1-D sample array or a 2-D (rows, samples) block")
     finite = np.isfinite(y)
     if not finite.all():
-        raise ValueError(f"non-finite sample at index {int(np.argmin(finite))}")
+        *row, i = np.unravel_index(np.argmin(finite), y.shape)
+        where = f"row {int(row[0])}, " if row else ""
+        raise ValueError(f"non-finite sample at {where}index {int(i)}")
+    rows = y.shape[0] if y.ndim == 2 else 1
+    state = y.shape[:-1] + (len(sos), 2)
     if zi is None:
-        zi = np.zeros((len(sos), 2))
+        zi = np.zeros(state)
     # The kernel reads and writes raw buffers: check what it cannot. A
     # "carray" is C-contiguous, aligned and writeable.
-    for name, a, shape in (("sos", sos, (len(sos), 6)), ("zi", zi, (len(sos), 2))):
+    for name, a, shape in (("sos", sos, (len(sos), 6)), ("zi", zi, state)):
         layout = isinstance(a, np.ndarray) and a.flags.carray and a.dtype == float
         if not (layout and a.shape == shape):
             raise ValueError(f"{name} must be a writeable C-contiguous float {shape} array")
-    _sosfilt(sos, y.reshape(1, -1), zi.reshape(1, -1, 2))
+    _sosfilt(sos, y.reshape(rows, y.shape[-1]), zi.reshape(rows, len(sos), 2))
     return y
+
+
+def _check_signal(x):
+    """Refuse a block where one signal is expected."""
+    if np.ndim(x) != 1:
+        raise ValueError("expected a 1-D sample array")
 
 
 def rectify(x: np.ndarray) -> np.ndarray:
@@ -323,6 +338,7 @@ class ProcessedSignal:
 def preprocess(x: np.ndarray, sample_rate: float) -> ProcessedSignal:
     """Full conditioning chain: band-pass, rectify, normalize, block-mean
     decimation by DECIMATION_FACTOR."""
+    _check_signal(x)
     y = apply_filter(x, bandpass(sample_rate))
     y = normalize(rectify(y))
     y = downsample(y, DECIMATION_FACTOR)

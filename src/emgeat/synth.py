@@ -7,6 +7,15 @@ channel), longer swallow bursts on the submental channel after every n-th
 chew, and optional speech/motion artifacts on both. Every placed burst is
 annotated with its exact sample-aligned interval, which is what makes these
 sessions usable as ground truth for detector and classifier checks.
+
+A session is rendered in blocks. All its random draws come first, in one
+fixed order; then each kind of burst (chews, swallows, artifacts) becomes
+one zero-padded (bursts, samples) block, band-passed in one apply_filter
+call and shaped row by row in whole-block operations, and the rows are
+added into the channels in the order the draws were made. A single chew
+burst is the one-row case of the same renderer. Recordings are bit-identical
+per plan, and tests/test_synth.py pins the samples and annotations of a
+set of plans by digest.
 """
 
 import math
@@ -53,21 +62,85 @@ class SessionPlan:
     participant_id: str = "P00"
 
     def __post_init__(self):
-        for name in ("duration_s", "sample_rate"):
+        for name in ("duration_s", "sample_rate", "chew_duration_mean_s", "baseline_lead_s"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} {value!r} must be positive and finite")
-        if self.chew_rate_hz < 0 or self.chew_duration_mean_s <= 0:
-            raise ValueError("chew rate must be >= 0 and duration positive")
+        if not (math.isfinite(self.chew_rate_hz) and self.chew_rate_hz >= 0):
+            raise ValueError(f"chew_rate_hz {self.chew_rate_hz!r} must be >= 0 and finite")
+        if not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db {self.snr_db!r} must be finite")
         if self.swallow_every_n_chews < 1:
             raise ValueError("swallow_every_n_chews must be >= 1")
-        if self.baseline_lead_s < 0 or self.baseline_lead_s >= self.duration_s:
+        if self.baseline_lead_s >= self.duration_s:
             raise ValueError("baseline lead must fit inside the session")
 
 
-def _band_noise(n: int, sample_rate: float, band, rng) -> np.ndarray:
-    """Unit-variance-ish Gaussian noise restricted to a frequency band."""
-    return apply_filter(rng.standard_normal(n), bandpass(sample_rate, band))
+def _seeded_noise(seeds, lengths) -> np.ndarray:
+    """Zero-padded white-noise block: row i holds lengths[i] standard
+    normals from its own generator seeded with seeds[i]."""
+    block = np.zeros((len(seeds), max(lengths, default=0)))
+    for row, seed, n in zip(block, seeds, lengths):
+        np.random.default_rng(seed).standard_normal(out=row[:n])
+    return block
+
+
+def _padded(rows) -> np.ndarray:
+    """Stack 1-D arrays of any lengths into one zero-padded block."""
+    block = np.zeros((len(rows), max((row.size for row in rows), default=0)))
+    for out, row in zip(block, rows):
+        out[: row.size] = row
+    return block
+
+
+def _peak_normalized(block: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+    """Divide each row, in place, by its largest magnitude; a row of zeros
+    stays zero. Padding must be zero, so the peak is the row's own.
+    `scratch`, a spent array of the block's shape, takes the magnitudes."""
+    peak = np.max(np.abs(block, out=scratch), axis=1, keepdims=True, initial=0.0)
+    block /= np.where(peak > 0, peak, 1.0)
+    return block
+
+
+def _scaled_to_rms(block: np.ndarray, lengths, target: float) -> np.ndarray:
+    """Scale each row, in place, to the target RMS over its own length; a
+    silent row stays as it is. Each sum runs over the row alone, in the
+    pairwise order np.mean sums a 1-D array in."""
+    sums = np.array([np.add.reduce(np.square(row[:n])) for row, n in zip(block, lengths)])
+    rms = np.sqrt(sums / np.asarray(lengths))
+    block *= np.divide(target, rms, out=np.ones_like(rms), where=rms > 0)[:, None]
+    return block
+
+
+def _shaped_bursts(noise: np.ndarray, lengths, sample_rate: float, band) -> np.ndarray:
+    """Band-limited carriers under raised-cosine envelopes, peak-normalized.
+
+    Row i of the zero-padded white-noise block is one burst of lengths[i]
+    samples, at least 2. The whole block is filtered in one call (the
+    filter is causal, so the padding does not reach a row's own samples),
+    and each envelope spans its own row; samples past a row's length come
+    out zero. The noise is spent: its buffer is reused for the envelopes.
+    """
+    if min(lengths, default=2) < 2:
+        raise ValueError("burst too short for the sample rate")
+    shaped = apply_filter(noise, bandpass(sample_rate, band))
+    n = np.asarray(lengths)[:, None]
+    k = np.arange(shaped.shape[1])
+    envelope = np.divide(2.0 * np.pi * k, n - 1.0, out=noise)
+    np.cos(envelope, out=envelope)
+    np.subtract(1.0, envelope, out=envelope)
+    envelope *= 0.5
+    envelope[k >= n] = 0.0
+    shaped *= envelope
+    return _peak_normalized(shaped, scratch=envelope)
+
+
+def _backgrounds(seeds, n: int, sample_rate: float, sigma: float) -> np.ndarray:
+    """One row of band-limited background noise per seed, scaled by sigma."""
+    noise = _seeded_noise(seeds, [n] * len(seeds))
+    rows = apply_filter(noise, bandpass(sample_rate, (20.0, 500.0)))
+    rows *= sigma
+    return rows
 
 
 def gen_baseline_noise(
@@ -83,18 +156,12 @@ def gen_baseline_noise(
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     n = int(round(duration_s * sample_rate))
-    rng = np.random.default_rng(seed)
-    return sigma * _band_noise(n, sample_rate, (20.0, 500.0), rng)
+    return _backgrounds([seed], n, sample_rate, sigma)[0]
 
 
-def _shaped_burst(n: int, sample_rate: float, band, rng) -> np.ndarray:
-    """Band-limited carrier under a raised-cosine envelope, peak-normalized."""
-    carrier = _band_noise(n, sample_rate, band, rng)
-    k = np.arange(n)
-    envelope = 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1))) if n > 1 else np.ones(1)
-    shaped = carrier * envelope
-    peak = np.max(np.abs(shaped))
-    return shaped / peak if peak > 0 else shaped
+def _chew_bursts(seeds, lengths, sample_rate: float) -> np.ndarray:
+    """Unit-peak chew bursts, one zero-padded row per (seed, length)."""
+    return _shaped_bursts(_seeded_noise(seeds, lengths), lengths, sample_rate, CHEW_BAND)
 
 
 def gen_chew_burst(
@@ -108,18 +175,24 @@ def gen_chew_burst(
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     n = int(round(duration_s * sample_rate))
-    if n < 2:
-        raise ValueError("burst too short for the sample rate")
-    rng = np.random.default_rng(seed)
-    return amplitude * _shaped_burst(n, sample_rate, CHEW_BAND, rng)
+    return amplitude * _chew_bursts([seed], [n], sample_rate)[0]
 
 
-def _rms(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x)))) if x.size else 0.0
+def _place(channel: np.ndarray, starts, lengths, block: np.ndarray):
+    """Add each burst row, over its own length, into the channel at its start."""
+    for i0, n, burst in zip(starts, lengths, block):
+        channel[i0 : i0 + n] += burst[:n]
 
 
 def gen_session(plan: SessionPlan) -> RawRecording:
-    """Render a full session from a plan. Deterministic per plan."""
+    """Render a full session from a plan. Deterministic per plan.
+
+    Every random draw comes from the plan's seed and is made first, in a
+    fixed order: the two background seeds; each chew's duration, carrier
+    seed and next gap; each swallow's duration and carrier; each artifact's
+    modulation and carriers. Then each kind of burst is rendered as one
+    block and added into the channels in that order.
+    """
     fs = plan.sample_rate
     n_total = int(round(plan.duration_s * fs))
     # rate 0 renders a baseline-only session (no chews, hence no swallows)
@@ -139,15 +212,12 @@ def gen_session(plan: SessionPlan) -> RawRecording:
     rng = np.random.default_rng(plan.seed)
     burst_rms = NOISE_SIGMA * 10.0 ** (plan.snr_db / 20.0)
 
-    masseter = gen_baseline_noise(plan.duration_s, fs, NOISE_SIGMA, rng.integers(2**31))
-    submental = gen_baseline_noise(plan.duration_s, fs, NOISE_SIGMA, rng.integers(2**31))
+    samples = _backgrounds([rng.integers(2**31) for _ in CHANNELS], n_total, fs, NOISE_SIGMA)
+    masseter, submental = samples
     annotations = [Annotation("baseline", 0.0, plan.baseline_lead_s)]
 
-    def place(channel, start_idx, burst):
-        channel[start_idx : start_idx + burst.size] += burst
-
     # Chew train: first burst right after the quiet lead, then jittered gaps.
-    chew_terms = []
+    chew_starts, chew_lengths, chew_seeds, chew_terms = [], [], [], []
     t = plan.baseline_lead_s
     while gap is not None:
         dur = plan.chew_duration_mean_s * (1.0 + TIMING_JITTER * rng.uniform(-1.0, 1.0))
@@ -155,15 +225,16 @@ def gen_session(plan: SessionPlan) -> RawRecording:
         n_burst = int(round(dur * fs))
         if i0 + n_burst > n_total:
             break
-        burst = gen_chew_burst(n_burst / fs, 1.0, fs, rng.integers(2**31))
-        burst *= burst_rms / _rms(burst)
-        place(masseter, i0, burst)
-        place(submental, i0, SUBMENTAL_BLEED * burst)
+        chew_starts.append(i0)
+        # the row length gen_chew_burst gives a burst of n_burst / fs seconds
+        chew_lengths.append(int(round((n_burst / fs) * fs)))
+        chew_seeds.append(rng.integers(2**31))
         annotations.append(Annotation("chew", i0 / fs, (i0 + n_burst) / fs))
         chew_terms.append((i0 + n_burst) / fs)
         t += gap * (1.0 + TIMING_JITTER * rng.uniform(-1.0, 1.0))
 
     # A swallow follows every n-th chew, when it still fits the session.
+    swallow_starts, swallow_noise = [], []
     for k in range(plan.swallow_every_n_chews - 1, len(chew_terms), plan.swallow_every_n_chews):
         onset = chew_terms[k] + SWALLOW_DELAY_S
         dur = rng.uniform(*SWALLOW_DURATION_RANGE_S)
@@ -171,33 +242,47 @@ def gen_session(plan: SessionPlan) -> RawRecording:
         n_burst = int(round(dur * fs))
         if i0 + n_burst > n_total:
             continue
-        swallow = _shaped_burst(n_burst, fs, SWALLOW_BAND, rng)
-        swallow *= burst_rms / _rms(swallow)
-        place(submental, i0, swallow)
+        swallow_starts.append(i0)
+        swallow_noise.append(rng.standard_normal(n_burst))
         annotations.append(Annotation("swallow", i0 / fs, (i0 + n_burst) / fs))
 
-    # Artifacts: weaker, longer, irregular activity bleeding into both channels.
+    # Artifacts: weaker, longer, irregular activity bleeding into both
+    # channels. Each draws its modulation, then one carrier per channel.
+    art_starts, art_lengths, modulation_noise, carrier_noise = [], [], [], []
     for kind, onset, term in plan.artifact_schedule:
         i0 = int(round(onset * fs))
         n_art = int(round((term - onset) * fs))
         if n_art < 2:
             raise ValueError(f"artifact [{onset}, {term}] too short to render")
-        modulation = np.abs(_band_noise(n_art, fs, (1.0, 5.0), rng))
-        peak = modulation.max()
-        if peak > 0:
-            modulation /= peak
-        for channel in (masseter, submental):
-            carrier = _band_noise(n_art, fs, ARTIFACT_BAND, rng)
-            art = carrier * modulation
-            level = ARTIFACT_LEVEL * burst_rms
-            art *= level / _rms(art) if _rms(art) > 0 else 1.0
-            place(channel, i0, art)
+        art_starts.append(i0)
+        art_lengths.append(n_art)
+        modulation_noise.append(rng.standard_normal(n_art))
+        carrier_noise += [rng.standard_normal(n_art) for _ in CHANNELS]
         annotations.append(Annotation(kind, i0 / fs, (i0 + n_art) / fs))
+
+    chews = _chew_bursts(chew_seeds, chew_lengths, fs)
+    _scaled_to_rms(chews, chew_lengths, burst_rms)
+    _place(masseter, chew_starts, chew_lengths, chews)
+    _place(submental, chew_starts, chew_lengths, SUBMENTAL_BLEED * chews)
+
+    swallow_lengths = [x.size for x in swallow_noise]
+    swallows = _shaped_bursts(_padded(swallow_noise), swallow_lengths, fs, SWALLOW_BAND)
+    _scaled_to_rms(swallows, swallow_lengths, burst_rms)
+    _place(submental, swallow_starts, swallow_lengths, swallows)
+
+    modulation = np.abs(apply_filter(_padded(modulation_noise), bandpass(fs, (1.0, 5.0))))
+    # the filter rings on into the padding; the peak is the row's own
+    modulation[np.arange(modulation.shape[1]) >= np.asarray(art_lengths)[:, None]] = 0.0
+    modulation = np.repeat(_peak_normalized(modulation), len(CHANNELS), axis=0)
+    arts = apply_filter(_padded(carrier_noise), bandpass(fs, ARTIFACT_BAND)) * modulation
+    _scaled_to_rms(arts, np.repeat(art_lengths, len(CHANNELS)), ARTIFACT_LEVEL * burst_rms)
+    _place(masseter, art_starts, art_lengths, arts[0::2])
+    _place(submental, art_starts, art_lengths, arts[1::2])
 
     return RawRecording(
         participant_id=plan.participant_id,
         sample_rate=fs,
         channel_names=CHANNELS,
-        samples=np.vstack([masseter, submental]),
+        samples=samples,
         annotations=annotations,
     )

@@ -453,9 +453,7 @@ def per_window_matrix(recording, spec, task):
     channels = []
     for name in recording.channel_names:
         sig = processed[name]
-        thr = spec.thr_f
-        if thr is None:
-            thr = F._resolve_threshold(sig, recording)
+        thr = F._resolve_threshold(sig, recording)
         bursts = detect_bursts(sig.samples, sig.rate, thr)
         sequences = [[]]  # a gap above the cap starts the next sequence
         for burst in bursts:
@@ -503,7 +501,7 @@ class TestMatrixAgainstPerWindowLoop:
         assert set(labels) == {F.TASKS[task][0], NEGATIVE_LABEL}
         assert values[:, FEATURE_NAMES.index("cycle_duration")].any()
 
-    def test_equal_overlap_goes_to_the_first_burst(self):
+    def test_equal_overlap_goes_to_the_first_burst(self, monkeypatch):
         # 200 Hz tone bursts at 1280 Hz: the decimated rate is 128 Hz, so every
         # window and burst edge is an exact binary fraction and equal overlaps
         # compare equal. Burst A is long, burst B short, 0.25 s apart.
@@ -520,7 +518,9 @@ class TestMatrixAgainstPerWindowLoop:
         # A window ending 4 samples into B and starting 4 samples before A ends
         # overlaps each by 4 / 128 s; a hop of one sample makes it a row.
         gap = round((second.onset_s - first.termination_s) * sig.rate)
-        spec = WindowSpec(length_s=(gap + 8) / sig.rate, hop_s=1 / sig.rate, thr_f=thr)
+        spec = WindowSpec(length_s=(gap + 8) / sig.rate, hop_s=1 / sig.rate)
+        # both the matrix and the reference loop detect bursts at thr
+        monkeypatch.setattr(F, "_resolve_threshold", lambda processed, recording: thr)
         matrix = build_feature_matrix(recording, spec, "chew")
         values, _, _, _ = per_window_matrix(recording, spec, "chew")
         assert np.array_equal(matrix.values, values)

@@ -470,6 +470,42 @@ def test_library_checks_refuse_nan_inf_and_out_of_range(check, value, rt_model, 
         call(value, rt_model, tmp_path)
 
 
+def write_with_sample(value, tmp_path):
+    recording = small_recording()
+    recording.samples[1, 3] = value
+    try:
+        io.write_recording(recording, tmp_path / "p.csv")
+    finally:
+        assert not (tmp_path / "p.csv").exists()  # refused before opening
+
+
+# Each check that a plan or recording its own readers would refuse is turned
+# away where it is made: a call with the value, and the words of its refusal.
+NON_FINITE_CHECKS = {
+    "SessionPlan.snr_db": (lambda v, _: synth.SessionPlan(snr_db=v), "snr_db"),
+    "SessionPlan.chew_rate_hz": (lambda v, _: synth.SessionPlan(chew_rate_hz=v), "chew_rate_hz"),
+    "SessionPlan.chew_duration_mean_s": (
+        lambda v, _: synth.SessionPlan(chew_duration_mean_s=v),
+        "chew_duration_mean_s",
+    ),
+    "SessionPlan.baseline_lead_s": (
+        lambda v, _: synth.SessionPlan(baseline_lead_s=v),
+        "baseline_lead_s",
+    ),
+    "write_recording": (write_with_sample, "submental value .* at sample 3 is not finite"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("check", NON_FINITE_CHECKS)
+def test_non_finite_plans_and_samples_refused(check, value, tmp_path):
+    # Before, `generate --snr nan` wrote a recording that `preprocess` then
+    # refused, and `--rate nan` silently wrote one with no chews.
+    call, message = NON_FINITE_CHECKS[check]
+    with pytest.raises(ValueError, match=message):
+        call(value, tmp_path)
+
+
 @pytest.fixture(scope="module")
 def reader_files(tmp_path_factory):
     """reader name -> (reader, a valid file it reads). Each reader also gets

@@ -220,6 +220,73 @@ class TestBandpassDesign:
             apply_filter(x, SOS)
 
 
+class TestBlockFilter:
+    """A (rows, n) block filters each row as its own signal in one call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sample_rate=st.sampled_from([1024.0, 2000.0, 4096.0]),
+        lengths=st.lists(st.integers(0, 600), min_size=1, max_size=8),
+        tail=st.integers(0, 300),
+    )
+    def test_each_row_equals_its_own_call(self, seed, sample_rate, lengths, tail):
+        rng = np.random.default_rng(seed)
+        sos = bandpass(sample_rate)
+        rows = [rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3) for n in lengths]
+        block = np.zeros((len(rows), max(lengths) + tail))
+        for out, row in zip(block, rows):
+            out[: row.size] = row
+        before = block.copy()
+        filtered = apply_filter(block, sos)
+        assert np.array_equal(block, before)  # the input is left as it was
+        for out, padded, row in zip(filtered, block, rows):
+            assert np.array_equal(out, apply_filter(padded, sos))
+            # the zero padding does not reach back into the row's own samples
+            assert np.array_equal(out[: row.size], apply_filter(row, sos))
+
+    def test_given_zi_carries_each_rows_state(self):
+        block = np.random.default_rng(5).standard_normal((3, 900))
+        zi = np.zeros((3, SOS.shape[0], 2))
+        head = apply_filter(block[:, :250], SOS, zi)
+        tail = apply_filter(block[:, 250:], SOS, zi)
+        assert np.array_equal(np.hstack([head, tail]), apply_filter(block, SOS))
+        for row, state in zip(block, zi):
+            _, zf = sosfilt(SOS, row, zi=np.zeros((SOS.shape[0], 2)))
+            assert np.array_equal(state, zf)
+
+    @pytest.mark.parametrize(
+        "zi",
+        [np.zeros((SOS.shape[0], 2)), np.zeros((2, SOS.shape[0], 2)), np.zeros((4, SOS.shape[0], 2))],
+        ids=["one-signal", "too-few-rows", "too-many-rows"],
+    )
+    def test_zi_of_the_wrong_shape_rejected(self, zi):
+        with pytest.raises(ValueError, match=r"zi must be .*\(3, 5, 2\)"):
+            apply_filter(np.ones((3, 8)), SOS, zi)
+        assert not zi.any()
+
+    def test_nonfinite_sample_named_by_row_and_index(self):
+        block = np.zeros((4, 64))
+        block[2, 17] = -np.inf
+        block[3, 5] = np.nan
+        with pytest.raises(ValueError, match="row 2, index 17"):
+            apply_filter(block, SOS)
+
+    def test_more_than_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            apply_filter(np.zeros((2, 2, 8)), SOS)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda x: preprocess(x, 1024.0), lambda x: rt.calibrate([x], 1024.0)],
+        ids=["preprocess", "calibrate"],
+    )
+    def test_one_signal_paths_refuse_a_block(self, call):
+        # apply_filter takes blocks now; these paths still take one signal
+        with pytest.raises(ValueError, match="1-D"):
+            call(np.ones((2, 4096)))
+
+
 class TestRecordingTypes:
     @pytest.mark.parametrize(
         "onset, termination", [(math.nan, math.nan), (0.5, math.nan), (0.5, math.inf)]

@@ -1,5 +1,8 @@
 """Synthetic session generator: determinism, counts, amplitudes."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -192,3 +195,43 @@ class TestGenSession:
         loaded = read_recording(path)
         assert np.array_equal(loaded.samples, recording.samples)
         assert loaded.annotations == recording.annotations
+
+
+# Recordings pinned bit for bit: the sha256 of each plan's samples and its
+# annotation tuples, as tests/data/synth_digests.json holds them. A change to
+# how sessions are rendered must leave these untouched.
+DIGEST_PLANS = {
+    "default": SessionPlan(),
+    "lopo16-like": SessionPlan(
+        duration_s=60.0,
+        chew_rate_hz=1.512,
+        chew_duration_mean_s=0.407,
+        swallow_every_n_chews=7,
+        snr_db=19.37,
+        seed=1234567,
+        participant_id="P03",
+    ),
+    "rate-0": SessionPlan(duration_s=10.0, chew_rate_hz=0.0, seed=3),
+    "artifacts": SessionPlan(
+        duration_s=30.0,
+        seed=8,
+        artifact_schedule=(("speech", 20.0, 24.0), ("motion", 21.5, 22.5), ("motion", 26.0, 28.0)),
+    ),
+    "2000hz": SessionPlan(duration_s=20.0, sample_rate=2000.0, swallow_every_n_chews=5, seed=12),
+    # 17 chews, so a 4th swallow is due after the last chew and does not fit
+    "last-swallow-skipped": SessionPlan(duration_s=12.0, swallow_every_n_chews=4, seed=0),
+}
+
+
+def session_digest(plan):
+    recording = gen_session(plan)
+    return {
+        "sha256": hashlib.sha256(recording.samples.tobytes()).hexdigest(),
+        "annotations": [[a.kind, a.onset_s, a.termination_s] for a in recording.annotations],
+    }
+
+
+@pytest.mark.parametrize("name", DIGEST_PLANS)
+def test_recordings_pinned_bit_for_bit(datadir, name):
+    expected = json.loads((datadir / "synth_digests.json").read_text())[name]
+    assert session_digest(DIGEST_PLANS[name]) == expected

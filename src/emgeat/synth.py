@@ -8,12 +8,13 @@ chew, and optional speech/motion artifacts on both. Every placed burst is
 annotated with its exact sample-aligned interval, which is what makes these
 sessions usable as ground truth for detector and classifier checks.
 
-A session is rendered in blocks. All its random draws come first, in one
-fixed order; then each kind of burst (chews, swallows, artifacts) becomes
-one zero-padded (bursts, samples) block, band-passed in one apply_filter
-call and shaped row by row in whole-block operations, and the rows are
-added into the channels in the order the draws were made. A single chew
-burst is the one-row case of the same renderer. Recordings are bit-identical
+A session's bursts are rendered in blocks. The chew and swallow draws come
+first, in one fixed order; then chews and swallows each become one
+zero-padded (bursts, samples) block, band-passed in one apply_filter call
+and shaped row by row in whole-block operations, and the rows are added
+into the channels in the order the draws were made. Artifacts, which may be
+long and overlap, are drawn and rendered one at a time after that. A single
+chew burst is the one-row case of the same renderer. Recordings are bit-identical
 per plan, and tests/test_synth.py pins the samples and annotations of a
 set of plans by digest.
 """
@@ -187,11 +188,11 @@ def _place(channel: np.ndarray, starts, lengths, block: np.ndarray):
 def gen_session(plan: SessionPlan) -> RawRecording:
     """Render a full session from a plan. Deterministic per plan.
 
-    Every random draw comes from the plan's seed and is made first, in a
-    fixed order: the two background seeds; each chew's duration, carrier
-    seed and next gap; each swallow's duration and carrier; each artifact's
-    modulation and carriers. Then each kind of burst is rendered as one
-    block and added into the channels in that order.
+    Every random draw comes from the plan's seed, in a fixed order: the two
+    background seeds; each chew's duration, carrier seed and next gap; each
+    swallow's duration and carrier. Chews, then swallows, are rendered as
+    one block each and added into the channels; last, each artifact draws
+    its modulation and one carrier per channel and is added on its own.
     """
     fs = plan.sample_rate
     n_total = int(round(plan.duration_s * fs))
@@ -226,8 +227,7 @@ def gen_session(plan: SessionPlan) -> RawRecording:
         if i0 + n_burst > n_total:
             break
         chew_starts.append(i0)
-        # the row length gen_chew_burst gives a burst of n_burst / fs seconds
-        chew_lengths.append(int(round((n_burst / fs) * fs)))
+        chew_lengths.append(n_burst)
         chew_seeds.append(rng.integers(2**31))
         annotations.append(Annotation("chew", i0 / fs, (i0 + n_burst) / fs))
         chew_terms.append((i0 + n_burst) / fs)
@@ -246,20 +246,6 @@ def gen_session(plan: SessionPlan) -> RawRecording:
         swallow_noise.append(rng.standard_normal(n_burst))
         annotations.append(Annotation("swallow", i0 / fs, (i0 + n_burst) / fs))
 
-    # Artifacts: weaker, longer, irregular activity bleeding into both
-    # channels. Each draws its modulation, then one carrier per channel.
-    art_starts, art_lengths, modulation_noise, carrier_noise = [], [], [], []
-    for kind, onset, term in plan.artifact_schedule:
-        i0 = int(round(onset * fs))
-        n_art = int(round((term - onset) * fs))
-        if n_art < 2:
-            raise ValueError(f"artifact [{onset}, {term}] too short to render")
-        art_starts.append(i0)
-        art_lengths.append(n_art)
-        modulation_noise.append(rng.standard_normal(n_art))
-        carrier_noise += [rng.standard_normal(n_art) for _ in CHANNELS]
-        annotations.append(Annotation(kind, i0 / fs, (i0 + n_art) / fs))
-
     chews = _chew_bursts(chew_seeds, chew_lengths, fs)
     _scaled_to_rms(chews, chew_lengths, burst_rms)
     _place(masseter, chew_starts, chew_lengths, chews)
@@ -270,14 +256,23 @@ def gen_session(plan: SessionPlan) -> RawRecording:
     _scaled_to_rms(swallows, swallow_lengths, burst_rms)
     _place(submental, swallow_starts, swallow_lengths, swallows)
 
-    modulation = np.abs(apply_filter(_padded(modulation_noise), bandpass(fs, (1.0, 5.0))))
-    # the filter rings on into the padding; the peak is the row's own
-    modulation[np.arange(modulation.shape[1]) >= np.asarray(art_lengths)[:, None]] = 0.0
-    modulation = np.repeat(_peak_normalized(modulation), len(CHANNELS), axis=0)
-    arts = apply_filter(_padded(carrier_noise), bandpass(fs, ARTIFACT_BAND)) * modulation
-    _scaled_to_rms(arts, np.repeat(art_lengths, len(CHANNELS)), ARTIFACT_LEVEL * burst_rms)
-    _place(masseter, art_starts, art_lengths, arts[0::2])
-    _place(submental, art_starts, art_lengths, arts[1::2])
+    # Artifacts: weaker, longer, irregular activity bleeding into both
+    # channels. Each is drawn and rendered on its own, so memory stays
+    # bounded by the artifact's own length however many overlap.
+    level = ARTIFACT_LEVEL * burst_rms
+    for kind, onset, term in plan.artifact_schedule:
+        i0 = int(round(onset * fs))
+        n_art = int(round((term - onset) * fs))
+        if n_art < 2:
+            raise ValueError(f"artifact [{onset}, {term}] too short to render")
+        modulation = np.abs(apply_filter(rng.standard_normal(n_art), bandpass(fs, (1.0, 5.0))))
+        _peak_normalized(modulation[None])
+        for channel in (masseter, submental):
+            art = apply_filter(rng.standard_normal(n_art), bandpass(fs, ARTIFACT_BAND))
+            art *= modulation
+            _scaled_to_rms(art[None], [n_art], level)
+            channel[i0 : i0 + n_art] += art
+        annotations.append(Annotation(kind, i0 / fs, (i0 + n_art) / fs))
 
     return RawRecording(
         participant_id=plan.participant_id,

@@ -5,6 +5,7 @@ is derived from the sample clock, so a x10 replay produces the same server
 transcript as a real-time one.
 """
 
+import math
 import socket
 import threading
 import time
@@ -57,10 +58,10 @@ def stream_client(
     to one computed from it. A frame may hold at most
     protocol.MAX_BUFFERED_S of signal, the most the server accepts at once.
     """
-    if speed < 0:
+    if not speed >= 0:
         raise ValueError("speed must be >= 0")
-    if not frame_s > 0:
-        raise ValueError(f"frame_s {frame_s} must be positive")
+    if not (math.isfinite(frame_s) and frame_s > 0):
+        raise ValueError(f"frame_s {frame_s} must be positive and finite")
     n_frame = max(1, int(frame_s * recording.sample_rate))
     if n_frame > protocol.MAX_BUFFERED_S * recording.sample_rate:
         raise ValueError(

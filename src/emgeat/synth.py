@@ -9,14 +9,13 @@ annotated with its exact sample-aligned interval, which is what makes these
 sessions usable as ground truth for detector and classifier checks.
 
 A session's bursts are rendered in blocks. The chew and swallow draws come
-first, in one fixed order; then chews and swallows each become one
-zero-padded (bursts, samples) block, band-passed in one apply_filter call
-and shaped row by row in whole-block operations, and the rows are added
-into the channels in the order the draws were made. Artifacts, which may be
-long and overlap, are drawn and rendered one at a time after that. A single
-chew burst is the one-row case of the same renderer. Recordings are bit-identical
-per plan, and tests/test_synth.py pins the samples and annotations of a
-set of plans by digest.
+first, in one fixed order; then one _bursts call renders all chews and one
+all swallows: a zero-padded (bursts, samples) block, band-passed in one
+apply_filter call and shaped row by row in whole-block operations. The rows
+are added into the channels in the order the draws were made. Artifacts,
+which may be long and overlap, are drawn and rendered one at a time after
+that. Recordings are bit-identical per plan, and tests/test_synth.py pins
+the samples and annotations of a set of plans by digest.
 """
 
 import math
@@ -46,6 +45,12 @@ ARTIFACT_LEVEL = 0.3  # relative to the chew-burst RMS
 # Relative jitter on chew spacing and duration.
 TIMING_JITTER = 0.1
 
+# Largest |snr_db|, well past any real recording's. Above about 1000 dB the
+# samples exceed what the wire accepts (io.protocol.MAX_SAMPLE_ABS), and
+# above about 6200 dB the burst level overflows float64; at -100 dB a burst
+# is 1e-5 of the background, which no detector can find.
+MAX_ABS_SNR_DB = 100.0
+
 
 @dataclass(frozen=True)
 class SessionPlan:
@@ -69,21 +74,12 @@ class SessionPlan:
                 raise ValueError(f"{name} {value!r} must be positive and finite")
         if not (math.isfinite(self.chew_rate_hz) and self.chew_rate_hz >= 0):
             raise ValueError(f"chew_rate_hz {self.chew_rate_hz!r} must be >= 0 and finite")
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db {self.snr_db!r} must be finite")
+        if not abs(self.snr_db) <= MAX_ABS_SNR_DB:
+            raise ValueError(f"snr_db {self.snr_db!r} must be within ±{MAX_ABS_SNR_DB:g} dB")
         if self.swallow_every_n_chews < 1:
             raise ValueError("swallow_every_n_chews must be >= 1")
         if self.baseline_lead_s >= self.duration_s:
             raise ValueError("baseline lead must fit inside the session")
-
-
-def _seeded_noise(seeds, lengths) -> np.ndarray:
-    """Zero-padded white-noise block: row i holds lengths[i] standard
-    normals from its own generator seeded with seeds[i]."""
-    block = np.zeros((len(seeds), max(lengths, default=0)))
-    for row, seed, n in zip(block, seeds, lengths):
-        np.random.default_rng(seed).standard_normal(out=row[:n])
-    return block
 
 
 def _padded(rows) -> np.ndarray:
@@ -94,11 +90,10 @@ def _padded(rows) -> np.ndarray:
     return block
 
 
-def _peak_normalized(block: np.ndarray, scratch: np.ndarray = None) -> np.ndarray:
+def _peak_normalized(block: np.ndarray) -> np.ndarray:
     """Divide each row, in place, by its largest magnitude; a row of zeros
-    stays zero. Padding must be zero, so the peak is the row's own.
-    `scratch`, a spent array of the block's shape, takes the magnitudes."""
-    peak = np.max(np.abs(block, out=scratch), axis=1, keepdims=True, initial=0.0)
+    stays zero. Padding must be zero, so the peak is the row's own."""
+    peak = np.max(np.abs(block), axis=1, keepdims=True, initial=0.0)
     block /= np.where(peak > 0, peak, 1.0)
     return block
 
@@ -113,70 +108,27 @@ def _scaled_to_rms(block: np.ndarray, lengths, target: float) -> np.ndarray:
     return block
 
 
-def _shaped_bursts(noise: np.ndarray, lengths, sample_rate: float, band) -> np.ndarray:
-    """Band-limited carriers under raised-cosine envelopes, peak-normalized.
+def _bursts(noise, sample_rate: float, band, target_rms: float):
+    """Render one burst per white-noise array; returns (block, lengths).
 
-    Row i of the zero-padded white-noise block is one burst of lengths[i]
-    samples, at least 2. The whole block is filtered in one call (the
-    filter is causal, so the padding does not reach a row's own samples),
-    and each envelope spans its own row; samples past a row's length come
-    out zero. The noise is spent: its buffer is reused for the envelopes.
+    Each array, at least 2 samples, becomes one row of a zero-padded block
+    that is band-passed in one call (the filter is causal, so the padding
+    does not reach a row's own samples). Each row then gets a raised-cosine
+    envelope over its own length, zero past it, and is peak-normalized and
+    scaled to the target RMS. Every row is bit-identical to its own
+    one-row call.
     """
+    lengths = [x.size for x in noise]
     if min(lengths, default=2) < 2:
         raise ValueError("burst too short for the sample rate")
-    shaped = apply_filter(noise, bandpass(sample_rate, band))
+    block = apply_filter(_padded(noise), bandpass(sample_rate, band))
     n = np.asarray(lengths)[:, None]
-    k = np.arange(shaped.shape[1])
-    envelope = np.divide(2.0 * np.pi * k, n - 1.0, out=noise)
-    np.cos(envelope, out=envelope)
-    np.subtract(1.0, envelope, out=envelope)
-    envelope *= 0.5
+    k = np.arange(block.shape[1])
+    envelope = 0.5 * (1.0 - np.cos(2.0 * np.pi * k / (n - 1.0)))
     envelope[k >= n] = 0.0
-    shaped *= envelope
-    return _peak_normalized(shaped, scratch=envelope)
-
-
-def _backgrounds(seeds, n: int, sample_rate: float, sigma: float) -> np.ndarray:
-    """One row of band-limited background noise per seed, scaled by sigma."""
-    noise = _seeded_noise(seeds, [n] * len(seeds))
-    rows = apply_filter(noise, bandpass(sample_rate, (20.0, 500.0)))
-    rows *= sigma
-    return rows
-
-
-def gen_baseline_noise(
-    duration_s: float, sample_rate: float, sigma: float, seed: int
-) -> np.ndarray:
-    """Quiet-channel background: band-limited zero-mean Gaussian noise.
-
-    sigma scales the white noise fed into the band-pass, so sigma=0 yields an
-    all-zero signal.
-    """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be non-negative")
-    n = int(round(duration_s * sample_rate))
-    return _backgrounds([seed], n, sample_rate, sigma)[0]
-
-
-def _chew_bursts(seeds, lengths, sample_rate: float) -> np.ndarray:
-    """Unit-peak chew bursts, one zero-padded row per (seed, length)."""
-    return _shaped_bursts(_seeded_noise(seeds, lengths), lengths, sample_rate, CHEW_BAND)
-
-
-def gen_chew_burst(
-    duration_s: float, amplitude: float, sample_rate: float, seed: int
-) -> np.ndarray:
-    """One chew burst: enveloped noise carrier with the requested peak.
-
-    The envelope rises from zero, peaks mid-burst and returns to zero; the
-    carrier differs per seed while the envelope shape stays fixed.
-    """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    n = int(round(duration_s * sample_rate))
-    return amplitude * _chew_bursts([seed], [n], sample_rate)[0]
+    block *= envelope
+    _peak_normalized(block)
+    return _scaled_to_rms(block, lengths, target_rms), lengths
 
 
 def _place(channel: np.ndarray, starts, lengths, block: np.ndarray):
@@ -213,12 +165,17 @@ def gen_session(plan: SessionPlan) -> RawRecording:
     rng = np.random.default_rng(plan.seed)
     burst_rms = NOISE_SIGMA * 10.0 ** (plan.snr_db / 20.0)
 
-    samples = _backgrounds([rng.integers(2**31) for _ in CHANNELS], n_total, fs, NOISE_SIGMA)
+    # Background: each channel's white noise from its own seeded generator.
+    samples = apply_filter(
+        [np.random.default_rng(rng.integers(2**31)).standard_normal(n_total) for _ in CHANNELS],
+        bandpass(fs),
+    )
+    samples *= NOISE_SIGMA
     masseter, submental = samples
     annotations = [Annotation("baseline", 0.0, plan.baseline_lead_s)]
 
     # Chew train: first burst right after the quiet lead, then jittered gaps.
-    chew_starts, chew_lengths, chew_seeds, chew_terms = [], [], [], []
+    chew_starts, chew_noise, chew_terms = [], [], []
     t = plan.baseline_lead_s
     while gap is not None:
         dur = plan.chew_duration_mean_s * (1.0 + TIMING_JITTER * rng.uniform(-1.0, 1.0))
@@ -227,8 +184,7 @@ def gen_session(plan: SessionPlan) -> RawRecording:
         if i0 + n_burst > n_total:
             break
         chew_starts.append(i0)
-        chew_lengths.append(n_burst)
-        chew_seeds.append(rng.integers(2**31))
+        chew_noise.append(np.random.default_rng(rng.integers(2**31)).standard_normal(n_burst))
         annotations.append(Annotation("chew", i0 / fs, (i0 + n_burst) / fs))
         chew_terms.append((i0 + n_burst) / fs)
         t += gap * (1.0 + TIMING_JITTER * rng.uniform(-1.0, 1.0))
@@ -246,14 +202,11 @@ def gen_session(plan: SessionPlan) -> RawRecording:
         swallow_noise.append(rng.standard_normal(n_burst))
         annotations.append(Annotation("swallow", i0 / fs, (i0 + n_burst) / fs))
 
-    chews = _chew_bursts(chew_seeds, chew_lengths, fs)
-    _scaled_to_rms(chews, chew_lengths, burst_rms)
+    chews, chew_lengths = _bursts(chew_noise, fs, CHEW_BAND, burst_rms)
     _place(masseter, chew_starts, chew_lengths, chews)
     _place(submental, chew_starts, chew_lengths, SUBMENTAL_BLEED * chews)
 
-    swallow_lengths = [x.size for x in swallow_noise]
-    swallows = _shaped_bursts(_padded(swallow_noise), swallow_lengths, fs, SWALLOW_BAND)
-    _scaled_to_rms(swallows, swallow_lengths, burst_rms)
+    swallows, swallow_lengths = _bursts(swallow_noise, fs, SWALLOW_BAND, burst_rms)
     _place(submental, swallow_starts, swallow_lengths, swallows)
 
     # Artifacts: weaker, longer, irregular activity bleeding into both

@@ -70,6 +70,14 @@ class TestGenerate:
         assert rc == 1 and "holds a comma or a line break" in err
         assert not out.exists()
 
+    def test_unusable_snr_exits_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc, _, err = run_cli(["generate", "--out", str(out), "--snr", "7000"], capsys)
+        assert rc == 1
+        assert err.startswith("emgeat: ") and "snr_db" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -506,6 +506,15 @@ def test_non_finite_plans_and_samples_refused(check, value, tmp_path):
         call(value, tmp_path)
 
 
+@pytest.mark.parametrize("snr_db", [7000.0, 6000.0, -7000.0])
+def test_unusable_snr_refused(snr_db):
+    # Before, `generate --snr 7000` overflowed computing the burst level, and
+    # `--snr 6000` wrote samples near 1e299 that `replay` could not send.
+    with pytest.raises(ValueError, match="snr_db"):
+        synth.SessionPlan(snr_db=snr_db)
+    synth.SessionPlan(snr_db=math.copysign(synth.MAX_ABS_SNR_DB, snr_db))
+
+
 @pytest.fixture(scope="module")
 def reader_files(tmp_path_factory):
     """reader name -> (reader, a valid file it reads). Each reader also gets
@@ -1005,7 +1014,14 @@ class TestServerSessions:
 
     @pytest.mark.parametrize(
         "frame_s, message",
-        [(0.0, "must be positive"), (-1.0, "must be positive"), (11.0, "10.0 s")],
+        [
+            (0.0, "must be positive"),
+            (-1.0, "must be positive"),
+            (11.0, "10.0 s"),
+            # inf used to overflow `int` instead
+            (math.inf, "must be positive and finite"),
+            (math.nan, "must be positive and finite"),
+        ],
     )
     def test_frame_the_server_would_refuse_rejected_before_connecting(
         self, frame_s, message
@@ -1018,6 +1034,12 @@ class TestServerSessions:
                 short_session(seed=29), "127.0.0.1", free_port, speed=0,
                 frame_s=frame_s,
             )
+
+    @pytest.mark.parametrize("speed", [-1.0, math.nan])
+    def test_negative_or_nan_speed_rejected_before_connecting(self, speed):
+        # A nan speed used to pass `speed < 0` and flood.
+        with pytest.raises(ValueError, match="speed must be >= 0"):
+            io.stream_client(short_session(seed=29), "127.0.0.1", 1, speed=speed)
 
     def test_frame_of_exactly_the_cap_is_accepted(self, server, profile):
         rec = short_session(seed=30, duration_s=12.0)

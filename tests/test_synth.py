@@ -5,12 +5,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emgeat.synth import (
+    CHEW_BAND,
     NOISE_SIGMA,
+    SWALLOW_BAND,
     SessionPlan,
-    gen_baseline_noise,
-    gen_chew_burst,
+    _bursts,
     gen_session,
 )
 
@@ -27,48 +29,39 @@ def analytic_bandpass_mag(f, low=20.0, high=500.0, order=5, fs=1024.0):
 
 
 class TestBaselineNoise:
+    """The background of a rate-0 session, which holds nothing else."""
+
     def test_sd_matches_filtered_white_noise_power(self):
-        # output sd = sigma * sqrt((2/fs) * integral of |H(f)|^2)
+        # output sd = NOISE_SIGMA * sqrt((2/fs) * integral of |H(f)|^2)
         fs = 1024.0
         f = np.linspace(1e-6, fs / 2 - 1e-6, 4000)
         h2 = np.array([analytic_bandpass_mag(x) ** 2 for x in f])
         gain = np.sqrt(np.trapezoid(h2, f) * 2.0 / fs)
-        x = gen_baseline_noise(5.0, fs, 0.01, seed=99)
-        assert float(x.std()) == pytest.approx(0.01 * gain, rel=0.15)
+        recording = gen_session(SessionPlan(duration_s=5.0, chew_rate_hz=0.0, seed=99))
+        x = recording.channel("masseter")
+        assert float(x.std()) == pytest.approx(NOISE_SIGMA * gain, rel=0.15)
 
-    def test_deterministic(self):
-        a = gen_baseline_noise(2.0, 1024.0, 0.05, seed=7)
-        b = gen_baseline_noise(2.0, 1024.0, 0.05, seed=7)
-        assert np.array_equal(a, b)
 
-    def test_sigma_zero(self):
-        assert np.all(gen_baseline_noise(1.0, 1024.0, 0.0, seed=1) == 0.0)
-
-    def test_bad_args(self):
-        with pytest.raises(ValueError):
-            gen_baseline_noise(0.0, 1024.0, 0.05, seed=1)
-        with pytest.raises(ValueError):
-            gen_baseline_noise(1.0, 1024.0, -0.1, seed=1)
+def noise(seed, n):
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 class TestChewBurst:
+    """Chew bursts from _bursts, the renderer gen_session uses."""
+
     def test_envelope_shape(self):
-        burst = gen_chew_burst(0.42, 1.0, 1024.0, seed=5)
+        (burst,), _ = _bursts([noise(5, 430)], 1024.0, CHEW_BAND, 1.0)
         assert burst[0] == 0.0
         assert burst[-1] == 0.0
-        assert float(np.max(np.abs(burst))) == pytest.approx(1.0)
+        assert float(np.sqrt(np.mean(burst**2))) == pytest.approx(1.0)
         # energy concentrates mid-burst: compare edge blocks vs middle blocks
         blocks = np.array_split(np.abs(burst), 10)
         edge = max(blocks[0].max(), blocks[-1].max())
         middle = max(blocks[4].max(), blocks[5].max())
         assert middle > 2.0 * edge
 
-    def test_amplitude_zero(self):
-        assert np.all(gen_chew_burst(0.42, 0.0, 1024.0, seed=5) == 0.0)
-
     def test_seed_changes_carrier_not_shape(self):
-        a = gen_chew_burst(0.42, 1.0, 1024.0, seed=1)
-        b = gen_chew_burst(0.42, 1.0, 1024.0, seed=2)
+        (a, b), _ = _bursts([noise(1, 430), noise(2, 430)], 1024.0, CHEW_BAND, 1.0)
         assert not np.array_equal(a, b)
         for burst in (a, b):
             assert burst[0] == 0.0 and burst[-1] == 0.0
@@ -76,8 +69,26 @@ class TestChewBurst:
             assert np.argmax(np.abs(burst)) < 3 * burst.size // 4
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            gen_chew_burst(0.0005, 1.0, 1024.0, seed=1)
+        with pytest.raises(ValueError, match="too short"):
+            _bursts([noise(1, 430), noise(2, 1)], 1024.0, CHEW_BAND, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+    lengths=st.lists(st.integers(2, 600), min_size=6, max_size=6),
+    sample_rate=st.sampled_from([1024.0, 1500.0, 2000.0]),
+    band=st.sampled_from([CHEW_BAND, SWALLOW_BAND]),
+    target_rms=st.floats(1e-3, 1e3),
+)
+def test_each_burst_row_is_its_own_one_row_call(seeds, lengths, sample_rate, band, target_rms):
+    rows = [noise(seed, n) for seed, n in zip(seeds, lengths)]
+    block, got = _bursts(rows, sample_rate, band, target_rms)
+    assert got == [row.size for row in rows]
+    for burst, row in zip(block, rows):
+        (alone,), _ = _bursts([row], sample_rate, band, target_rms)
+        assert np.array_equal(burst[: row.size], alone)
+        assert not np.any(burst[row.size :])
 
 
 class TestSessionPlanValidation:

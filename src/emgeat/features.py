@@ -14,7 +14,6 @@ pairs that clear a threshold (Phinyomark et al., Expert Syst. Appl. 39(8),
 2012).
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,41 +76,19 @@ class WindowSpec:
             raise ValueError("hop must be positive and no longer than the window")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-# The taper and the bin grid depend only on the window length (and rate), so
-# each is built once and shared read-only: no caller can poison a later call.
-@functools.lru_cache(maxsize=64)
-def hamming_window(n: int) -> np.ndarray:
-    """Hamming taper of length n; the degenerate n=1 window is [1.0]."""
-    if n < 1:
-        raise ValueError("window length must be >= 1")
-    return _read_only(np.hamming(n))
-
-
-@functools.lru_cache(maxsize=64)
-def _rfft_freqs(n: int, rate: float) -> np.ndarray:
-    return _read_only(np.fft.rfftfreq(n, d=1.0 / rate))
-
-
 def periodogram(segment: np.ndarray, rate: float):
     """One-sided periodogram along the last axis. Returns (freqs_hz, power).
 
     Power convention is |X_j|^2 / n over the Hamming-tapered segment;
     spectral features below only depend on bin ratios plus this fixed scale.
-    `freqs_hz` is shared between calls and read-only.
     """
     x = np.asarray(segment, dtype=float)
     if x.size == 0:
         raise ValueError("empty segment")
     n = x.shape[-1]
-    x = x * hamming_window(n)
-    spectrum = np.fft.rfft(x)
+    spectrum = np.fft.rfft(x * np.hamming(n))
     power = (spectrum.real**2 + spectrum.imag**2) / n
-    return _rfft_freqs(n, rate), power
+    return np.fft.rfftfreq(n, d=1.0 / rate), power
 
 
 def _value(v, cast=float):
@@ -124,12 +101,6 @@ def _pair_rate(hits, n: int):
     return _value(np.count_nonzero(hits, axis=-1) / max(n - 1, 1))
 
 
-def _mean(x, keepdims=False):
-    """x.mean(axis=-1) without the method wrapper: the same sum, in the same
-    order, divided by the same count."""
-    return np.add.reduce(x, axis=-1, keepdims=keepdims) / x.shape[-1]
-
-
 def _half_index(c):
     """First index along the last axis where running sum c reaches half its end."""
     return np.argmax(c >= 0.5 * c[..., -1:], axis=-1)
@@ -140,7 +111,7 @@ def _half_index(c):
 
 def mav(x):
     """Mean absolute value."""
-    return _value(_mean(np.abs(x)))
+    return _value(np.abs(x).mean(axis=-1))
 
 
 def iemg(x):
@@ -153,15 +124,12 @@ def variance(x):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] < 2:
         return _value(np.zeros(x.shape[:-1]))
-    # x.var(ddof=1) step by step: mean, squared deviations, sum / (n - 1).
-    deviation = x - _mean(x, keepdims=True)
-    np.multiply(deviation, deviation, out=deviation)
-    return _value(np.add.reduce(deviation, axis=-1) / (x.shape[-1] - 1))
+    return _value(x.var(axis=-1, ddof=1))
 
 
 def rms(x):
     """Root mean square."""
-    return _value(np.sqrt(_mean(np.square(x))))
+    return _value(np.sqrt(np.square(x).mean(axis=-1)))
 
 
 def sd(x):
@@ -224,7 +192,7 @@ def mean_freq(freqs, power):
 
 def mean_power(power):
     """Average periodogram power over the one-sided bins."""
-    return _value(_mean(np.asarray(power)))
+    return _value(np.asarray(power).mean(axis=-1))
 
 
 def median_freq_index(power):

@@ -11,6 +11,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..feedback import RateNormalizer
 from ..realtime import STREAM_CHANNEL, CalibrationProfile, calibrate
 from ..signal import sample_time_us
 from . import protocol
@@ -68,6 +69,8 @@ def stream_client(
             f"a {frame_s} s frame holds {n_frame} samples, more than the"
             f" {protocol.MAX_BUFFERED_S} s the server accepts in one frame"
         )
+    if reference_rate_hz is not None:
+        RateNormalizer(reference_rate_hz)  # the server's rule and message
     samples = recording.channel(STREAM_CHANNEL)
     if profile is None:
         profile = calibrate([samples], recording.sample_rate, source=recording.participant_id)

@@ -82,8 +82,7 @@ def calibrate(
     if not segments:
         raise ValueError("no calibration segments")
     sos = _signal.bandpass(sample_rate)
-    for s in segments:
-        _signal._check_signal(s)
+    segments = [_signal._check_signal(s) for s in segments]
     rectified = [_signal.rectify(_signal.apply_filter(s, sos)) for s in segments]
 
     chunk = max(1, int(_CHUNK_S * sample_rate))
@@ -242,8 +241,7 @@ def _segment_pass(st: StreamState, samples) -> tuple:
     start and end seconds in the session. Any chunking gives the rows of one
     whole pass.
     """
-    _signal._check_signal(samples)
-    filtered = _signal.apply_filter(samples, st.sos, st.zi)
+    filtered = _signal.apply_filter(_signal._check_signal(samples), st.sos, st.zi)
     envelope, st.carry = _signal.block_means(
         np.abs(filtered, out=filtered), _signal.DECIMATION_FACTOR, st.carry
     )

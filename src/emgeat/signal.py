@@ -2,8 +2,9 @@
 
 Raw two-channel recordings (masseter, submental) are conditioned in a fixed
 order before any feature extraction: band-pass filter, full-wave
-rectification, min-max normalization, decimation. The same chain, minus the
-per-recording normalization, is reused by the streaming path.
+rectification, min-max normalization, block-mean decimation (`block_means`,
+the one decimator). The same chain, minus the per-recording normalization,
+is reused by the streaming path.
 
 This is the only module that touches scipy, and it never imports the
 scipy.signal package: that package's __init__ pulls in scipy.stats,
@@ -275,10 +276,12 @@ def apply_filter(x: np.ndarray, sos: np.ndarray, zi: np.ndarray = None) -> np.nd
     return y
 
 
-def _check_signal(x):
-    """Refuse a block where one signal is expected."""
-    if np.ndim(x) != 1:
+def _check_signal(x) -> np.ndarray:
+    """The samples of one signal as a float array; refuse a block."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
         raise ValueError("expected a 1-D sample array")
+    return x
 
 
 def rectify(x: np.ndarray) -> np.ndarray:
@@ -312,21 +315,6 @@ def block_means(x: np.ndarray, factor: int, carry: np.ndarray = None):
     return np.add.reduce(blocks, axis=1) / factor, x[n_full * factor :]
 
 
-def downsample(x: np.ndarray, factor: int) -> np.ndarray:
-    """Reduce the rate by an integer factor: the mean of each block of
-    `factor` samples (anti-alias smoothing of the rectified envelope). A
-    ragged final block is averaged over the samples it actually has.
-    """
-    x = np.asarray(x, dtype=float)
-    if factor < 1 or int(factor) != factor:
-        raise ValueError(f"decimation factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    if x.size == 0:
-        raise ValueError("cannot downsample an empty signal")
-    means, leftover = block_means(x, factor)
-    return np.append(means, leftover.mean()) if leftover.size else means
-
-
 @dataclass
 class ProcessedSignal:
     """Conditioned single-channel envelope at the decimated rate."""
@@ -337,12 +325,13 @@ class ProcessedSignal:
 
 def preprocess(x: np.ndarray, sample_rate: float) -> ProcessedSignal:
     """Full conditioning chain: band-pass, rectify, normalize, block-mean
-    decimation by DECIMATION_FACTOR."""
-    _check_signal(x)
-    y = apply_filter(x, bandpass(sample_rate))
-    y = normalize(rectify(y))
-    y = downsample(y, DECIMATION_FACTOR)
-    return ProcessedSignal(samples=y, rate=sample_rate / DECIMATION_FACTOR)
+    decimation by DECIMATION_FACTOR. A ragged final block is averaged over
+    the samples it actually has."""
+    y = apply_filter(_check_signal(x), bandpass(sample_rate))
+    means, leftover = block_means(normalize(rectify(y)), DECIMATION_FACTOR)
+    if leftover.size:
+        means = np.append(means, leftover.mean())
+    return ProcessedSignal(samples=means, rate=sample_rate / DECIMATION_FACTOR)
 
 
 def preprocess_recording(recording: RawRecording) -> dict:

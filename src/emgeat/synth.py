@@ -215,7 +215,9 @@ def gen_session(plan: SessionPlan) -> RawRecording:
     level = ARTIFACT_LEVEL * burst_rms
     for kind, onset, term in plan.artifact_schedule:
         i0 = int(round(onset * fs))
-        n_art = int(round((term - onset) * fs))
+        # Start and length round on their own, so one ending at the session
+        # end can reach a sample past it.
+        n_art = min(int(round((term - onset) * fs)), n_total - i0)
         if n_art < 2:
             raise ValueError(f"artifact [{onset}, {term}] too short to render")
         modulation = np.abs(apply_filter(rng.standard_normal(n_art), bandpass(fs, (1.0, 5.0))))

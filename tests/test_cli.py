@@ -55,6 +55,18 @@ class TestGenerate:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    def test_artifact_ending_at_the_session_end(self, tmp_path, capsys):
+        rc, out, _ = run_cli(
+            [
+                "generate", "--out", str(tmp_path), "--duration", "3.1",
+                "--baseline-lead", "0.5", "--artifact", "speech:0.03:3.1",
+            ],
+            capsys,
+        )
+        assert rc == 0
+        rec = io.read_recording(tmp_path / "P00.csv")
+        assert rec.annotations_of("speech")[0].termination_s == rec.duration_s
+
     def test_bad_artifact_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--out", str(tmp_path), "--artifact", "speech:10"])
@@ -444,6 +456,25 @@ class TestReplay:
         )
         assert rc == 1
         assert err.startswith("emgeat:")
+
+    @pytest.mark.parametrize("rate", ["nan", "0", "-1"])
+    def test_bad_reference_rate_exits_before_connecting(self, session_file, capsys, rate):
+        import socket
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            free_port = probe.getsockname()[1]
+        rc, _, err = run_cli(
+            [
+                "replay", "--in", str(session_file), "--port", str(free_port),
+                "--reference-rate", rate,
+            ],
+            capsys,
+        )
+        assert rc == 1
+        assert err.splitlines() == [
+            f"emgeat: reference rate {float(rate)} must be positive and finite"
+        ]
 
 
 class TestServe:

@@ -14,7 +14,6 @@ from emgeat.features import (
     WindowSpec,
     build_feature_matrix,
     extract_features,
-    hamming_window,
     mean_power,
     median_freq_index,
     periodogram,
@@ -183,48 +182,16 @@ class TestFrozenExamples:
                 assert c[idx - 1] < 0.5 * c[-1]
 
 
-class TestHammingWindow:
-    def test_n5_endpoints_and_midpoint(self):
-        w = hamming_window(5)
-        assert w[0] == pytest.approx(0.08)
-        assert w[2] == pytest.approx(1.0)
-        assert w[4] == pytest.approx(0.08)
-
-    def test_n1_degenerate(self):
-        assert np.array_equal(hamming_window(1), [1.0])
-
-    def test_bounded_and_symmetric(self):
-        for n in (2, 7, 64, 513):
-            w = hamming_window(n)
-            assert np.max(w) <= 1.0
-            assert np.max(np.abs(w - w[::-1])) < 1e-12
-
-    def test_matches_cosine_formula(self):
-        assert np.allclose(hamming_window(33), naive_hamming(33), atol=1e-12)
-
-    def test_cached_window_equals_numpy_and_is_read_only(self):
-        for n in (1, 2, 51, 166, 513):
-            w = hamming_window(n)
-            assert np.array_equal(w, np.hamming(n))
-            assert hamming_window(n) is w
-            with pytest.raises(ValueError, match="read-only"):
-                w[0] = 5.0
-            assert np.array_equal(hamming_window(n), np.hamming(n))
-
-    def test_cached_frequency_grid_equals_numpy_and_is_read_only(self):
+class TestPeriodogramPin:
+    @pytest.mark.parametrize("n", [1, 2, 51, 166, 513])
+    def test_equals_numpy_taper_and_grid_bit_for_bit(self, n):
         rng = np.random.default_rng(8)
-        for n, rate in ((51, 102.4), (166, 102.4), (64, 1024.0), (1, 50.0)):
-            freqs, _ = periodogram(rng.standard_normal(n), rate)
-            assert np.array_equal(freqs, np.fft.rfftfreq(n, d=1.0 / rate))
-            with pytest.raises(ValueError, match="read-only"):
-                freqs[-1] = 0.0
-            # A later periodogram still sees the true grid and the true taper.
-            x = rng.standard_normal((3, n))
-            again, power = periodogram(x, rate)
-            assert np.array_equal(again, np.fft.rfftfreq(n, d=1.0 / rate))
+        rate = 102.4
+        for x in (rng.standard_normal(n), rng.standard_normal((3, n))):
+            freqs, power = periodogram(x, rate)
             spectrum = np.fft.rfft(x * np.hamming(n))
-            expected = (spectrum.real**2 + spectrum.imag**2) / n
-            assert np.array_equal(power, expected)
+            assert np.array_equal(freqs, np.fft.rfftfreq(n, d=1.0 / rate))
+            assert np.array_equal(power, (spectrum.real**2 + spectrum.imag**2) / n)
 
 
 class TestScaleRelations:

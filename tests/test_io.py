@@ -1041,6 +1041,17 @@ class TestServerSessions:
         with pytest.raises(ValueError, match="speed must be >= 0"):
             io.stream_client(short_session(seed=29), "127.0.0.1", 1, speed=speed)
 
+    @pytest.mark.parametrize("rate", [math.nan, 0.0, -1.0])
+    def test_bad_reference_rate_rejected_before_connecting(self, rate):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            free_port = probe.getsockname()[1]
+        with pytest.raises(ValueError, match="reference rate .* must be positive"):
+            io.stream_client(
+                short_session(seed=29), "127.0.0.1", free_port, speed=0,
+                reference_rate_hz=rate,
+            )
+
     def test_frame_of_exactly_the_cap_is_accepted(self, server, profile):
         rec = short_session(seed=30, duration_s=12.0)
         result = io.stream_client(

@@ -564,6 +564,23 @@ class TestRtTrainingSet:
         assert (learn.predict(rt_model, mat.values) == "C").tolist() == raw
 
 
+class TestSegmentPass:
+    def test_list_and_array_of_the_same_values_agree(self, profile, test_session):
+        raw = test_session.channel("masseter")[: 3 * 1024 + 77]
+        from_list, from_array = rt.StreamState(profile), rt.StreamState(profile)
+        for i in range(0, raw.size, 1024):
+            chunk = raw[i : i + 1024]
+            got = rt._segment_pass(from_list, chunk.tolist())
+            want = rt._segment_pass(from_array, chunk)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        assert from_array.segments > 0
+        for name in ("zi", "carry", "envelope"):
+            assert np.array_equal(getattr(from_list, name), getattr(from_array, name))
+        assert from_list.raw_consumed == from_array.raw_consumed == raw.size
+        assert from_list.segments == from_array.segments
+
+
 # Any chunking, from single samples to one whole-session push, must give the
 # same predictions and bit-identical events as one push of the whole session.
 PROPERTY_S = 8.0

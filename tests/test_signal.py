@@ -23,7 +23,6 @@ from emgeat.signal import (
     RawRecording,
     apply_filter,
     bandpass,
-    downsample,
     normalize,
     preprocess,
     rectify,
@@ -333,28 +332,6 @@ class TestNormalize:
             normalize(np.array([]))
 
 
-class TestDownsample:
-    def test_length_1000_factor_10(self):
-        assert downsample(np.arange(1000.0), 10).size == 100
-
-    def test_factor_1_identity(self):
-        x = np.arange(33.0)
-        assert np.array_equal(downsample(x, 1), x)
-
-    def test_constant_block_mean(self):
-        assert np.allclose(downsample(np.full(100, 0.5), 10), 0.5)
-
-    def test_block_mean_values(self):
-        x = np.arange(20.0)
-        assert np.allclose(downsample(x, 10), [4.5, 14.5])
-
-    def test_ragged_tail_mean(self):
-        x = np.arange(25.0)
-        out = downsample(x, 10)
-        assert out.size == 3
-        assert out[2] == pytest.approx(np.mean(x[20:]))
-
-
 class TestFullChain:
     def test_output_range_and_rate(self):
         rng = np.random.default_rng(9)
@@ -363,6 +340,20 @@ class TestFullChain:
         assert np.all(out.samples >= 0.0)
         assert np.all(out.samples <= 1.0)
         assert out.samples.size == 1024
+
+    @pytest.mark.parametrize("n", [10241, 10249])
+    def test_one_sample_per_block_and_ragged_tail(self, n):
+        out = preprocess(np.random.default_rng(9).standard_normal(n), 1024.0)
+        assert out.samples.size == -(-n // DECIMATION_FACTOR)
+
+    def test_ragged_tail_is_the_mean_of_its_samples(self):
+        x = np.random.default_rng(10).standard_normal(10245)
+        envelope = normalize(rectify(apply_filter(x, bandpass(1024.0))))
+        out = preprocess(x, 1024.0)
+        assert out.samples[-1] == envelope[-5:].mean()
+        assert np.array_equal(
+            out.samples[:-1], envelope[:-5].reshape(-1, DECIMATION_FACTOR).mean(axis=1)
+        )
 
 
 # Run in a fresh interpreter: import the CLI, featurize a short session and

@@ -194,6 +194,21 @@ class TestGenSession:
         without = float(np.sqrt(np.mean(quiet.channel("masseter")[i0:i1] ** 2)))
         assert with_art > without
 
+    @pytest.mark.parametrize("sample_rate", [1024.0, 1500.0])
+    def test_artifact_ending_at_the_session_end_stays_inside(self, sample_rate):
+        # Start and length round on their own: at 1024 Hz their sum is one
+        # sample past the session's end.
+        plan = SessionPlan(
+            duration_s=3.1,
+            baseline_lead_s=0.5,
+            sample_rate=sample_rate,
+            artifact_schedule=(("speech", 0.03, 3.1),),
+        )
+        recording = gen_session(plan)
+        (speech,) = recording.annotations_of("speech")
+        assert speech.onset_s == round(0.03 * sample_rate) / sample_rate
+        assert speech.termination_s == recording.duration_s
+
     def test_round_trip_byte_identical(self, tmp_path):
         from emgeat.io import read_recording, write_recording
 

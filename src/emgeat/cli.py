@@ -5,6 +5,8 @@ so downstream scripts (and the test suite) can diff them directly.
 """
 
 import argparse
+import dataclasses
+import math
 import signal
 import sys
 from pathlib import Path
@@ -37,9 +39,12 @@ def _parse_artifact(text: str):
 
 def _parse_grid(text: str) -> list:
     try:
-        return [float(v) for v in text.split(",") if v]
+        grid = [float(v) for v in text.split(",") if v]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad penalty grid {text!r}")
+        grid = []
+    if not grid or not all(math.isfinite(c) and c > 0 for c in grid):
+        raise argparse.ArgumentTypeError(f"penalty grid {text!r} needs positive, finite values")
+    return grid
 
 
 def cmd_generate(args) -> int:
@@ -152,21 +157,11 @@ def cmd_analyze(args) -> int:
     events = _io.read_event_log(args.infile)
     timeline = _metrics.correct_and_segment(events, gap_cap_s=args.gap_cap)
     report = _metrics.session_metrics(timeline)
-
-    def fmt(value, defined=True):
-        return repr(float(value)) if defined else "undefined"
-
-    print(f"n_events,{report.n_events}")
-    print(f"n_sequences,{report.n_sequences}")
-    print(f"overall_rate_hz,{fmt(report.overall_rate_hz)}")
-    print(f"mean_chew_period_s,{fmt(report.mean_chew_period_s)}")
-    print(f"chew_duration_s,{fmt(report.chew_duration_s)}")
-    print(f"chew_gap_s,{fmt(report.chew_gap_s, report.chew_gap_defined)}")
-    print(f"sequence_duration_s,{fmt(report.sequence_duration_s)}")
-    print(
-        f"sequence_gap_s,{fmt(report.sequence_gap_s, report.sequence_gap_defined)}"
-    )
-    print(f"chews_per_sequence,{fmt(report.chews_per_sequence)}")
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if value is not None and field.type is not int:
+            value = repr(float(value))
+        print(f"{field.name},{'undefined' if value is None else value}")
     return 0
 
 

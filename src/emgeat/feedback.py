@@ -13,21 +13,17 @@ from enum import Enum
 
 
 class FeedbackLevel(Enum):
-    """Haptic patterns, ordered from no feedback to the strongest."""
+    """Haptic patterns from none to the strongest: none, single pulse, double
+    pulse, intense double. A value is its pattern's label on the wire."""
 
-    NO_PULSE = ("no_pulse", 0, "none")
-    SINGLE_PULSE = ("single_pulse", 1, "normal")
-    DOUBLE_PULSE = ("double_pulse", 2, "normal")
-    INTENSE_DOUBLE = ("intense_double", 2, "high")
-
-    def __init__(self, label, pulses, intensity):
-        self.label = label
-        self.pulses = pulses
-        self.intensity = intensity
+    NO_PULSE = "no_pulse"
+    SINGLE_PULSE = "single_pulse"
+    DOUBLE_PULSE = "double_pulse"
+    INTENSE_DOUBLE = "intense_double"
 
     @property
-    def rank(self) -> int:
-        return list(FeedbackLevel).index(self)
+    def label(self) -> str:
+        return self.value
 
 
 # Half-open normalized-rate bands, closed at the top of the scale.

@@ -59,6 +59,8 @@ def stream_client(
     to one computed from it. A frame may hold at most
     protocol.MAX_BUFFERED_S of signal, the most the server accepts at once.
     """
+    if not 1 <= port <= 65535:
+        raise ValueError(f"port {port} is outside 1..65535")
     if not speed >= 0:
         raise ValueError("speed must be >= 0")
     if not (math.isfinite(frame_s) and frame_s > 0):

@@ -1,9 +1,10 @@
 """TCP streaming server: samples in, rate/level frames and event logs out.
 
-Each connection is one session. Frames are processed synchronously in
-arrival order and every outgoing value is derived from the sample clock, so
-identical client transcripts produce byte-identical server transcripts. Two
-concurrent sessions share nothing but the (read-only) model.
+Each connection is one `_Session`, the one owner of the wire protocol; the
+handler only moves bytes to and from `_Session.feed`. Frames are processed
+synchronously in arrival order and every outgoing value is derived from the
+sample clock, so identical client transcripts produce byte-identical server
+transcripts. Two concurrent sessions share nothing but the (read-only) model.
 
 Every frame is parsed and checked on arrival, but its samples are held until
 they complete a streamed second: the engine is fed once per second, at the
@@ -49,6 +50,10 @@ class ServerConfig:
     log_dir: Path = None  # event logs are skipped when None
     reference_rate_hz: float = DEFAULT_REFERENCE_RATE_HZ
 
+    def __post_init__(self):
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port {self.port} is outside 0..65535")
+
 
 def _positive_float(fields, name: str) -> float:
     value = protocol.parse_float("hello", fields, name)
@@ -58,17 +63,43 @@ def _positive_float(fields, name: str) -> float:
 
 
 class _Session:
-    """State machine for one connection."""
+    """The wire protocol of one connection. `feed` turns a received line
+    into reply frames (line cap, UTF-8, parse, hello first, dispatch) and
+    sets `done` at bye; it raises ProtocolError for the client's fault,
+    ValueError or OSError for the server's."""
 
     def __init__(self, model, normalizer: RateNormalizer, log_path):
         self.model = model
         self.normalizer = normalizer  # the server's, unless hello sets r_ref
         self.log_path = log_path
         self.engine = None
+        self.sample_rate = None  # the hello's
+        self.max_line = _HELLO_LINE_BYTES  # longest line accepted, in bytes
+        self.done = False  # bye answered
         self.received = 0  # samples accepted, the sample clock
         self.pending = []  # accepted samples not yet pushed, under 1 s + 1 frame
         self.last_rate_second = 0
         self.last_level = FeedbackLevel.NO_PULSE
+
+    def feed(self, line: bytes) -> list:
+        """The reply frames to one received line, its newline included."""
+        if len(line) > self.max_line:
+            raise protocol.ProtocolError(f"frame longer than {self.max_line} bytes")
+        try:
+            text = line.decode()
+        except UnicodeDecodeError:
+            raise protocol.ProtocolError("frame is not UTF-8") from None
+        kind, fields = protocol.parse_frame(text, allowed=protocol.CLIENT_KINDS)
+        if self.engine is None:
+            if kind != "hello":
+                raise protocol.ProtocolError("session must open with hello")
+            return self.open(fields)
+        if kind == "hello":
+            raise protocol.ProtocolError("duplicate hello")
+        if kind == "samples":
+            return self.samples(fields)
+        self.done = True  # bye
+        return self.close()
 
     def open(self, fields) -> list:
         protocol.require_fields(
@@ -95,6 +126,8 @@ class _Session:
             raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
         if "r_ref" in fields:
             self.normalizer = RateNormalizer(_positive_float(fields, "r_ref"))
+        self.sample_rate = sample_rate
+        self.max_line += int(protocol.MAX_BUFFERED_S * sample_rate) * _VALUE_BYTES
         return [protocol.format_frame("hello", {"participant": fields["participant"]})]
 
     def samples(self, fields) -> list:
@@ -122,7 +155,7 @@ class _Session:
                 raise protocol.ProtocolError(f"samples value {v!r} at index {bad} {problem}")
         # t_us is the sample clock: a dropped, repeated or reordered frame
         # shows as a mismatch with the samples received so far.
-        fs = self.engine.profile.sample_rate
+        fs = self.sample_rate
         expected = sample_time_us(self.received, fs)
         if t_us != expected:
             raise protocol.ProtocolError(
@@ -162,7 +195,7 @@ class _Session:
     def _tick(self) -> list:
         """Rate frame per whole streamed second, level frame on transitions."""
         out = []
-        now = int(self.engine.current_time_s)
+        now = int(self.received / self.sample_rate)  # the engine's clock, flushed
         while self.last_rate_second < now:
             self.last_rate_second += 1
             t = float(self.last_rate_second)
@@ -170,22 +203,31 @@ class _Session:
             out.append(protocol.format_frame("rate", {"t": t, "value": rate}))
             level = map_level(normalize_rate(rate, self.normalizer))
             if level is not self.last_level:
-                out.append(
-                    protocol.format_frame("level", {"t": t, "value": level.label})
-                )
+                out.append(protocol.format_frame("level", {"t": t, "value": level.label}))
                 self.last_level = level
         return out
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    """Moves bytes: lines to the session, its replies back to the client."""
+
     def handle(self):
-        owner = self.server.owner
+        server = self.server
         try:
-            session = _Session(owner.model, owner.normalizer, owner.next_log_path())
+            session = _Session(server.model, server.normalizer, server.next_log_path())
         except OSError as exc:
             return self._send_error(exc)
+        error = None
         try:
-            error = self._converse(session)
+            # One byte past the cap tells an over-long line from one that fits;
+            # an empty read is a client that went away.
+            while not session.done and (line := self.rfile.readline(session.max_line + 1)):
+                try:
+                    replies = session.feed(line)
+                except (protocol.ProtocolError, ValueError, OSError) as exc:
+                    error = exc
+                    break
+                self._send(replies)
         finally:
             # However the session ends, the samples it accepted reach the
             # engine and the events they close reach the log, as if each
@@ -197,40 +239,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 pass
         if error is not None:
             self._send_error(error)
-
-    def _converse(self, session):
-        """Answer frames until bye or disconnect (None) or an error (returned)."""
-        max_line = _HELLO_LINE_BYTES
-        while True:
-            # One byte past the cap tells an over-long line from one that fits.
-            line = self.rfile.readline(max_line + 1)
-            if not line:
-                return None  # client went away
-            try:
-                if len(line) > max_line:
-                    raise protocol.ProtocolError(f"frame longer than {max_line} bytes")
-                try:
-                    text = line.decode()
-                except UnicodeDecodeError:
-                    raise protocol.ProtocolError("frame is not UTF-8") from None
-                kind, fields = protocol.parse_frame(text, allowed=protocol.CLIENT_KINDS)
-                if session.engine is None:
-                    if kind != "hello":
-                        raise protocol.ProtocolError("session must open with hello")
-                    replies = session.open(fields)
-                    fs = session.engine.profile.sample_rate
-                    max_line += int(protocol.MAX_BUFFERED_S * fs) * _VALUE_BYTES
-                elif kind == "hello":
-                    raise protocol.ProtocolError("duplicate hello")
-                elif kind == "samples":
-                    replies = session.samples(fields)
-                elif kind == "bye":
-                    replies = session.close()
-            except (protocol.ProtocolError, ValueError, OSError) as exc:
-                return exc
-            self._send(replies)
-            if kind == "bye":
-                return None
 
     def _send_error(self, exc):
         """Reply with one error frame: the client's fault is `protocol`, a
@@ -247,13 +255,12 @@ class _Handler(socketserver.StreamRequestHandler):
         self.wfile.flush()
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class EmgServer(socketserver.ThreadingTCPServer):
+    """The TCP server: one thread and one _Session per connection. Run it
+    with serve_forever() or start_background(), stop it with shutdown()."""
+
     allow_reuse_address = True
     daemon_threads = True
-
-
-class EmgServer:
-    """Lifecycle wrapper: bind, run (optionally in a thread), shut down."""
 
     def __init__(self, model: LinearModel, config: ServerConfig = None):
         # Checked before binding: a model of the wrong features or a bad
@@ -262,17 +269,14 @@ class EmgServer:
         self.model = model
         self.config = config or ServerConfig()
         self.normalizer = RateNormalizer(self.config.reference_rate_hz)
-        self._tcp = _ThreadingServer(
-            (self.config.host, self.config.port), _Handler
-        )
-        self._tcp.owner = self
         self._session_counter = 0
         self._lock = threading.Lock()
         self._thread = None
+        super().__init__((self.config.host, self.config.port), _Handler)
 
     @property
     def port(self) -> int:
-        return self._tcp.server_address[1]
+        return self.server_address[1]
 
     def next_log_path(self):
         """The next unused session number's log: never an earlier run's."""
@@ -287,8 +291,8 @@ class EmgServer:
                 if not path.exists():
                     return path
 
-    def serve_forever(self):
-        self._tcp.serve_forever(poll_interval=0.05)
+    def serve_forever(self, poll_interval=0.05):
+        super().serve_forever(poll_interval)
 
     def start_background(self):
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -298,9 +302,9 @@ class EmgServer:
     def shutdown(self):
         # socketserver's shutdown() waits forever unless serve_forever runs in another thread.
         if self._thread is not None:
-            self._tcp.shutdown()
+            super().shutdown()
             self._thread.join(timeout=5)
-        self._tcp.server_close()
+        self.server_close()
 
 
 def serve(model: LinearModel, config: ServerConfig = None) -> EmgServer:

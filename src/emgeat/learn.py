@@ -323,7 +323,6 @@ class FoldResult:
 
 @dataclass
 class EvalReport:
-    positive_label: str
     folds: list
     mean: dict  # label -> Prf of per-fold means
     f1_std: dict  # label -> std of F1 across folds
@@ -365,6 +364,4 @@ def lopo_evaluate(
         mean[label] = Prf(*(float(np.mean([getattr(m, f) for m in per_fold]))
                             for f in Prf._fields))
         f1_std[label] = float(np.std([m.f1 for m in per_fold]))
-    return EvalReport(
-        positive_label=positive_label, folds=folds, mean=mean, f1_std=f1_std
-    )
+    return EvalReport(folds=folds, mean=mean, f1_std=f1_std)

@@ -50,24 +50,22 @@ class CorrectedTimeline:
     events: list  # original ChewEvents, ordered by onset
     corrected_onsets: np.ndarray
     corrected_terminations: np.ndarray
-    gaps: np.ndarray  # original inter-event gaps, length L-1
     corrected_gaps: np.ndarray  # capped gaps, length L-1
     sequences: list  # (first_index, last_index) per sequence, inclusive
-    gap_cap_s: float
 
 
 @dataclass
 class SessionMetrics:
+    """A meal's statistics, in the order `emgeat analyze` prints them."""
+
     n_events: int
     n_sequences: int
     overall_rate_hz: float  # events per corrected second
     mean_chew_period_s: float  # reciprocal view of the same span
     chew_duration_s: float
-    chew_gap_s: float
-    chew_gap_defined: bool  # False when there is only one event
+    chew_gap_s: float  # None when there is only one event
     sequence_duration_s: float
-    sequence_gap_s: float
-    sequence_gap_defined: bool
+    sequence_gap_s: float  # None when there is only one sequence
     chews_per_sequence: float
 
 
@@ -89,8 +87,7 @@ def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> Correct
     durations = np.array([e.duration_s for e in events])
     onsets = np.array([e.onset_s for e in events])
     terms = np.array([e.termination_s for e in events])
-    gaps = onsets[1:] - terms[:-1]
-    corrected_gaps = np.minimum(gaps, gap_cap_s)
+    corrected_gaps = np.minimum(onsets[1:] - terms[:-1], gap_cap_s)
 
     corrected_onsets = np.empty(len(events))
     corrected_onsets[0] = onsets[0]
@@ -101,10 +98,8 @@ def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> Correct
         events=events,
         corrected_onsets=corrected_onsets,
         corrected_terminations=corrected_terms,
-        gaps=gaps,
         corrected_gaps=corrected_gaps,
         sequences=sequence_bounds(events, gap_cap_s),
-        gap_cap_s=gap_cap_s,
     )
 
 
@@ -113,8 +108,7 @@ def session_metrics(timeline: CorrectedTimeline) -> SessionMetrics:
 
     The overall rate is events divided by the corrected span (first corrected
     onset to last corrected termination); its reciprocal form, the mean chew
-    period, is reported alongside. Gap means skip lists with a single member
-    and are flagged undefined instead.
+    period, is reported alongside. A gap mean over no gaps is None.
     """
     events = timeline.events
     n = len(events)
@@ -122,7 +116,6 @@ def session_metrics(timeline: CorrectedTimeline) -> SessionMetrics:
     if span <= 0:
         raise ValueError("degenerate timeline: zero corrected span")
 
-    chew_gap_defined = n > 1
     n_seq = len(timeline.sequences)
     seq_durations = [
         events[last].termination_s - events[first].onset_s
@@ -140,10 +133,8 @@ def session_metrics(timeline: CorrectedTimeline) -> SessionMetrics:
         overall_rate_hz=n / span,
         mean_chew_period_s=span / n,
         chew_duration_s=float(np.mean([e.duration_s for e in events])),
-        chew_gap_s=float(np.mean(timeline.corrected_gaps)) if chew_gap_defined else 0.0,
-        chew_gap_defined=chew_gap_defined,
+        chew_gap_s=float(np.mean(timeline.corrected_gaps)) if n > 1 else None,
         sequence_duration_s=float(np.mean(seq_durations)),
-        sequence_gap_s=float(np.mean(seq_gaps)) if seq_gaps else 0.0,
-        sequence_gap_defined=bool(seq_gaps),
+        sequence_gap_s=float(np.mean(seq_gaps)) if seq_gaps else None,
         chews_per_sequence=n / n_seq,
     )

@@ -272,12 +272,11 @@ class StreamEngine:
     def __init__(self, model: LinearModel, profile: CalibrationProfile):
         check_streaming_model(model)
         self.model = model
-        self.profile = profile
         self.state = StreamState(profile)
 
     @property
     def current_time_s(self) -> float:
-        return self.state.raw_consumed / self.profile.sample_rate
+        return self.state.raw_consumed / self.state.profile.sample_rate
 
     @property
     def events(self) -> list:

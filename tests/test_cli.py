@@ -243,6 +243,20 @@ class TestTrainAndEval:
         assert grid_lines[0].startswith("grid,c=0.1,mean_f1=")
         assert any(l.startswith("selected,c=") for l in lines)
 
+    @pytest.mark.parametrize("grid", [",", "nan,1", "0,1", "-1", "1,inf", "1,x"])
+    def test_unusable_grid_is_usage_error_before_reading(self, tmp_path, capsys, grid):
+        # The dataset does not exist: the grid is refused while parsing.
+        model_path = tmp_path / "m.model"
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["train", "--in", str(tmp_path / "absent.csv"), "--out", str(model_path),
+                 "--grid", grid]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --grid: penalty grid {grid!r} needs positive, finite values" in err
+        assert not model_path.exists()
+
     def test_eval_lopo_table(self, tmp_path, capsys):
         datasets = featurize_sessions(tmp_path, capsys, seeds=(35, 36, 37))
         rc, out, _ = run_cli(
@@ -476,6 +490,19 @@ class TestReplay:
             f"emgeat: reference rate {float(rate)} must be positive and finite"
         ]
 
+    @pytest.mark.parametrize("port", ["70000", "65536", "-5", "0"])
+    def test_port_out_of_range_exits_before_calibrating(
+        self, session_file, capsys, monkeypatch, port
+    ):
+        def never(*args):
+            raise AssertionError("reached past the port check")
+
+        monkeypatch.setattr(io.client, "calibrate", never)
+        monkeypatch.setattr(io.client, "_connect", never)
+        rc, _, err = run_cli(["replay", "--in", str(session_file), "--port", port], capsys)
+        assert rc == 1
+        assert err.splitlines() == [f"emgeat: port {port} is outside 1..65535"]
+
 
 class TestServe:
     def test_rejects_offline_model(self, tmp_path, capsys):
@@ -502,6 +529,14 @@ class TestServe:
         assert done.returncode == 1
         assert done.stdout == ""  # never got as far as "listening on"
         assert "reference rate" in done.stderr
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-5"])
+    def test_port_out_of_range_exits_before_binding(self, rt_model, tmp_path, capsys, port):
+        model_path = io.save_model(rt_model, tmp_path / "rt.model")
+        rc, out, err = run_cli(["serve", "--model", str(model_path), "--port", port], capsys)
+        assert rc == 1
+        assert out == ""  # never got as far as "listening on"
+        assert err.splitlines() == [f"emgeat: port {port} is outside 0..65535"]
 
     @pytest.mark.parametrize(
         "change", [lambda w: w[:3], lambda w: w * np.nan], ids=["three", "nan"]

@@ -81,7 +81,7 @@ class TestMapLevel:
     def test_monotone_over_dense_sweep(self):
         prev_rank = 0
         for norm in np.linspace(0.0, 1.0, 10001):
-            rank = map_level(float(norm)).rank
+            rank = list(FeedbackLevel).index(map_level(float(norm)))
             assert rank >= prev_rank
             prev_rank = rank
 

@@ -1656,12 +1656,12 @@ class TestRandomLines:
         # hello, the line, then bye: a line the session accepts leaves bye
         # answered; any other gets exactly one error frame and ends it.
         failures = []
-        server._tcp.handle_error = lambda request, address: failures.append(address)
+        server.handle_error = lambda request, address: failures.append(address)
         try:
             replies = byte_exchange(server.port, self.HELLO + line + b"\nbye\n")
             again = byte_exchange(server.port, self.HELLO + b"bye\n")
         finally:
-            del server._tcp.handle_error
+            del server.handle_error
         assert failures == []  # no handler died
         assert replies[0] == "hello participant=P"
         frames = [io.parse_frame(r) for r in replies[1:]]
@@ -1674,6 +1674,72 @@ class TestRandomLines:
         else:
             assert kinds == ["error"] and frames[0][1]["reason"] == "protocol"
         assert again == ["hello participant=P", "bye events=0"]
+
+
+class TestSessionFeed:
+    """The wire protocol without a socket: `_Session.feed` turns one line,
+    newline included, into its replies."""
+
+    HELLO = TestRandomLines.HELLO
+
+    @staticmethod
+    def session(model):
+        normalizer = feedback.RateNormalizer(io.DEFAULT_REFERENCE_RATE_HZ)
+        return io.server._Session(model, normalizer, None)
+
+    def test_line_before_hello_refused(self, rt_model):
+        with pytest.raises(io.ProtocolError, match="session must open with hello"):
+            self.session(rt_model).feed(b"samples t_us=0 n=1 v=0.5\n")
+
+    def test_duplicate_hello_refused(self, rt_model):
+        session = self.session(rt_model)
+        assert session.feed(self.HELLO) == ["hello participant=P"]
+        with pytest.raises(io.ProtocolError, match="duplicate hello"):
+            session.feed(self.HELLO)
+
+    def test_line_cap_before_and_after_hello(self, rt_model):
+        session = self.session(rt_model)
+        prefix = b"hello sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02 participant="
+        with pytest.raises(io.ProtocolError, match="frame longer than 4096 bytes"):
+            session.feed(prefix + b"x" * (4096 - len(prefix)) + b"\n")
+        # A line of exactly the cap, newline included, is parsed.
+        name = "x" * (4095 - len(prefix))
+        assert session.feed(prefix + name.encode() + b"\n") == [f"hello participant={name}"]
+        # Then the cap grows by 32 bytes per value of 10 s at 1024 Hz.
+        cap = 4096 + 10240 * 32
+        prefix = b"samples t_us=0 n=1 v="
+        with pytest.raises(io.ProtocolError, match=f"frame longer than {cap} bytes"):
+            session.feed(prefix + b"0" * (cap - len(prefix)) + b"\n")
+        assert session.feed(prefix + b"0" * (cap - len(prefix) - 1) + b"\n") == []
+        assert session.received == 1
+
+    @pytest.mark.parametrize("opened", [False, True])
+    def test_non_utf8_line_refused(self, rt_model, opened):
+        session = self.session(rt_model)
+        if opened:
+            session.feed(self.HELLO)
+        with pytest.raises(io.ProtocolError, match="frame is not UTF-8"):
+            session.feed(b"samples t_us=0 n=2 v=0.5,\xff0.5\n")
+
+    def test_bye_sets_done(self, rt_model):
+        session = self.session(rt_model)
+        session.feed(self.HELLO)
+        assert not session.done
+        assert session.feed(b"bye\n") == ["bye events=0"]
+        assert session.done
+
+    def test_fed_lines_give_the_socket_transcript(self, server, rt_model, profile):
+        recording = short_session(seed=31)
+        fs = recording.sample_rate
+        lines = [
+            hello_line(profile, fs, recording.participant_id),
+            *sample_frames(recording.channel(rt.STREAM_CHANNEL), fs, 128),
+            "bye",
+        ]
+        session = self.session(rt_model)
+        fed = [reply for line in lines for reply in session.feed((line + "\n").encode())]
+        assert [r.split()[0] for r in fed].count("rate") == 5
+        assert fed == raw_exchange(server.port, lines)
 
 
 class TestGoldenTranscript:

@@ -159,7 +159,7 @@ def cmd_analyze(args) -> int:
     report = _metrics.session_metrics(timeline)
     for field in dataclasses.fields(report):
         value = getattr(report, field.name)
-        if value is not None and field.type is not int:
+        if value is not None and not isinstance(value, int):
             value = repr(float(value))
         print(f"{field.name},{'undefined' if value is None else value}")
     return 0

@@ -121,13 +121,14 @@ class _Session:
             source=fields["participant"],
         )
         try:
-            self.engine = StreamEngine(self.model, profile)
+            engine = StreamEngine(self.model, profile)
         except ValueError as exc:  # the band-pass must fit the rate
             raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
         if "r_ref" in fields:
             self.normalizer = RateNormalizer(_positive_float(fields, "r_ref"))
         self.sample_rate = sample_rate
         self.max_line += int(protocol.MAX_BUFFERED_S * sample_rate) * _VALUE_BYTES
+        self.engine = engine  # last: a session with an engine is fully open
         return [protocol.format_frame("hello", {"participant": fields["participant"]})]
 
     def samples(self, fields) -> list:
@@ -291,8 +292,8 @@ class EmgServer(socketserver.ThreadingTCPServer):
                 if not path.exists():
                     return path
 
-    def serve_forever(self, poll_interval=0.05):
-        super().serve_forever(poll_interval)
+    def serve_forever(self):
+        super().serve_forever(poll_interval=0.05)
 
     def start_background(self):
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)

@@ -63,9 +63,9 @@ class SessionMetrics:
     overall_rate_hz: float  # events per corrected second
     mean_chew_period_s: float  # reciprocal view of the same span
     chew_duration_s: float
-    chew_gap_s: float  # None when there is only one event
+    chew_gap_s: float | None  # None when there is only one event
     sequence_duration_s: float
-    sequence_gap_s: float  # None when there is only one sequence
+    sequence_gap_s: float | None  # None when there is only one sequence
     chews_per_sequence: float
 
 

@@ -1721,6 +1721,14 @@ class TestSessionFeed:
         with pytest.raises(io.ProtocolError, match="frame is not UTF-8"):
             session.feed(b"samples t_us=0 n=2 v=0.5,\xff0.5\n")
 
+    def test_refused_hello_leaves_session_unopened(self, rt_model):
+        session = self.session(rt_model)
+        with pytest.raises(io.ProtocolError, match="r_ref must be positive and finite"):
+            session.feed(self.HELLO[:-1] + b" r_ref=nan\n")
+        assert session.engine is None
+        with pytest.raises(io.ProtocolError, match="session must open with hello"):
+            session.feed(b"samples t_us=0 n=1 v=0.5\n")
+
     def test_bye_sets_done(self, rt_model):
         session = self.session(rt_model)
         session.feed(self.HELLO)

@@ -154,6 +154,7 @@ def cmd_eval_lopo(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _metrics.check_gap_cap(args.gap_cap)  # before the log is read
     events = _io.read_event_log(args.infile)
     timeline = _metrics.correct_and_segment(events, gap_cap_s=args.gap_cap)
     report = _metrics.session_metrics(timeline)
@@ -166,14 +167,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    model = _io.load_model(args.model)
-    config = _io.ServerConfig(
+    config = _io.ServerConfig(  # checks the port and rate before the model is read
         host=args.host,
         port=args.port,
         log_dir=Path(args.log_dir) if args.log_dir else None,
         reference_rate_hz=args.reference_rate,
     )
-    server = _io.serve(model, config)
+    server = _io.serve(_io.load_model(args.model), config)
     previous = {}
     try:
         # `serve &` from a non-interactive shell starts with SIGINT ignored;

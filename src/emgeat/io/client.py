@@ -2,12 +2,13 @@
 
 Pacing only changes wall-clock spacing between sample frames; frame content
 is derived from the sample clock, so a x10 replay produces the same server
-transcript as a real-time one.
+transcript as a real-time one. One thread sends each frame, then reads the
+replies until that frame's pacing deadline.
 """
 
 import math
+import select
 import socket
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ DEFAULT_FRAME_S = 0.125
 # A server started just before the client may not be listening yet.
 CONNECT_RETRIES = 3
 CONNECT_RETRY_WAIT_S = 0.2
+BYE_WAIT_S = 60.0  # longest wait for the replies after bye
 
 
 @dataclass
@@ -30,16 +32,53 @@ class ClientResult:
     errors: list = field(default_factory=list)
     reported_events: int = None
 
+    def receive(self, raw: bytes) -> bool:
+        """Take one reply line, without its newline; True once the session is
+        over: at bye, or at a line not UTF-8 or not a server frame (an error)."""
+        line = raw.decode(errors="backslashreplace")
+        self.transcript.append(line)
+        try:
+            kind, fields = protocol.parse_frame(raw.decode(), protocol.SERVER_KINDS)
+            if kind == "rate":
+                t = protocol.parse_float(kind, fields, "t")
+                self.rates.append((t, protocol.parse_float(kind, fields, "value")))
+            elif kind == "level":
+                protocol.require_fields(kind, fields, ["value"])
+                self.levels.append((protocol.parse_float(kind, fields, "t"), fields["value"]))
+            elif kind == "error":
+                self.errors.append(line)
+            elif kind == "bye":
+                self.reported_events = protocol.parse_int(kind, fields, "events")
+                return True
+        except (UnicodeDecodeError, protocol.ProtocolError):
+            self.errors.append(line)
+            return True
+        return False
+
 
 def _connect(host, port):
-    last, tries = None, CONNECT_RETRIES + 1
-    for _ in range(tries):
+    for n in range(1, CONNECT_RETRIES + 2):
         try:
             return socket.create_connection((host, port), timeout=30)
         except OSError as exc:
-            last = exc
+            if n > CONNECT_RETRIES:
+                raise ConnectionError(f"could not reach {host}:{port} after {n} tries") from exc
             time.sleep(CONNECT_RETRY_WAIT_S)
-    raise ConnectionError(f"could not reach {host}:{port} after {tries} tries") from last
+
+
+def _read_until(sock, unread: bytearray, result: ClientResult, deadline: float) -> bool:
+    """Pass `result` each reply line that arrives by `deadline`, a monotonic
+    time; True once the session is over: a line ended it or the server left."""
+    while select.select([sock], [], [], max(0.0, deadline - time.monotonic()))[0]:
+        try:
+            data = sock.recv(65536)
+        except ConnectionResetError:
+            data = b""  # as good as closed
+        *lines, tail = (unread + data).split(b"\n")
+        unread[:] = tail
+        if not data or any(result.receive(line) for line in lines):
+            return True
+    return False
 
 
 def stream_client(
@@ -65,8 +104,9 @@ def stream_client(
         raise ValueError("speed must be >= 0")
     if not (math.isfinite(frame_s) and frame_s > 0):
         raise ValueError(f"frame_s {frame_s} must be positive and finite")
-    n_frame = max(1, int(frame_s * recording.sample_rate))
-    if n_frame > protocol.MAX_BUFFERED_S * recording.sample_rate:
+    fs = recording.sample_rate
+    n_frame = max(1, int(frame_s * fs))
+    if n_frame > protocol.MAX_BUFFERED_S * fs:
         raise ValueError(
             f"a {frame_s} s frame holds {n_frame} samples, more than the"
             f" {protocol.MAX_BUFFERED_S} s the server accepts in one frame"
@@ -75,73 +115,32 @@ def stream_client(
         RateNormalizer(reference_rate_hz)  # the server's rule and message
     samples = recording.channel(STREAM_CHANNEL)
     if profile is None:
-        profile = calibrate([samples], recording.sample_rate, source=recording.participant_id)
-
-    result = ClientResult()
-    done = threading.Event()
-
-    sock = _connect(host, port)
-    reader_file = sock.makefile("r")
-
-    def reader():
-        for line in reader_file:
-            line = line.rstrip("\n")
-            result.transcript.append(line)
-            try:
-                kind, fields = protocol.parse_frame(line, allowed=protocol.SERVER_KINDS)
-            except protocol.ProtocolError:
-                result.errors.append(line)
-                continue
-            if kind == "rate":
-                result.rates.append(
-                    (float(fields.get("t", "nan")), float(fields.get("value", "nan")))
-                )
-            elif kind == "level":
-                result.levels.append((float(fields.get("t", "nan")), fields.get("value")))
-            elif kind == "error":
-                result.errors.append(line)
-            elif kind == "bye":
-                if "events" in fields:
-                    result.reported_events = int(fields["events"])
-                break
-        done.set()
-
-    thread = threading.Thread(target=reader, daemon=True)
-    thread.start()
+        profile = calibrate([samples], fs, source=recording.participant_id)
 
     hello = {
         "participant": recording.participant_id,
-        "sample_rate": float(recording.sample_rate),
+        "sample_rate": float(fs),
         "ref": profile.reference_amplitude,
         "mu0": profile.mu0,
         "delta0": profile.delta0,
     }
     if reference_rate_hz is not None:
         hello["r_ref"] = float(reference_rate_hz)
-    try:
-        sock.sendall((protocol.format_frame("hello", hello) + "\n").encode())
-        for start in range(0, samples.size, n_frame):
-            chunk = samples[start : start + n_frame]
-            t_us = sample_time_us(start, recording.sample_rate)
-            frame = protocol.format_frame(
-                "samples",
-                {"t_us": t_us, "n": chunk.size, "v": ",".join(repr(float(v)) for v in chunk)},
-            )
-            sock.sendall((frame + "\n").encode())
-            if speed > 0:
-                time.sleep(chunk.size / recording.sample_rate / speed)
-            if done.is_set():
-                break  # server closed on us (protocol error); stop sending
-        if not done.is_set():
-            sock.sendall(b"bye\n")
-        done.wait(timeout=60)
-    except (BrokenPipeError, ConnectionResetError):
-        # server hung up mid-stream; its error frame (if any) is in transcript
-        done.wait(timeout=5)
-    finally:
+    result, unread = ClientResult(), bytearray()
+    with _connect(host, port) as sock:
         try:
-            sock.close()
-        except OSError:
-            pass
-        thread.join(timeout=5)
+            sock.sendall((protocol.format_frame("hello", hello) + "\n").encode())
+            start_time = time.monotonic()
+            for start in range(0, samples.size, n_frame):
+                chunk = samples[start : start + n_frame]
+                v = ",".join(repr(float(x)) for x in chunk)
+                fields = {"t_us": sample_time_us(start, fs), "n": chunk.size, "v": v}
+                sock.sendall((protocol.format_frame("samples", fields) + "\n").encode())
+                due = (start + chunk.size) / fs / speed if speed else 0.0  # its signal's end
+                if _read_until(sock, unread, result, start_time + due):
+                    return result  # the server ended the session; stop sending
+            sock.sendall(b"bye\n")
+            _read_until(sock, unread, result, time.monotonic() + BYE_WAIT_S)
+        except (BrokenPipeError, ConnectionResetError):  # the server hung up mid-stream
+            _read_until(sock, unread, result, 0.0)  # its replies are already here
     return result

@@ -53,6 +53,7 @@ class ServerConfig:
     def __post_init__(self):
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port {self.port} is outside 0..65535")
+        RateNormalizer(self.reference_rate_hz)  # the sessions' rule and message
 
 
 def _positive_float(fields, name: str) -> float:
@@ -118,7 +119,6 @@ class _Session:
             mu0=protocol.parse_float("hello", fields, "mu0"),
             delta0=protocol.parse_float("hello", fields, "delta0"),
             sample_rate=sample_rate,
-            source=fields["participant"],
         )
         try:
             engine = StreamEngine(self.model, profile)
@@ -264,8 +264,8 @@ class EmgServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, model: LinearModel, config: ServerConfig = None):
-        # Checked before binding: a model of the wrong features or a bad
-        # reference rate is the operator's fault, not that of every session.
+        # Checked before binding: a model of the wrong features is the
+        # operator's fault, not that of every session.
         check_streaming_model(model)
         self.model = model
         self.config = config or ServerConfig()

@@ -69,6 +69,11 @@ class SessionMetrics:
     chews_per_sequence: float
 
 
+def check_gap_cap(gap_cap_s: float) -> None:
+    if not gap_cap_s > 0:  # nan fails this too; inf means no cap
+        raise ValueError(f"gap cap {gap_cap_s!r} must be positive")
+
+
 def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> CorrectedTimeline:
     """Cap long gaps and group events into chewing sequences.
 
@@ -76,8 +81,7 @@ def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> Correct
     altered; only the gaps between events shrink (to at most gap_cap_s) on
     the corrected clock.
     """
-    if not gap_cap_s > 0:  # nan fails this too; inf means no cap
-        raise ValueError(f"gap cap {gap_cap_s!r} must be positive")
+    check_gap_cap(gap_cap_s)
     events = list(events)
     if not events:
         raise ValueError("no events to analyze")

@@ -4,6 +4,7 @@ Most tests drive main(argv) in-process and inspect stdout/stderr through
 capsys; one test boots the real `serve` process to cover the console path.
 """
 
+import argparse
 import dataclasses
 import signal as os_signal
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 import emgeat.io as io
 import emgeat.realtime as rt
-from emgeat.cli import main
+from emgeat.cli import build_parser, main
 from emgeat.metrics import ChewEvent
 
 
@@ -337,6 +338,12 @@ class TestAnalyze:
         assert rc == 1 and out == ""
         assert "gap cap nan must be positive" in err
 
+    def test_gap_cap_checked_before_the_log_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.events"
+        rc, out, err = run_cli(["analyze", "--in", str(missing), "--gap-cap", "nan"], capsys)
+        assert rc == 1 and out == ""
+        assert err.splitlines() == ["emgeat: gap cap nan must be positive"]
+
 
 class TestFeedbackSim:
     def test_transitions_only(self, tmp_path, capsys):
@@ -530,6 +537,14 @@ class TestServe:
         assert done.stdout == ""  # never got as far as "listening on"
         assert "reference rate" in done.stderr
 
+    def test_reference_rate_checked_before_the_model_is_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        rc, out, err = run_cli(
+            ["serve", "--model", str(missing), "--reference-rate", "nan"], capsys
+        )
+        assert rc == 1 and out == ""
+        assert err.splitlines() == ["emgeat: reference rate nan must be positive and finite"]
+
     @pytest.mark.parametrize("port", ["70000", "65536", "-5"])
     def test_port_out_of_range_exits_before_binding(self, rt_model, tmp_path, capsys, port):
         model_path = io.save_model(rt_model, tmp_path / "rt.model")
@@ -615,3 +630,115 @@ class TestServe:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+def float_options():
+    """(subcommand, option) of every float option, read from the parser."""
+    parser = build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, action.option_strings[-1])
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        if action.type is float
+    ]
+
+
+NON_FINITE = {"nan", "inf", "-inf"}
+POSITIVE_FINITE = NON_FINITE | {"0", "-1"}
+# The values each float option's rule forbids, among nan, inf, -inf, 0 and -1.
+FORBIDDEN = {
+    ("generate", "--duration"): POSITIVE_FINITE,
+    ("generate", "--rate"): NON_FINITE | {"-1"},  # 0 chews/s is a session without chews
+    ("generate", "--chew-duration"): POSITIVE_FINITE,
+    ("generate", "--snr"): NON_FINITE,  # any dB within ±100
+    ("generate", "--baseline-lead"): POSITIVE_FINITE,
+    ("featurize", "--hop"): POSITIVE_FINITE,
+    ("train", "--c"): POSITIVE_FINITE,
+    ("eval-lopo", "--c"): POSITIVE_FINITE,
+    ("analyze", "--gap-cap"): {"nan", "-inf", "0", "-1"},  # inf means no cap
+    ("serve", "--reference-rate"): POSITIVE_FINITE,
+    ("replay", "--speed"): {"nan", "-inf", "-1"},  # 0 and inf flood
+    ("replay", "--frame"): POSITIVE_FINITE,
+    ("replay", "--reference-rate"): POSITIVE_FINITE,
+    ("feedback-sim", "--reference-rate"): POSITIVE_FINITE,
+    ("feedback-sim", "--dead-band"): NON_FINITE | {"-1"},
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory, rt_model):
+    """One valid input file of each kind that a subcommand reads."""
+    d = tmp_path_factory.mktemp("valid_inputs")
+    datasets = []
+    for seed, pid in ((5, "P01"), (6, "P02")):
+        argv = ["generate", "--out", str(d), "--participant", pid, "--duration", "10"]
+        assert main(argv + ["--seed", str(seed)]) == 0
+        datasets.append(str(d / f"{pid}.features.csv"))
+        assert main(["featurize", "--in", str(d / f"{pid}.csv"), "--out", datasets[-1]]) == 0
+    log = d / "meal.events"
+    io.append_events([ChewEvent(0.0, 0.5), ChewEvent(3.6, 4.1)], log)
+    rates = d / "rates.csv"
+    rates.write_text("t_s,rate_hz\n1.0,0.5\n2.0,1.6\n")
+    return {
+        "recording": str(d / "P01.csv"),
+        "datasets": datasets,
+        "events": str(log),
+        "model": str(io.save_model(rt_model, d / "rt.model")),
+        "rates": str(rates),
+    }
+
+
+def valid_argv(subcommand, inputs, out_dir, port):
+    """Arguments that `subcommand` accepts, with outputs under `out_dir`."""
+    out = str(out_dir / "out")
+    return [subcommand] + {
+        "generate": ["--out", out, "--duration", "10"],
+        "featurize": ["--in", inputs["recording"], "--out", out],
+        "train": ["--in", inputs["datasets"][0], "--out", out],
+        "eval-lopo": ["--in", *inputs["datasets"]],
+        "analyze": ["--in", inputs["events"]],
+        "serve": ["--model", inputs["model"], "--port", "0"],
+        "replay": [
+            "--in", inputs["recording"], "--port", str(port), "--speed", "0",
+            "--transcript", out,
+        ],
+        "feedback-sim": ["--in", inputs["rates"]],
+    }[subcommand]
+
+
+class TestFloatOptions:
+    """Every float option refuses each value its rule forbids: exit non-zero,
+    no traceback, no output file. The other arguments are valid, so it is the
+    number, not a missing file, that gets refused."""
+
+    @pytest.fixture(autouse=True)
+    def serve_returns(self, monkeypatch):
+        # A `serve` that got past its checks returns at once instead of serving.
+        monkeypatch.setattr(io.EmgServer, "serve_forever", lambda self: None)
+
+    def test_every_float_option_has_a_rule(self):
+        assert sorted(FORBIDDEN) == sorted(float_options())
+
+    @pytest.mark.parametrize("subcommand", sorted({name for name, _ in float_options()}))
+    def test_valid_arguments_succeed(
+        self, subcommand, valid_inputs, live_server, tmp_path, capsys
+    ):
+        argv = valid_argv(subcommand, valid_inputs, tmp_path, live_server.port)
+        assert run_cli(argv, capsys)[0] == 0
+
+    @pytest.mark.parametrize("subcommand, option", float_options())
+    def test_forbidden_values_refused(
+        self, subcommand, option, valid_inputs, live_server, tmp_path, capsys
+    ):
+        assert (subcommand, option) in FORBIDDEN, "add the option's rule to FORBIDDEN"
+        argv = valid_argv(subcommand, valid_inputs, tmp_path, live_server.port)
+        for value in sorted(FORBIDDEN[subcommand, option]):
+            try:
+                rc = main(argv + [f"{option}={value}"])
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+            err = capsys.readouterr().err
+            assert rc not in (0, None), f"{option}={value} was accepted"
+            assert "Traceback" not in err
+            assert list(tmp_path.iterdir()) == [], f"{option}={value} wrote output"

@@ -1072,6 +1072,78 @@ class TestServerSessions:
             )
 
 
+def exchange_with_fake_server(profile, replies, hang_up=False):
+    """stream_client against a one-connection server that answers hello
+    with `replies` and then stays silent: it reads until the client leaves,
+    or with `hang_up` closes after a few frames with input left unread.
+    Returns the client's result, its run time and the lines it sent."""
+    received = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as fh:
+                received.append(fh.readline())
+                conn.sendall(b"hello participant=S\n" + b"".join(r + b"\n" for r in replies))
+                for line in fh:
+                    received.append(line)
+                    if hang_up and len(received) == 4:
+                        return
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        start = time.monotonic()
+        try:
+            result = io.stream_client(
+                short_session(seed=29), "127.0.0.1", listener.getsockname()[1],
+                speed=0 if hang_up else 1.0, profile=profile,
+            )
+        finally:
+            thread.join(timeout=10)
+        return result, time.monotonic() - start, received
+
+
+class TestReplayClient:
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"rate t=1.0 \xff\xfe",
+            b"rate t=abc value=0.0",
+            b"level t=1.0",
+            b"bye",
+            b"bye events=1.5",
+            b"ok events=3",
+        ],
+    )
+    def test_malformed_reply_ends_the_session_at_once(self, profile, reply):
+        # A paced 5 s session: only the bad reply can end it this soon.
+        replies = [reply, b"rate t=1.0 value=0.5"]
+        result, elapsed, received = exchange_with_fake_server(profile, replies)
+        line = reply.decode(errors="backslashreplace")
+        assert elapsed < 5.0
+        assert result.errors == [line]
+        assert result.transcript == ["hello participant=S", line]
+        assert result.reported_events is None and result.rates == []
+        assert b"bye\n" not in received
+
+    def test_error_frame_kept_when_the_server_hangs_up(self, profile):
+        error = b"error reason=server detail=disk_full"
+        result, elapsed, _ = exchange_with_fake_server(profile, [error], hang_up=True)
+        assert elapsed < 5.0
+        assert result.transcript == ["hello participant=S", error.decode()]
+        assert result.errors == [error.decode()] and result.reported_events is None
+
+    def test_no_sleep_after_the_last_connect_attempt(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(io.client.time, "sleep", sleeps.append)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            free_port = probe.getsockname()[1]
+        with pytest.raises(ConnectionError, match="after 4 tries"):
+            io.client._connect("127.0.0.1", free_port)
+        assert sleeps == [io.client.CONNECT_RETRY_WAIT_S] * io.client.CONNECT_RETRIES
+
+
 class TestServerErrors:
     def test_session_must_open_with_hello(self, server):
         replies = raw_exchange(server.port, ["samples t_us=0 n=1 v=0.5"])

@@ -82,6 +82,9 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_featurize(args) -> int:
+    length = _features.CHEW_WINDOW_S if args.task == "chew" else _features.SWALLOW_WINDOW_S
+    # Checks --hop before the read, on both paths; --realtime then ignores it.
+    spec = _features.WindowSpec(length_s=length, hop_s=args.hop)
     recording = _io.read_recording(args.infile)
     if args.realtime:
         profile = _realtime.calibrate(
@@ -91,8 +94,6 @@ def cmd_featurize(args) -> int:
         )
         matrix = _realtime.rt_training_set(recording, profile)
     else:
-        length = _features.CHEW_WINDOW_S if args.task == "chew" else _features.SWALLOW_WINDOW_S
-        spec = _features.WindowSpec(length_s=length, hop_s=args.hop)
         matrix = _features.build_feature_matrix(recording, spec, args.task)
     path = _io.write_dataset(matrix, args.out)
     positives = sum(1 for l in matrix.labels if l != _features.NEGATIVE_LABEL)
@@ -105,10 +106,11 @@ def _load_matrices(paths) -> "_features.FeatureMatrix":
 
 
 def cmd_train(args) -> int:
+    unweighted = _learn.TrainConfig(c=args.c, seed=args.seed)  # checks C before the read
     matrix = _load_matrices(args.infile)
     labels = list(matrix.labels)
     weights = _learn.compute_class_weights(labels)
-    base = _learn.TrainConfig(c=args.c, class_weights=weights, seed=args.seed)
+    base = dataclasses.replace(unweighted, class_weights=weights)
     if args.grid:
         config, results = _learn.grid_search_cv(
             matrix.values,
@@ -137,8 +139,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_lopo(args) -> int:
+    config = _learn.TrainConfig(c=args.c, seed=args.seed)  # checks C before the read
     matrix = _load_matrices(args.infile)
-    config = _learn.TrainConfig(c=args.c, seed=args.seed)
     report = _learn.lopo_evaluate(matrix, args.positive, config)
     print("participant,n_test,precision,recall,f1")
     for fold in report.folds:
@@ -192,6 +194,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    # The numbers first: a missing file must not hide a bad one.
+    _io.client.check_options(args.port, args.speed, args.frame, args.reference_rate)
     recording = _io.read_recording(args.infile)
     result = _io.stream_client(
         recording,
@@ -220,12 +224,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_feedback_sim(args) -> int:
-    series = _io.read_rate_series(args.infile)
     normalizer = _feedback.RateNormalizer(reference_rate_hz=args.reference_rate)
-    level = None
-    for t, rate in series:
-        norm = _feedback.normalize_rate(rate, normalizer)
-        new = _feedback.map_level(norm, prev=level, dead_band=args.dead_band)
+    level = _feedback.FeedbackLevel.NO_PULSE  # as a server session starts
+    for t, rate in _io.read_rate_series(args.infile):
+        new = _feedback.map_level(_feedback.normalize_rate(rate, normalizer))
         if new is not level:
             print(f"{float(t)!r},{new.label}")
         level = new
@@ -340,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("feedback-sim", help="rate series -> level transitions")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--reference-rate", type=float, default=_io.DEFAULT_REFERENCE_RATE_HZ)
-    p.add_argument("--dead-band", type=float, default=0.0)
     p.set_defaults(func=cmd_feedback_sim)
 
     return parser

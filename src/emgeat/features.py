@@ -73,7 +73,7 @@ class WindowSpec:
         if self.length_s <= 0:
             raise ValueError("window length must be positive")
         if not 0 < self.hop_s <= self.length_s:
-            raise ValueError("hop must be positive and no longer than the window")
+            raise ValueError(f"hop {self.hop_s!r} must be positive and no longer than the window")
 
 
 def periodogram(segment: np.ndarray, rate: float):

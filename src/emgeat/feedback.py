@@ -3,11 +3,12 @@
 The live rate is normalized against twice a personal reference rate, so
 chewing at the reference lands at 0.5, and the normalized value selects one
 of four pulse patterns. Faster chewing yields stronger patterns; the band
-map is the core slow-down incentive.
+map is the core slow-down incentive. There is one level rule, with no
+hysteresis: the server applies it to every streamed second, and
+`emgeat feedback-sim` replays it on a rate series.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,34 +50,17 @@ class RateNormalizer:
 
 
 def normalize_rate(rate_hz: float, normalizer: RateNormalizer) -> float:
-    """Clamp rate / (2 * reference) into [0, 1]."""
-    if rate_hz < 0:
-        raise ValueError("rate must be non-negative")
-    return min(1.0, max(0.0, rate_hz / (2.0 * normalizer.reference_rate_hz)))
+    """rate / (2 * reference), clamped to at most 1."""
+    if not (math.isfinite(rate_hz) and rate_hz >= 0):
+        raise ValueError(f"rate {rate_hz!r} must be non-negative and finite")
+    return min(1.0, rate_hz / (2.0 * normalizer.reference_rate_hz))
 
 
-def map_level(norm: float, prev: FeedbackLevel = None, dead_band: float = 0.0) -> FeedbackLevel:
-    """Select the feedback level for a normalized rate.
-
-    Values outside [0, 1] are clamped with a warning; nan and inf raise
-    ValueError, since no band stands for them. With a previous level and a
-    dead band, the level only changes once norm leaves the previous band by
-    more than the dead band, which suppresses flapping right at a boundary.
-    A negative, nan or infinite dead band raises ValueError.
-    """
-    if not (math.isfinite(dead_band) and dead_band >= 0.0):
-        raise ValueError(f"dead band {dead_band!r} must be non-negative and finite")
-    if not math.isfinite(norm):
-        raise ValueError(f"normalized rate {norm!r} is not finite")
+def map_level(norm: float) -> FeedbackLevel:
+    """Select the feedback level for a normalized rate in [0, 1], as
+    normalize_rate returns it; anything else, nan included, raises ValueError."""
     if not 0.0 <= norm <= 1.0:
-        warnings.warn(
-            f"normalized rate {norm} outside [0, 1]; clamping", stacklevel=2
-        )
-        norm = min(1.0, max(0.0, norm))
-    if prev is not None and dead_band > 0.0:
-        lo, hi, _ = next(band for band in BANDS if band[2] is prev)
-        if lo - dead_band <= norm < hi + dead_band:
-            return prev
+        raise ValueError(f"normalized rate {norm!r} is not in [0, 1]")
     for lo, hi, level in BANDS:
         if lo <= norm < hi:
             return level

@@ -81,6 +81,19 @@ def _read_until(sock, unread: bytearray, result: ClientResult, deadline: float) 
     return False
 
 
+def check_options(port: int, speed: float, frame_s: float, reference_rate_hz):
+    """The checks of stream_client that need no recording, so that a caller
+    can run them before it reads one."""
+    if not 1 <= port <= 65535:
+        raise ValueError(f"port {port} is outside 1..65535")
+    if not speed >= 0:
+        raise ValueError(f"speed must be >= 0, not {speed!r}")
+    if not (math.isfinite(frame_s) and frame_s > 0):
+        raise ValueError(f"frame_s {frame_s} must be positive and finite")
+    if reference_rate_hz is not None:
+        RateNormalizer(reference_rate_hz)  # the server's rule and message
+
+
 def stream_client(
     recording,
     host: str,
@@ -98,12 +111,7 @@ def stream_client(
     to one computed from it. A frame may hold at most
     protocol.MAX_BUFFERED_S of signal, the most the server accepts at once.
     """
-    if not 1 <= port <= 65535:
-        raise ValueError(f"port {port} is outside 1..65535")
-    if not speed >= 0:
-        raise ValueError("speed must be >= 0")
-    if not (math.isfinite(frame_s) and frame_s > 0):
-        raise ValueError(f"frame_s {frame_s} must be positive and finite")
+    check_options(port, speed, frame_s, reference_rate_hz)
     fs = recording.sample_rate
     n_frame = max(1, int(frame_s * fs))
     if n_frame > protocol.MAX_BUFFERED_S * fs:
@@ -111,8 +119,6 @@ def stream_client(
             f"a {frame_s} s frame holds {n_frame} samples, more than the"
             f" {protocol.MAX_BUFFERED_S} s the server accepts in one frame"
         )
-    if reference_rate_hz is not None:
-        RateNormalizer(reference_rate_hz)  # the server's rule and message
     samples = recording.channel(STREAM_CHANNEL)
     if profile is None:
         profile = calibrate([samples], fs, source=recording.participant_id)

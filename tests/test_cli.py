@@ -351,11 +351,8 @@ class TestFeedbackSim:
         series.write_text("t_s,rate_hz\n1.0,0.5\n2.0,1.6\n3.0,1.7\n4.0,2.4\n")
         rc, out, _ = run_cli(["feedback-sim", "--in", str(series)], capsys)
         assert rc == 0
-        assert out.splitlines() == [
-            "1.0,no_pulse",
-            "2.0,single_pulse",
-            "4.0,double_pulse",
-        ]
+        # Like a server session, it starts at no_pulse, so 1.0 prints nothing.
+        assert out.splitlines() == ["2.0,single_pulse", "4.0,double_pulse"]
 
     def test_non_finite_rate_is_domain_error(self, tmp_path, capsys):
         series = tmp_path / "rates.csv"
@@ -371,22 +368,37 @@ class TestFeedbackSim:
         assert rc == 1 and out == ""
         assert f"{series}:3: rate -0.25 is negative" in err
 
-    def test_dead_band_suppresses_flicker(self, tmp_path, capsys):
-        # 1.6 chews/s normalizes to 0.5; +-0.16 wobbles across the 0.6 edge.
+    def test_every_band_crossing_is_printed(self, tmp_path, capsys):
+        # 1.6 chews/s normalizes to 0.5; 1.98 to 0.62, across the 0.6 edge.
+        # The server has no hysteresis, so neither has the simulation.
         series = tmp_path / "rates.csv"
         series.write_text("1.0,1.6\n2.0,1.98\n3.0,1.6\n4.0,1.98\n")
-        rc, out, _ = run_cli(
-            ["feedback-sim", "--in", str(series), "--dead-band", "0.05"], capsys
-        )
-        assert rc == 0
-        assert out.splitlines() == ["1.0,single_pulse"]
         rc, out, _ = run_cli(["feedback-sim", "--in", str(series)], capsys)
+        assert rc == 0
         assert out.splitlines() == [
             "1.0,single_pulse",
             "2.0,double_pulse",
             "3.0,single_pulse",
             "4.0,double_pulse",
         ]
+
+    @pytest.mark.parametrize("reference_rate", [None, "1.0"], ids=["default", "1.0"])
+    def test_prints_the_server_level_frames(
+        self, reference_rate, live_server, session_file, tmp_path, capsys
+    ):
+        # The same rates through the same rule: byte for byte what replay
+        # printed of the level frames the server sent.
+        ref = [] if reference_rate is None else ["--reference-rate", reference_rate]
+        replay = ["replay", "--in", str(session_file), "--port", str(live_server.port)]
+        rc, out, _ = run_cli(replay + ["--speed", "0", *ref], capsys)
+        assert rc == 0
+        rates = [l.split(",", 1)[1] for l in out.splitlines() if l.startswith("rate,")]
+        levels = [l.split(",", 1)[1] for l in out.splitlines() if l.startswith("level,")]
+        series = tmp_path / "rates.csv"
+        series.write_text("".join(f"{line}\n" for line in rates))
+        rc, out, _ = run_cli(["feedback-sim", "--in", str(series), *ref], capsys)
+        assert rc == 0
+        assert levels and out.splitlines() == levels
 
 
 @pytest.fixture(scope="module")
@@ -662,7 +674,6 @@ FORBIDDEN = {
     ("replay", "--frame"): POSITIVE_FINITE,
     ("replay", "--reference-rate"): POSITIVE_FINITE,
     ("feedback-sim", "--reference-rate"): POSITIVE_FINITE,
-    ("feedback-sim", "--dead-band"): NON_FINITE | {"-1"},
 }
 
 
@@ -687,6 +698,12 @@ def valid_inputs(tmp_path_factory, rt_model):
         "model": str(io.save_model(rt_model, d / "rt.model")),
         "rates": str(rates),
     }
+
+
+# Flags that take another path through a subcommand; each float option is
+# checked on every path. `featurize --realtime` uses its fixed streaming
+# geometry, but still refuses a `--hop` that the offline path would.
+PATHS = {"featurize": ([], ["--realtime"])}
 
 
 def valid_argv(subcommand, inputs, out_dir, port):
@@ -727,18 +744,39 @@ class TestFloatOptions:
         argv = valid_argv(subcommand, valid_inputs, tmp_path, live_server.port)
         assert run_cli(argv, capsys)[0] == 0
 
+    def refusals(self, argv, option, tmp_path, capsys):
+        """(value, stderr) of each forbidden value, on every path of argv."""
+        subcommand = argv[0]
+        assert (subcommand, option) in FORBIDDEN, "add the option's rule to FORBIDDEN"
+        for flags in PATHS.get(subcommand, ([],)):
+            for value in sorted(FORBIDDEN[subcommand, option]):
+                try:
+                    rc = main(argv + flags + [f"{option}={value}"])
+                except SystemExit as exc:  # argparse's usage errors
+                    rc = exc.code
+                err = capsys.readouterr().err
+                assert rc not in (0, None), f"{flags} {option}={value} was accepted"
+                assert "Traceback" not in err
+                assert list(tmp_path.iterdir()) == [], f"{option}={value} wrote output"
+                yield value, err
+
     @pytest.mark.parametrize("subcommand, option", float_options())
     def test_forbidden_values_refused(
         self, subcommand, option, valid_inputs, live_server, tmp_path, capsys
     ):
-        assert (subcommand, option) in FORBIDDEN, "add the option's rule to FORBIDDEN"
         argv = valid_argv(subcommand, valid_inputs, tmp_path, live_server.port)
-        for value in sorted(FORBIDDEN[subcommand, option]):
-            try:
-                rc = main(argv + [f"{option}={value}"])
-            except SystemExit as exc:  # argparse's usage errors
-                rc = exc.code
-            err = capsys.readouterr().err
-            assert rc not in (0, None), f"{option}={value} was accepted"
-            assert "Traceback" not in err
-            assert list(tmp_path.iterdir()) == [], f"{option}={value} wrote output"
+        for _ in self.refusals(argv, option, tmp_path, capsys):
+            pass
+
+    @pytest.mark.parametrize(  # generate reads no file
+        "subcommand, option", [o for o in float_options() if o[0] != "generate"]
+    )
+    def test_forbidden_values_refused_before_the_input_is_read(
+        self, subcommand, option, valid_inputs, live_server, tmp_path, capsys
+    ):
+        # Every input missing: the refusal names the value, not the file.
+        missing = str(tmp_path / "missing.csv")
+        inputs = {key: [missing] if key == "datasets" else missing for key in valid_inputs}
+        argv = valid_argv(subcommand, inputs, tmp_path, live_server.port)
+        for value, err in self.refusals(argv, option, tmp_path, capsys):
+            assert value in err and "missing.csv" not in err, err

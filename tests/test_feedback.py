@@ -1,4 +1,4 @@
-"""Rate normalization, band mapping and hysteresis."""
+"""Rate normalization and band mapping."""
 
 import math
 
@@ -29,6 +29,12 @@ class TestNormalizeRate:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             normalize_rate(-0.1, REF)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # `max(0.0, nan)` used to turn a nan rate into 0.0.
+        with pytest.raises(ValueError, match=f"rate {rate!r} must be non-negative and finite"):
+            normalize_rate(rate, REF)
 
     def test_bad_reference_rejected(self):
         with pytest.raises(ValueError):
@@ -67,16 +73,15 @@ class TestMapLevel:
     @pytest.mark.parametrize("norm", [math.nan, math.inf, -math.inf])
     def test_non_finite_norm_rejected(self, norm):
         # Clamping used to turn nan into no_pulse.
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match=r"not in \[0, 1\]"):
             map_level(norm)
-        with pytest.raises(ValueError, match="not finite"):
-            map_level(norm, prev=FeedbackLevel.SINGLE_PULSE, dead_band=0.05)
 
-    def test_out_of_range_clamped_with_warning(self):
-        with pytest.warns(UserWarning, match="clamp"):
-            assert map_level(1.3) is FeedbackLevel.INTENSE_DOUBLE
-        with pytest.warns(UserWarning, match="clamp"):
-            assert map_level(-0.2) is FeedbackLevel.NO_PULSE
+    def test_out_of_range_rejected(self):
+        # Both callers pass normalize_rate's value; anything outside its
+        # range is a caller's bug, not a rate to clamp.
+        for norm in (1.3, -0.2, 1.0 + 1e-12, -1e-12):
+            with pytest.raises(ValueError, match=rf"normalized rate {norm!r} is not in"):
+                map_level(norm)
 
     def test_monotone_over_dense_sweep(self):
         prev_rank = 0
@@ -89,30 +94,3 @@ class TestMapLevel:
         for lo, hi, level in BANDS:
             for norm in np.linspace(lo + 1e-9, hi - 1e-9, 7):
                 assert map_level(float(norm)) is level
-
-    def test_hysteresis_suppresses_flapping(self):
-        # upward crossing held back inside the dead band
-        assert (
-            map_level(0.62, prev=FeedbackLevel.SINGLE_PULSE, dead_band=0.05)
-            is FeedbackLevel.SINGLE_PULSE
-        )
-        assert (
-            map_level(0.66, prev=FeedbackLevel.SINGLE_PULSE, dead_band=0.05)
-            is FeedbackLevel.DOUBLE_PULSE
-        )
-        # downward crossing likewise
-        assert (
-            map_level(0.58, prev=FeedbackLevel.DOUBLE_PULSE, dead_band=0.05)
-            is FeedbackLevel.DOUBLE_PULSE
-        )
-        assert (
-            map_level(0.54, prev=FeedbackLevel.DOUBLE_PULSE, dead_band=0.05)
-            is FeedbackLevel.SINGLE_PULSE
-        )
-
-    def test_hysteresis_noop_without_dead_band(self):
-        assert (
-            map_level(0.62, prev=FeedbackLevel.SINGLE_PULSE)
-            is FeedbackLevel.DOUBLE_PULSE
-        )
-

@@ -448,7 +448,11 @@ LIBRARY_CHECKS = {
     "TrainConfig.c": (lambda v, *_: learn.TrainConfig(c=v), "penalty C", False),
     "SessionPlan.duration_s": (lambda v, *_: synth.SessionPlan(duration_s=v), "duration_s", False),
     "SessionPlan.sample_rate": (lambda v, *_: synth.SessionPlan(sample_rate=v), "sample_rate", False),
-    "map_level.dead_band": (lambda v, *_: feedback.map_level(0.5, dead_band=v), "dead band", True),
+    "normalize_rate": (
+        lambda v, *_: feedback.normalize_rate(v, feedback.RateNormalizer(1.6)),
+        "non-negative and finite",
+        True,
+    ),
     "load_model.train_info.c": (load_model_with_penalty, "positive finite 'c'", False),
 }
 

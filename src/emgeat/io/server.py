@@ -1,10 +1,11 @@
 """TCP streaming server: samples in, rate/level frames and event logs out.
 
-Each connection is one `_Session`, the one owner of the wire protocol; the
-handler only moves bytes to and from `_Session.feed`. Frames are processed
-synchronously in arrival order and every outgoing value is derived from the
-sample clock, so identical client transcripts produce byte-identical server
-transcripts. Two concurrent sessions share nothing but the (read-only) model.
+Each connection is one `_Session`, the one owner of the wire protocol, error
+replies and event-log numbers included; the handler only moves bytes to and
+from `_Session.feed`. Frames are processed synchronously in arrival order and
+every outgoing value is derived from the sample clock, so identical client
+transcripts produce byte-identical server transcripts. Two concurrent sessions
+share nothing but the (read-only) model.
 
 Every frame is parsed and checked on arrival, but its samples are held until
 they complete a streamed second: the engine is fed once per second, at the
@@ -64,26 +65,40 @@ def _positive_float(fields, name: str) -> float:
 
 
 class _Session:
-    """The wire protocol of one connection. `feed` turns a received line
-    into reply frames (line cap, UTF-8, parse, hello first, dispatch) and
-    sets `done` at bye; it raises ProtocolError for the client's fault,
-    ValueError or OSError for the server's."""
+    """The wire protocol of one connection. `feed` answers each received
+    line (line cap, UTF-8, parse, hello first, dispatch) until `done`, set at
+    bye or an error; `end` runs however the connection ends. Only an accepted
+    hello calls `next_log_path()` for the session's event log (None: none)."""
 
-    def __init__(self, model, normalizer: RateNormalizer, log_path):
+    def __init__(self, model, normalizer: RateNormalizer, next_log_path):
         self.model = model
         self.normalizer = normalizer  # the server's, unless hello sets r_ref
-        self.log_path = log_path
+        self.next_log_path = next_log_path
+        self.log_path = None
         self.engine = None
         self.sample_rate = None  # the hello's
         self.max_line = _HELLO_LINE_BYTES  # longest line accepted, in bytes
-        self.done = False  # bye answered
+        self.done = False  # bye or an error answered
         self.received = 0  # samples accepted, the sample clock
         self.pending = []  # accepted samples not yet pushed, under 1 s + 1 frame
         self.last_rate_second = 0
         self.last_level = FeedbackLevel.NO_PULSE
 
     def feed(self, line: bytes) -> list:
-        """The reply frames to one received line, its newline included."""
+        """The reply frames to one received line, its newline included. A
+        failure ends the session with one error frame: `protocol` for the
+        client's fault, `server` for the server's (model, log files)."""
+        try:
+            return self._answer(line)
+        except (protocol.ProtocolError, ValueError, OSError) as exc:
+            self.done = True
+            self.end()
+            reason = "protocol" if isinstance(exc, protocol.ProtocolError) else "server"
+            # A detail must stay one field: no whitespace, no "=".
+            detail = re.sub(r"[\s=]", "_", str(exc))
+            return [protocol.format_frame("error", {"reason": reason, "detail": detail})]
+
+    def _answer(self, line: bytes) -> list:
         if len(line) > self.max_line:
             raise protocol.ProtocolError(f"frame longer than {self.max_line} bytes")
         try:
@@ -126,6 +141,7 @@ class _Session:
             raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
         if "r_ref" in fields:
             self.normalizer = RateNormalizer(_positive_float(fields, "r_ref"))
+        self.log_path = self.next_log_path()  # numbered only once accepted
         self.sample_rate = sample_rate
         self.max_line += int(protocol.MAX_BUFFERED_S * sample_rate) * _VALUE_BYTES
         self.engine = engine  # last: a session with an engine is fully open
@@ -184,6 +200,16 @@ class _Session:
             chunk, self.pending = self.pending, []
             self._log_events(self.engine.push(chunk))
 
+    def end(self):
+        """However the session ends, the samples it accepted reach the
+        engine and the events they close reach the log, as if each frame had
+        been pushed on arrival. The session is over either way: a failure
+        here must not replace the reply it is owed."""
+        try:
+            self.flush()
+        except (ValueError, OSError):
+            pass
+
     def close(self) -> list:
         self.flush()
         self._log_events(self.engine.finalize())
@@ -214,46 +240,15 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self):
         server = self.server
-        try:
-            session = _Session(server.model, server.normalizer, server.next_log_path())
-        except OSError as exc:
-            return self._send_error(exc)
-        error = None
+        session = _Session(server.model, server.normalizer, server.next_log_path)
         try:
             # One byte past the cap tells an over-long line from one that fits;
             # an empty read is a client that went away.
             while not session.done and (line := self.rfile.readline(session.max_line + 1)):
-                try:
-                    replies = session.feed(line)
-                except (protocol.ProtocolError, ValueError, OSError) as exc:
-                    error = exc
-                    break
-                self._send(replies)
+                if replies := session.feed(line):
+                    self.wfile.write("".join(r + "\n" for r in replies).encode())
         finally:
-            # However the session ends, the samples it accepted reach the
-            # engine and the events they close reach the log, as if each
-            # frame had been pushed on arrival. The session is over either
-            # way: a failure here must not replace the reply it is owed.
-            try:
-                session.flush()
-            except (ValueError, OSError):
-                pass
-        if error is not None:
-            self._send_error(error)
-
-    def _send_error(self, exc):
-        """Reply with one error frame: the client's fault is `protocol`, a
-        fault of the server (model, log files) is `server`."""
-        reason = "protocol" if isinstance(exc, protocol.ProtocolError) else "server"
-        # A detail must stay one field: no whitespace, no "=".
-        detail = re.sub(r"[\s=]", "_", str(exc))
-        error = {"reason": reason, "detail": detail}
-        self._send([protocol.format_frame("error", error)])
-
-    def _send(self, frames):
-        for frame in frames:
-            self.wfile.write((frame + "\n").encode())
-        self.wfile.flush()
+            session.end()
 
 
 class EmgServer(socketserver.ThreadingTCPServer):

@@ -97,8 +97,9 @@ def calibrate(
     peaks = []
     for x in rectified:
         for burst in detect_bursts(x, sample_rate, thr):
-            lo = int(burst.onset_s * sample_rate)
-            hi = int(burst.termination_s * sample_rate)
+            # round(): int() can land one short and drop the last sample.
+            lo = round(burst.onset_s * sample_rate)
+            hi = round(burst.termination_s * sample_rate)
             peaks.append(float(x[lo:hi].max()))
     if not peaks:
         raise ValueError("no contractions detected in the calibration segments")

@@ -1011,6 +1011,26 @@ class TestServerSessions:
         counts = [len(io.read_event_log(p)) for p in logs]
         assert counts == [r.reported_events for r in results] and min(counts) > 0
 
+    def test_only_accepted_hellos_use_up_log_numbers(self, rt_model, profile, tmp_path):
+        # A refused hello and a connection that sends nothing claim no
+        # number, so the first accepted session logs to session_001.events.
+        srv = io.serve(rt_model, io.ServerConfig(log_dir=tmp_path)).start_background()
+        try:
+            hello = "hello participant=P sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02"
+            refused = raw_exchange(srv.port, [hello + " r_ref=nan"])
+            with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as sock:
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(1) == b""  # closed unanswered
+            result = io.stream_client(
+                short_session(33), "127.0.0.1", srv.port, speed=0, profile=profile
+            )
+        finally:
+            srv.shutdown()
+        assert refused == ["error reason=protocol detail=hello_r_ref_must_be_positive_and_finite"]
+        assert [p.name for p in tmp_path.glob("session_*.events")] == ["session_001.events"]
+        logged = io.read_event_log(tmp_path / "session_001.events")
+        assert len(logged) == result.reported_events > 0
+
     def test_rate_frames_once_per_streamed_second(self, server, profile):
         rec = short_session(seed=28, duration_s=7.0)
         result = io.stream_client(rec, "127.0.0.1", server.port, speed=0, profile=profile)
@@ -1754,56 +1774,74 @@ class TestRandomLines:
 
 class TestSessionFeed:
     """The wire protocol without a socket: `_Session.feed` turns one line,
-    newline included, into its replies."""
+    newline included, into its replies; a refused line gets one error frame
+    and ends the session."""
 
     HELLO = TestRandomLines.HELLO
 
     @staticmethod
     def session(model):
         normalizer = feedback.RateNormalizer(io.DEFAULT_REFERENCE_RATE_HZ)
-        return io.server._Session(model, normalizer, None)
+        return io.server._Session(model, normalizer, lambda: None)
 
     def test_line_before_hello_refused(self, rt_model):
-        with pytest.raises(io.ProtocolError, match="session must open with hello"):
-            self.session(rt_model).feed(b"samples t_us=0 n=1 v=0.5\n")
+        session = self.session(rt_model)
+        assert session.feed(b"samples t_us=0 n=1 v=0.5\n") == [
+            "error reason=protocol detail=session_must_open_with_hello"
+        ]
+        assert session.done
 
     def test_duplicate_hello_refused(self, rt_model):
         session = self.session(rt_model)
         assert session.feed(self.HELLO) == ["hello participant=P"]
-        with pytest.raises(io.ProtocolError, match="duplicate hello"):
-            session.feed(self.HELLO)
+        assert session.feed(self.HELLO) == ["error reason=protocol detail=duplicate_hello"]
+        assert session.done
 
     def test_line_cap_before_and_after_hello(self, rt_model):
-        session = self.session(rt_model)
         prefix = b"hello sample_rate=1024.0 ref=1.0 mu0=0.1 delta0=0.02 participant="
-        with pytest.raises(io.ProtocolError, match="frame longer than 4096 bytes"):
-            session.feed(prefix + b"x" * (4096 - len(prefix)) + b"\n")
+        assert self.session(rt_model).feed(
+            prefix + b"x" * (4096 - len(prefix)) + b"\n"
+        ) == ["error reason=protocol detail=frame_longer_than_4096_bytes"]
         # A line of exactly the cap, newline included, is parsed.
+        session = self.session(rt_model)
         name = "x" * (4095 - len(prefix))
         assert session.feed(prefix + name.encode() + b"\n") == [f"hello participant={name}"]
         # Then the cap grows by 32 bytes per value of 10 s at 1024 Hz.
         cap = 4096 + 10240 * 32
         prefix = b"samples t_us=0 n=1 v="
-        with pytest.raises(io.ProtocolError, match=f"frame longer than {cap} bytes"):
-            session.feed(prefix + b"0" * (cap - len(prefix)) + b"\n")
         assert session.feed(prefix + b"0" * (cap - len(prefix) - 1) + b"\n") == []
         assert session.received == 1
+        assert session.feed(prefix + b"0" * (cap - len(prefix)) + b"\n") == [
+            f"error reason=protocol detail=frame_longer_than_{cap}_bytes"
+        ]
 
     @pytest.mark.parametrize("opened", [False, True])
     def test_non_utf8_line_refused(self, rt_model, opened):
         session = self.session(rt_model)
         if opened:
             session.feed(self.HELLO)
-        with pytest.raises(io.ProtocolError, match="frame is not UTF-8"):
-            session.feed(b"samples t_us=0 n=2 v=0.5,\xff0.5\n")
+        assert session.feed(b"samples t_us=0 n=2 v=0.5,\xff0.5\n") == [
+            "error reason=protocol detail=frame_is_not_UTF-8"
+        ]
 
     def test_refused_hello_leaves_session_unopened(self, rt_model):
+        claimed = []
         session = self.session(rt_model)
-        with pytest.raises(io.ProtocolError, match="r_ref must be positive and finite"):
-            session.feed(self.HELLO[:-1] + b" r_ref=nan\n")
-        assert session.engine is None
-        with pytest.raises(io.ProtocolError, match="session must open with hello"):
-            session.feed(b"samples t_us=0 n=1 v=0.5\n")
+        session.next_log_path = lambda: claimed.append(1)
+        assert session.feed(self.HELLO[:-1] + b" r_ref=nan\n") == [
+            "error reason=protocol detail=hello_r_ref_must_be_positive_and_finite"
+        ]
+        assert session.engine is None and session.done
+        assert claimed == []  # no log number used up
+
+    def test_log_path_failure_is_a_server_error(self, rt_model):
+        def next_log_path():
+            raise OSError("log dir unusable")
+
+        session = self.session(rt_model)
+        session.next_log_path = next_log_path
+        assert session.feed(self.HELLO) == ["error reason=server detail=log_dir_unusable"]
+        assert session.engine is None and session.done
 
     def test_bye_sets_done(self, rt_model):
         session = self.session(rt_model)
@@ -1811,6 +1849,19 @@ class TestSessionFeed:
         assert not session.done
         assert session.feed(b"bye\n") == ["bye events=0"]
         assert session.done
+
+    @settings(max_examples=80, deadline=None)
+    @given(line=_RANDOM_LINE)
+    def test_fed_random_lines_give_the_socket_replies(self, server, rt_model, line):
+        # Line by line until done, errors included, as the socket answers
+        # the same bytes.
+        session = self.session(rt_model)
+        fed = []
+        for received in (self.HELLO, line + b"\n", b"bye\n"):
+            fed += session.feed(received)
+            if session.done:
+                break
+        assert fed == byte_exchange(server.port, self.HELLO + line + b"\nbye\n")
 
     def test_fed_lines_give_the_socket_transcript(self, server, rt_model, profile):
         recording = short_session(seed=31)

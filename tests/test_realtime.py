@@ -67,6 +67,17 @@ class TestCalibrate:
         assert profile.effective_rate == pytest.approx(FS / 10)
         assert profile.source == "desk"
 
+    def test_peak_includes_a_burst_last_sample_at_1500_hz(self):
+        # A contraction still rising when the segment ends: its peak is the
+        # last sample. At 1500 Hz, 3105 / 1500 * 1500 is 3104.999..., so the
+        # burst's end index must be rounded back, not truncated.
+        fs, n = 1500.0, 3105
+        t = np.arange(n) / fs
+        x = np.where(t >= 2.0, (t - 2.0) * np.sin(2 * np.pi * 97.0 * t), 0.0)
+        envelope = np.abs(apply_filter(x, bandpass(fs)))
+        assert envelope.argmax() == n - 1 and int(n / fs * fs) == n - 1
+        assert rt.calibrate([x], fs).reference_amplitude == envelope[-1]
+
     def test_silent_segments_rejected(self):
         with pytest.raises(ValueError, match="no contractions"):
             rt.calibrate([np.zeros(int(5 * FS))], FS)

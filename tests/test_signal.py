@@ -380,7 +380,7 @@ STARTUP_SCRIPT = textwrap.dedent(
         matrix.values, matrix.labels, matrix.feature_names, "C",
         learn.TrainConfig(class_weights=learn.compute_class_weights(matrix.labels)),
     )
-    session = _Session(model, RateNormalizer(1.5), None)
+    session = _Session(model, RateNormalizer(1.5), lambda: None)
     hello = {"participant": "P", "sample_rate": rec.sample_rate,
              "ref": profile.reference_amplitude, "mu0": profile.mu0,
              "delta0": profile.delta0}

@@ -71,13 +71,14 @@ def cmd_generate(args) -> int:
 
 def cmd_preprocess(args) -> int:
     recording = _io.read_recording(args.infile)
-    processed = _signal.preprocess(recording.channel(args.channel), recording.sample_rate)
+    envelope = _signal.preprocess(recording.channel(args.channel), recording.sample_rate)
+    rate = _signal.envelope_rate(recording.sample_rate)
     out = Path(args.out)
     with open(out, "w") as fh:
         fh.write("t_s,value\n")
-        for i, v in enumerate(processed.samples):
-            fh.write(f"{float(i / processed.rate)!r},{float(v)!r}\n")
-    print(f"wrote {out} ({processed.samples.size} samples at {processed.rate} Hz)")
+        for i, v in enumerate(envelope):
+            fh.write(f"{float(i / rate)!r},{float(v)!r}\n")
+    print(f"wrote {out} ({envelope.size} samples at {rate} Hz)")
     return 0
 
 
@@ -85,6 +86,8 @@ def cmd_featurize(args) -> int:
     length = _features.CHEW_WINDOW_S if args.task == "chew" else _features.SWALLOW_WINDOW_S
     # Checks --hop before the read, on both paths; --realtime then ignores it.
     spec = _features.WindowSpec(length_s=length, hop_s=args.hop)
+    if args.realtime and args.task != "chew":
+        raise ValueError(f"--realtime features the chew task only, not {args.task}")
     recording = _io.read_recording(args.infile)
     if args.realtime:
         profile = _realtime.calibrate(
@@ -107,6 +110,7 @@ def _load_matrices(paths) -> "_features.FeatureMatrix":
 
 def cmd_train(args) -> int:
     unweighted = _learn.TrainConfig(c=args.c, seed=args.seed)  # checks C before the read
+    _learn.check_folds(args.folds)  # with or without --grid
     matrix = _load_matrices(args.infile)
     labels = list(matrix.labels)
     weights = _learn.compute_class_weights(labels)

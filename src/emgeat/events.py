@@ -1,9 +1,9 @@
 """Amplitude-threshold burst detection on conditioned envelopes.
 
 Bursts are maximal runs of samples above a baseline-derived threshold,
-cleaned up by gap merging and a minimum-duration rule. They serve as the
-ground-truth surrogate for muscle contractions and as cycle context for the
-window features.
+cleaned up by gap merging and a minimum-duration rule, all by array
+operations with no loop over runs. They serve as the ground-truth surrogate
+for muscle contractions and as cycle context for the window features.
 """
 
 import math
@@ -72,27 +72,19 @@ def detect_bursts(x: np.ndarray, rate: float, thr: float) -> list:
     x = np.asarray(x, dtype=float)
     if rate <= 0:
         raise ValueError("rate must be positive")
-    above = x > thr
-    if not above.any():
+    # +1 where a run starts, -1 one sample past where it ends.
+    edges = np.diff((x > thr).astype(np.int8), prepend=0, append=0)
+    onsets = np.flatnonzero(edges > 0) / rate
+    terms = np.flatnonzero(edges < 0) / rate
+    if not onsets.size:
         return []
-    starts = list(np.flatnonzero(above[1:] & ~above[:-1]) + 1)
-    if above[0]:
-        starts.insert(0, 0)
-    ends = list(np.flatnonzero(above[:-1] & ~above[1:]))
-    if above[-1]:
-        ends.append(x.size - 1)
-
-    runs = [(s / rate, (e + 1) / rate) for s, e in zip(starts, ends)]
-    merged = [runs[0]]
-    for onset, term in runs[1:]:
-        if onset - merged[-1][1] < MERGE_GAP_S:
-            merged[-1] = (merged[-1][0], term)
-        else:
-            merged.append((onset, term))
+    # A gap shorter than MERGE_GAP_S joins a run to the one before it.
+    split = onsets[1:] - terms[:-1] >= MERGE_GAP_S
+    onsets, terms = onsets[np.append(True, split)], terms[np.append(split, True)]
+    keep = terms - onsets >= MIN_DURATION_S
     return [
         BurstInterval(onset_s=o, termination_s=t)
-        for o, t in merged
-        if t - o >= MIN_DURATION_S
+        for o, t in zip(onsets[keep].tolist(), terms[keep].tolist())
     ]
 
 

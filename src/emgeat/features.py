@@ -366,19 +366,18 @@ def window_matrix(recording, task, feature_names, values, onsets, terms) -> Feat
     )
 
 
-def _resolve_threshold(processed, recording):
+def _resolve_threshold(envelope, rate, recording):
     """Eq-style activity threshold from the annotated quiet segment.
 
     Falls back to whole-signal statistics when the recording carries no
     baseline annotation.
     """
     quiet = recording.annotations_of("baseline")
-    x = processed.samples
     if quiet:
-        lo = int(quiet[0].onset_s * processed.rate)
-        hi = int(quiet[0].termination_s * processed.rate)
-        x = x[lo:max(hi, lo + 1)]
-    stats = _events.baseline_stats(x)
+        lo = int(quiet[0].onset_s * rate)
+        hi = int(quiet[0].termination_s * rate)
+        envelope = envelope[lo:max(hi, lo + 1)]
+    stats = _events.baseline_stats(envelope)
     return _events.compute_threshold(stats.mu, stats.sigma)
 
 
@@ -395,20 +394,16 @@ def build_feature_matrix(
     annotation, NA otherwise.
     """
     _task(task)  # before the feature work
-    processed = _signal.preprocess_recording(recording)
-    rate = processed[recording.channel_names[0]].rate
+    envelopes = _signal.preprocess_recording(recording)
+    rate = _signal.envelope_rate(recording.sample_rate)
     n_window, n_hop = _window_geometry(spec.length_s, spec.hop_s, rate)
-    stacks = [
-        _segment_stack(processed[name].samples, n_window, n_hop)
-        for name in recording.channel_names
-    ]
+    stacks = [_segment_stack(x, n_window, n_hop) for x in envelopes.values()]
     onsets, terms = _segment_times(0, len(stacks[0]), n_window, n_hop, rate)
 
     blocks = []
-    for name, stack in zip(recording.channel_names, stacks):
-        sig = processed[name]
-        thr = _resolve_threshold(sig, recording)
-        bursts = _events.detect_bursts(sig.samples, sig.rate, thr)
+    for envelope, stack in zip(envelopes.values(), stacks):
+        thr = _resolve_threshold(envelope, rate, recording)
+        bursts = _events.detect_bursts(envelope, rate, thr)
         # Cycle context comes from the burst overlapping the window most; the
         # trailing 0 is what index -1 (no overlapping burst) picks.
         _, which = _best_overlap(onsets, terms, bursts)
@@ -419,7 +414,7 @@ def build_feature_matrix(
         blocks.append(
             extract_features(
                 stack,
-                sig.rate,
+                rate,
                 thr,
                 cycle_duration=durations[which],
                 cycles_per_sequence=seq_lengths[which],

@@ -21,8 +21,6 @@ MODEL_MAGIC = "# emg-linear-model v1"
 
 def save_model(model: LinearModel, path) -> Path:
     path = Path(path)
-    # the per-epoch objective trace is diagnostic only; keep files small
-    info = {k: v for k, v in model.train_info.items() if k != "objective_history"}
     payload = {
         "feature_names": list(model.feature_names),
         "weights": list(map(float, model.weights)),
@@ -31,7 +29,7 @@ def save_model(model: LinearModel, path) -> Path:
         "scale": list(map(float, model.scale)),
         "positive_label": model.positive_label,
         "negative_label": model.negative_label,
-        "train_info": info,
+        "train_info": model.train_info,
     }
     body = json.dumps(payload, sort_keys=True)
     digest = hashlib.sha256(body.encode()).hexdigest()

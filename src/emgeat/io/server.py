@@ -87,15 +87,19 @@ class _Session:
     def feed(self, line: bytes) -> list:
         """The reply frames to one received line, its newline included. A
         failure ends the session with one error frame: `protocol` for the
-        client's fault, `server` for the server's (model, log files)."""
+        client's fault, `server` for the server's (model, log files). After
+        `done`, every line gets no reply and changes nothing."""
+        if self.done:
+            return []
         try:
             return self._answer(line)
         except (protocol.ProtocolError, ValueError, OSError) as exc:
             self.done = True
             self.end()
             reason = "protocol" if isinstance(exc, protocol.ProtocolError) else "server"
-            # A detail must stay one field: no whitespace, no "=".
-            detail = re.sub(r"[\s=]", "_", str(exc))
+            # One field: no whitespace, no "="; of an OSError, no server path.
+            text = (exc.strerror or type(exc).__name__) if isinstance(exc, OSError) else exc
+            detail = re.sub(r"[\s=]", "_", str(text))
             return [protocol.format_frame("error", {"reason": reason, "detail": detail})]
 
     def _answer(self, line: bytes) -> list:

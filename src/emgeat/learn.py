@@ -49,6 +49,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"penalty C {self.c!r} must be positive and finite")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed!r} must be >= 0")
 
 
 @dataclass
@@ -162,7 +164,6 @@ def train_linear_svm(
     ridge = np.diag([1.0] * d + [0.0])  # the bias is not regularized
     theta = np.zeros(d + 1)
     f, grad, active = _evaluate(Z1, y, sw, config.c, theta)
-    history = [f]
     converged = False
     epoch = 0
     for epoch in range(1, _MAX_ITERATIONS + 1):
@@ -187,7 +188,6 @@ def train_linear_svm(
             break
         theta = theta + t * step
         f, grad, active = trial  # the next step starts from the accepted trial
-        history.append(f)
         if last:
             converged = True
             break
@@ -204,7 +204,6 @@ def train_linear_svm(
             "epochs": epoch,
             "objective": f,
             "grad_norm": float(np.sqrt(grad @ grad)),
-            "objective_history": history,
             "c": config.c,
             "class_weights": {k: float(v) for k, v in weights_by_class.items()},
         },
@@ -250,6 +249,11 @@ def prf_metrics(y_true, y_pred) -> dict:
     return out
 
 
+def check_folds(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"folds {k!r} must be >= 2")
+
+
 def build_stratified_folds(labels, k: int, seed: int) -> list:
     """k folds with every class present in each; (train_idx, test_idx) pairs.
 
@@ -257,8 +261,7 @@ def build_stratified_folds(labels, k: int, seed: int) -> list:
     every class exactly when each class has at least k rows.
     """
     labels = np.asarray(labels)
-    if k < 2:
-        raise ValueError("need at least 2 folds")
+    check_folds(k)
     classes, counts = np.unique(labels, return_counts=True)
     if (counts < k).any():
         raise ValueError(f"could not stratify {k} folds: some class has fewer than {k} rows")

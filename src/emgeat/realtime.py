@@ -67,7 +67,7 @@ class CalibrationProfile:
     @property
     def effective_rate(self) -> float:
         """Rate of the decimated envelope the segments are cut from."""
-        return self.sample_rate / _signal.DECIMATION_FACTOR
+        return _signal.envelope_rate(self.sample_rate)
 
 
 def calibrate(

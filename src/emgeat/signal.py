@@ -4,7 +4,8 @@ Raw two-channel recordings (masseter, submental) are conditioned in a fixed
 order before any feature extraction: band-pass filter, full-wave
 rectification, min-max normalization, block-mean decimation (`block_means`,
 the one decimator). The same chain, minus the per-recording normalization,
-is reused by the streaming path.
+is reused by the streaming path. An envelope is a plain float array; its
+rate is `envelope_rate(sample_rate)` on both paths.
 
 This is the only module that touches scipy, and it never imports the
 scipy.signal package: that package's __init__ pulls in scipy.stats,
@@ -315,27 +316,24 @@ def block_means(x: np.ndarray, factor: int, carry: np.ndarray = None):
     return np.add.reduce(blocks, axis=1) / factor, x[n_full * factor :]
 
 
-@dataclass
-class ProcessedSignal:
-    """Conditioned single-channel envelope at the decimated rate."""
-
-    samples: np.ndarray
-    rate: float
+def envelope_rate(sample_rate: float) -> float:
+    """Rate of the decimated envelope conditioned from samples at sample_rate."""
+    return sample_rate / DECIMATION_FACTOR
 
 
-def preprocess(x: np.ndarray, sample_rate: float) -> ProcessedSignal:
+def preprocess(x: np.ndarray, sample_rate: float) -> np.ndarray:
     """Full conditioning chain: band-pass, rectify, normalize, block-mean
-    decimation by DECIMATION_FACTOR. A ragged final block is averaged over
-    the samples it actually has."""
+    decimation by DECIMATION_FACTOR to envelope_rate(sample_rate). A ragged
+    final block is averaged over the samples it actually has."""
     y = apply_filter(_check_signal(x), bandpass(sample_rate))
     means, leftover = block_means(normalize(rectify(y)), DECIMATION_FACTOR)
     if leftover.size:
         means = np.append(means, leftover.mean())
-    return ProcessedSignal(samples=means, rate=sample_rate / DECIMATION_FACTOR)
+    return means
 
 
 def preprocess_recording(recording: RawRecording) -> dict:
-    """Condition every channel of a recording. Returns name -> ProcessedSignal."""
+    """Condition every channel of a recording. Returns name -> envelope."""
     return {
         name: preprocess(recording.channel(name), recording.sample_rate)
         for name in recording.channel_names

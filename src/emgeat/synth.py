@@ -76,10 +76,12 @@ class SessionPlan:
             raise ValueError(f"chew_rate_hz {self.chew_rate_hz!r} must be >= 0 and finite")
         if not abs(self.snr_db) <= MAX_ABS_SNR_DB:
             raise ValueError(f"snr_db {self.snr_db!r} must be within ±{MAX_ABS_SNR_DB:g} dB")
-        if self.swallow_every_n_chews < 1:
-            raise ValueError("swallow_every_n_chews must be >= 1")
+        for name, least in (("swallow_every_n_chews", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} {getattr(self, name)!r} must be >= {least}")
         if self.baseline_lead_s >= self.duration_s:
-            raise ValueError("baseline lead must fit inside the session")
+            lead, duration = self.baseline_lead_s, self.duration_s
+            raise ValueError(f"baseline lead {lead!r} s must be under the {duration!r} s session")
 
 
 def _padded(rows) -> np.ndarray:

@@ -26,7 +26,7 @@ import emgeat.realtime as rt
 import emgeat.signal as sig
 import emgeat.synth as synth
 from test_features import naive_feature_vector
-from test_learn import make_blobs
+from test_learn import make_blobs, objective_trace
 from test_signal import analytic_bandpass_mag, db, digital_mag
 
 
@@ -184,13 +184,14 @@ def test_criterion_04_burst_detection_precision_recall():
                 duration_s=60.0, chew_rate_hz=1.5, snr_db=20.0, seed=seed
             )
             recording = synth.gen_session(plan)
-            processed = sig.preprocess(
+            envelope = sig.preprocess(
                 recording.channel("masseter"), recording.sample_rate
             )
-            lead = int(plan.baseline_lead_s * processed.rate)
-            stats = events.baseline_stats(processed.samples[:lead])
+            rate = sig.envelope_rate(recording.sample_rate)
+            lead = int(plan.baseline_lead_s * rate)
+            stats = events.baseline_stats(envelope[:lead])
             thr = events.compute_threshold(stats.mu, stats.sigma)
-            bursts = events.detect_bursts(processed.samples, processed.rate, thr)
+            bursts = events.detect_bursts(envelope, rate, thr)
             truth = [
                 (a.onset_s, a.termination_s)
                 for a in recording.annotations_of("chew")
@@ -217,7 +218,7 @@ def test_criterion_05_classifier_training_correctness():
         X, y = make_blobs()
         model = learn.train_linear_svm(X, y, ("f1", "f2"), "C")
         accuracy = float(np.mean(learn.predict(model, X) == y))
-        history = model.train_info["objective_history"]
+        _, history = objective_trace(X, y, ("f1", "f2"))
         monotone = all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
         rng = np.random.default_rng(7)

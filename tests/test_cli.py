@@ -91,6 +91,19 @@ class TestGenerate:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("lead", ["10.0", "12.5"])
+    def test_baseline_lead_not_shorter_than_the_session_names_both(
+        self, tmp_path, capsys, lead
+    ):
+        out = tmp_path / "out"
+        argv = ["generate", "--out", str(out), "--duration", "10", "--baseline-lead", lead]
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 1
+        assert err.splitlines() == [
+            f"emgeat: baseline lead {lead} s must be under the 10.0 s session"
+        ]
+        assert not out.exists()
+
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -180,6 +193,17 @@ class TestFeaturize:
         # There is no other calibration channel to choose.
         with pytest.raises(SystemExit):
             main(args + ["--channel", "submental"])
+
+    @pytest.mark.parametrize("given", ["file", "missing"])
+    def test_realtime_swallow_refused_before_the_read(
+        self, session_file, tmp_path, capsys, given
+    ):
+        infile = session_file if given == "file" else tmp_path / "missing.csv"
+        out_file = tmp_path / "rt.csv"
+        argv = ["featurize", "--in", str(infile), "--out", str(out_file)]
+        rc, out, err = run_cli(argv + ["--realtime", "--task", "swallow"], capsys)
+        assert rc == 1 and out == "" and not out_file.exists()
+        assert err.splitlines() == ["emgeat: --realtime features the chew task only, not swallow"]
 
     @pytest.mark.parametrize("realtime", [False, True])
     def test_non_finite_sample_names_file_and_line(
@@ -644,15 +668,15 @@ class TestServe:
                 proc.wait()
 
 
-def float_options():
-    """(subcommand, option) of every float option, read from the parser."""
+def typed_options(kind):
+    """(subcommand, option) of every option of type `kind`, read from the parser."""
     parser = build_parser()
     (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return [
         (name, action.option_strings[-1])
         for name, sub in subcommands.choices.items()
         for action in sub._actions
-        if action.type is float
+        if action.type is kind
     ]
 
 
@@ -674,6 +698,16 @@ FORBIDDEN = {
     ("replay", "--frame"): POSITIVE_FINITE,
     ("replay", "--reference-rate"): POSITIVE_FINITE,
     ("feedback-sim", "--reference-rate"): POSITIVE_FINITE,
+}
+# The same for every int option.
+INT_FORBIDDEN = {
+    ("generate", "--swallow-every"): {"0", "-1"},
+    ("generate", "--seed"): {"-1"},
+    ("train", "--folds"): {"1", "0", "-3"},
+    ("train", "--seed"): {"-1"},
+    ("eval-lopo", "--seed"): {"-1"},
+    ("serve", "--port"): {"-1", "65536"},  # 0 binds an ephemeral port
+    ("replay", "--port"): {"0", "-1", "65536"},
 }
 
 
@@ -700,10 +734,11 @@ def valid_inputs(tmp_path_factory, rt_model):
     }
 
 
-# Flags that take another path through a subcommand; each float option is
+# Flags that take another path through a subcommand; each typed option is
 # checked on every path. `featurize --realtime` uses its fixed streaming
-# geometry, but still refuses a `--hop` that the offline path would.
-PATHS = {"featurize": ([], ["--realtime"])}
+# geometry, but still refuses a `--hop` that the offline path would; `train`
+# refuses a `--folds` that only `--grid` uses.
+PATHS = {"featurize": ([], ["--realtime"]), "train": ([], ["--grid=1.0,2.0"])}
 
 
 def valid_argv(subcommand, inputs, out_dir, port):
@@ -724,6 +759,22 @@ def valid_argv(subcommand, inputs, out_dir, port):
     }[subcommand]
 
 
+def refusals(argv, option, values, tmp_path, capsys):
+    """(value, stderr) of each of `values` given to `option`, on every path
+    of argv: each must exit non-zero with no traceback and no output."""
+    for flags in PATHS.get(argv[0], ([],)):
+        for value in sorted(values):
+            try:
+                rc = main(argv + flags + [f"{option}={value}"])
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+            err = capsys.readouterr().err
+            assert rc not in (0, None), f"{flags} {option}={value} was accepted"
+            assert "Traceback" not in err
+            assert list(tmp_path.iterdir()) == [], f"{option}={value} wrote output"
+            yield value, err
+
+
 class TestFloatOptions:
     """Every float option refuses each value its rule forbids: exit non-zero,
     no traceback, no output file. The other arguments are valid, so it is the
@@ -735,9 +786,9 @@ class TestFloatOptions:
         monkeypatch.setattr(io.EmgServer, "serve_forever", lambda self: None)
 
     def test_every_float_option_has_a_rule(self):
-        assert sorted(FORBIDDEN) == sorted(float_options())
+        assert sorted(FORBIDDEN) == sorted(typed_options(float))
 
-    @pytest.mark.parametrize("subcommand", sorted({name for name, _ in float_options()}))
+    @pytest.mark.parametrize("subcommand", sorted({name for name, _ in typed_options(float)}))
     def test_valid_arguments_succeed(
         self, subcommand, valid_inputs, live_server, tmp_path, capsys
     ):
@@ -745,22 +796,10 @@ class TestFloatOptions:
         assert run_cli(argv, capsys)[0] == 0
 
     def refusals(self, argv, option, tmp_path, capsys):
-        """(value, stderr) of each forbidden value, on every path of argv."""
-        subcommand = argv[0]
-        assert (subcommand, option) in FORBIDDEN, "add the option's rule to FORBIDDEN"
-        for flags in PATHS.get(subcommand, ([],)):
-            for value in sorted(FORBIDDEN[subcommand, option]):
-                try:
-                    rc = main(argv + flags + [f"{option}={value}"])
-                except SystemExit as exc:  # argparse's usage errors
-                    rc = exc.code
-                err = capsys.readouterr().err
-                assert rc not in (0, None), f"{flags} {option}={value} was accepted"
-                assert "Traceback" not in err
-                assert list(tmp_path.iterdir()) == [], f"{option}={value} wrote output"
-                yield value, err
+        assert (argv[0], option) in FORBIDDEN, "add the option's rule to FORBIDDEN"
+        yield from refusals(argv, option, FORBIDDEN[argv[0], option], tmp_path, capsys)
 
-    @pytest.mark.parametrize("subcommand, option", float_options())
+    @pytest.mark.parametrize("subcommand, option", typed_options(float))
     def test_forbidden_values_refused(
         self, subcommand, option, valid_inputs, live_server, tmp_path, capsys
     ):
@@ -769,7 +808,7 @@ class TestFloatOptions:
             pass
 
     @pytest.mark.parametrize(  # generate reads no file
-        "subcommand, option", [o for o in float_options() if o[0] != "generate"]
+        "subcommand, option", [o for o in typed_options(float) if o[0] != "generate"]
     )
     def test_forbidden_values_refused_before_the_input_is_read(
         self, subcommand, option, valid_inputs, live_server, tmp_path, capsys
@@ -780,3 +819,30 @@ class TestFloatOptions:
         argv = valid_argv(subcommand, inputs, tmp_path, live_server.port)
         for value, err in self.refusals(argv, option, tmp_path, capsys):
             assert value in err and "missing.csv" not in err, err
+
+
+class TestIntOptions:
+    """Every int option refuses each value its rule forbids, before any input
+    is read, with a message naming the value; the other arguments are valid
+    or name missing files."""
+
+    @pytest.fixture(autouse=True)
+    def serve_returns(self, monkeypatch):
+        monkeypatch.setattr(io.EmgServer, "serve_forever", lambda self: None)
+
+    def test_every_int_option_has_a_rule(self):
+        assert sorted(INT_FORBIDDEN) == sorted(typed_options(int))
+
+    @pytest.mark.parametrize("subcommand, option", typed_options(int))
+    def test_forbidden_values_refused_before_the_input_is_read(
+        self, subcommand, option, valid_inputs, live_server, tmp_path, capsys
+    ):
+        assert (subcommand, option) in INT_FORBIDDEN, "add the option's rule to INT_FORBIDDEN"
+        missing = str(tmp_path / "missing.csv")
+        inputs = {key: [missing] if key == "datasets" else missing for key in valid_inputs}
+        for given in (valid_inputs, inputs):
+            argv = valid_argv(subcommand, given, tmp_path, live_server.port)
+            values = INT_FORBIDDEN[subcommand, option]
+            for value, err in refusals(argv, option, values, tmp_path, capsys):
+                # Spaces around it: "1" alone would match many a message.
+                assert f" {value} " in err and "missing.csv" not in err, err

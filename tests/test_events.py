@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import emgeat.events as events
 from emgeat.events import (
@@ -11,7 +12,7 @@ from emgeat.events import (
     detect_bursts,
     sequence_bounds,
 )
-from emgeat.signal import preprocess
+from emgeat.signal import envelope_rate, preprocess
 from emgeat.synth import SessionPlan, gen_session
 
 
@@ -111,6 +112,61 @@ class TestDetectBursts:
             detect_bursts(np.zeros(10), 0.0, 0.5)
 
 
+def naive_bursts(x, rate, thr):
+    """(onset, termination) pairs from a run scan and a merge loop, the
+    detect_bursts of old, as a reference for the array version."""
+    above = x > thr
+    if not above.any():
+        return []
+    starts = list(np.flatnonzero(above[1:] & ~above[:-1]) + 1)
+    if above[0]:
+        starts.insert(0, 0)
+    ends = list(np.flatnonzero(above[:-1] & ~above[1:]))
+    if above[-1]:
+        ends.append(x.size - 1)
+    runs = [(s / rate, (e + 1) / rate) for s, e in zip(starts, ends)]
+    merged = [runs[0]]
+    for onset, term in runs[1:]:
+        if onset - merged[-1][1] < events.MERGE_GAP_S:
+            merged[-1] = (merged[-1][0], term)
+        else:
+            merged.append((onset, term))
+    return [(o, t) for o, t in merged if t - o >= events.MIN_DURATION_S]
+
+
+def bits(pairs):
+    return [(float(o).hex(), float(t).hex()) for o, t in pairs]
+
+
+LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+class TestDetectBurstsAgainstLoop:
+    @pytest.mark.parametrize("zero_rules", [False, True], ids=["default", "zero"])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(st.sampled_from(LEVELS) | st.floats(0, 1), st.integers(1, 120)),
+            max_size=40,
+        ),
+        thr=st.sampled_from(LEVELS) | st.floats(0, 1),
+        rate=st.sampled_from([102.4, 150.0, 1024.0, 1500.0]),
+    )
+    # At 1500 Hz, 75 samples can span exactly MIN_DURATION_S or MERGE_GAP_S.
+    @example(runs=[(1.0, 75)], thr=0.5, rate=1500.0)
+    @example(runs=[(1.0, 2), (0.0, 75), (1.0, 80)], thr=0.5, rate=1500.0)
+    def test_bit_identical(self, zero_rules, runs, thr, rate):
+        levels, lengths = zip(*runs) if runs else ((), ())
+        x = np.repeat(np.array(levels, dtype=float), np.array(lengths, dtype=int))
+        with pytest.MonkeyPatch.context() as mp:
+            if zero_rules:
+                mp.setattr(events, "MIN_DURATION_S", 0.0)
+                mp.setattr(events, "MERGE_GAP_S", 0.0)
+            got = [(b.onset_s, b.termination_s) for b in detect_bursts(x, rate, thr)]
+            want = naive_bursts(x, rate, thr)
+        assert bits(got) == bits(want)
+
+
 class TestSequences:
     def test_grouping_by_gap(self):
         bursts = [
@@ -133,11 +189,12 @@ class TestSyntheticDetection:
     def test_interval_recall_and_precision(self):
         plan = SessionPlan(duration_s=60.0, chew_rate_hz=1.5, snr_db=20.0, seed=33)
         recording = gen_session(plan)
-        processed = preprocess(recording.channel("masseter"), recording.sample_rate)
-        lead = int(plan.baseline_lead_s * processed.rate)
-        stats = baseline_stats(processed.samples[:lead])
+        envelope = preprocess(recording.channel("masseter"), recording.sample_rate)
+        rate = envelope_rate(recording.sample_rate)
+        lead = int(plan.baseline_lead_s * rate)
+        stats = baseline_stats(envelope[:lead])
         thr = compute_threshold(stats.mu, stats.sigma)
-        bursts = detect_bursts(processed.samples, processed.rate, thr)
+        bursts = detect_bursts(envelope, rate, thr)
         truth = [
             (a.onset_s, a.termination_s) for a in recording.annotations_of("chew")
         ]

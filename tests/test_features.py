@@ -21,7 +21,7 @@ from emgeat.features import (
 )
 from emgeat import features as F
 from emgeat.events import detect_bursts
-from emgeat.signal import Annotation, RawRecording, preprocess_recording
+from emgeat.signal import Annotation, RawRecording, envelope_rate, preprocess_recording
 from emgeat.synth import SessionPlan, gen_session
 
 
@@ -413,35 +413,35 @@ def per_window_matrix(recording, spec, task):
     """extract_features per window, a best-overlap label and cycle context
     found by scanning every annotation and burst for every window."""
     positive, kind = F.TASKS[task]
-    processed = preprocess_recording(recording)
-    rate = processed[recording.channel_names[0]].rate
+    envelopes = preprocess_recording(recording)
+    rate = envelope_rate(recording.sample_rate)
     n_window, n_hop = int(spec.length_s * rate), int(spec.hop_s * rate)
-    starts = np.arange(0, processed["masseter"].samples.size - n_window + 1, n_hop)
+    starts = np.arange(0, envelopes["masseter"].size - n_window + 1, n_hop)
     channels = []
     for name in recording.channel_names:
-        sig = processed[name]
-        thr = F._resolve_threshold(sig, recording)
-        bursts = detect_bursts(sig.samples, sig.rate, thr)
+        envelope = envelopes[name]
+        thr = F._resolve_threshold(envelope, rate, recording)
+        bursts = detect_bursts(envelope, rate, thr)
         sequences = [[]]  # a gap above the cap starts the next sequence
         for burst in bursts:
             last = sequences[-1]
             if last and burst.onset_s - last[-1].termination_s > F.CYCLE_SEQUENCE_GAP_S:
                 sequences.append([])
             sequences[-1].append(burst)
-        channels.append((sig, thr, sequences))
+        channels.append((envelope, thr, sequences))
     rows, labels = [], []
     for s in starts:
         t0, t1 = s / rate, (s + n_window) / rate
         row = []
-        for sig, thr, sequences in channels:
+        for envelope, thr, sequences in channels:
             best, cycle = 0.0, (0.0, 0.0)
             for seq in sequences:
                 for burst in seq:
                     ov = naive_overlap(t0, t1, burst)
                     if ov > best:  # the first burst reaching the largest overlap wins
                         best, cycle = ov, (burst.duration_s, float(len(seq)))
-            segment = sig.samples[s : s + n_window]
-            row.extend(extract_features(segment, sig.rate, thr, *cycle))
+            segment = envelope[s : s + n_window]
+            row.extend(extract_features(segment, rate, thr, *cycle))
         rows.append(row)
         anns = recording.annotations_of(kind)
         covered = max([naive_overlap(t0, t1, a) for a in anns], default=0.0)
@@ -478,19 +478,20 @@ class TestMatrixAgainstPerWindowLoop:
         x = x * np.sin(2 * np.pi * 200.0 * t)
         recording = RawRecording("T", fs, ("masseter", "submental"), np.vstack([x, x]))
         thr = 0.3
-        sig = preprocess_recording(recording)["masseter"]
-        assert sig.rate == 128.0
-        first, second = detect_bursts(sig.samples, sig.rate, thr)
+        envelope = preprocess_recording(recording)["masseter"]
+        rate = envelope_rate(fs)
+        assert rate == 128.0
+        first, second = detect_bursts(envelope, rate, thr)
         assert first.duration_s != second.duration_s
         # A window ending 4 samples into B and starting 4 samples before A ends
         # overlaps each by 4 / 128 s; a hop of one sample makes it a row.
-        gap = round((second.onset_s - first.termination_s) * sig.rate)
-        spec = WindowSpec(length_s=(gap + 8) / sig.rate, hop_s=1 / sig.rate)
+        gap = round((second.onset_s - first.termination_s) * rate)
+        spec = WindowSpec(length_s=(gap + 8) / rate, hop_s=1 / rate)
         # both the matrix and the reference loop detect bursts at thr
-        monkeypatch.setattr(F, "_resolve_threshold", lambda processed, recording: thr)
+        monkeypatch.setattr(F, "_resolve_threshold", lambda envelope, rate, recording: thr)
         matrix = build_feature_matrix(recording, spec, "chew")
         values, _, _, _ = per_window_matrix(recording, spec, "chew")
         assert np.array_equal(matrix.values, values)
-        (row,) = np.flatnonzero(matrix.onsets_s == first.termination_s - 4 / sig.rate)
+        (row,) = np.flatnonzero(matrix.onsets_s == first.termination_s - 4 / rate)
         column = matrix.feature_names.index("masseter_cycle_duration")
         assert matrix.values[row, column] == first.duration_s

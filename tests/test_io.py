@@ -377,11 +377,9 @@ class TestModelFiles:
         assert back.feature_names == tuple(rt_model.feature_names)
         assert back.positive_label == rt_model.positive_label
 
-    def test_objective_history_not_serialized(self, tmp_path, rt_model):
-        assert "objective_history" in rt_model.train_info
+    def test_train_info_round_trips(self, tmp_path, rt_model):
         back = io.load_model(io.save_model(rt_model, tmp_path / "m.model"))
-        assert "objective_history" not in back.train_info
-        assert back.train_info["epochs"] == rt_model.train_info["epochs"]
+        assert back.train_info == rt_model.train_info
 
     def test_corruption_detected(self, tmp_path, rt_model):
         path = io.save_model(rt_model, tmp_path / "m.model")
@@ -1301,7 +1299,8 @@ class TestServerErrors:
         assert len(replies) == 1
         kind, fields = io.parse_frame(replies[0])
         assert kind == "error" and fields["reason"] == "server"
-        assert "File_exists" in fields["detail"]
+        assert fields["detail"] == "File_exists"
+        assert "not_a_dir" not in replies[0]
 
     @pytest.mark.parametrize(
         "value, detail",
@@ -1836,12 +1835,43 @@ class TestSessionFeed:
 
     def test_log_path_failure_is_a_server_error(self, rt_model):
         def next_log_path():
-            raise OSError("log dir unusable")
+            raise PermissionError(13, "Permission denied", "/srv/emg/logs")
 
         session = self.session(rt_model)
         session.next_log_path = next_log_path
-        assert session.feed(self.HELLO) == ["error reason=server detail=log_dir_unusable"]
+        assert session.feed(self.HELLO) == ["error reason=server detail=Permission_denied"]
         assert session.engine is None and session.done
+
+    def test_os_error_without_strerror_is_named_by_its_class(self, rt_model):
+        def next_log_path():
+            raise OSError("/srv/emg/logs is unusable")
+
+        session = self.session(rt_model)
+        session.next_log_path = next_log_path
+        assert session.feed(self.HELLO) == ["error reason=server detail=OSError"]
+
+    def test_lines_after_a_refused_first_line_get_no_reply(self, rt_model):
+        claimed = []
+        session = self.session(rt_model)
+        session.next_log_path = lambda: claimed.append(1)
+        assert session.feed(b"bye\n") == [
+            "error reason=protocol detail=session_must_open_with_hello"
+        ]
+        assert session.feed(self.HELLO) == []
+        assert session.engine is None and claimed == []  # no reopen, no log number
+
+    def test_samples_after_bye_get_no_reply(self, rt_model, tmp_path):
+        log = tmp_path / "session.events"
+        session = self.session(rt_model)
+        session.next_log_path = lambda: log
+        session.feed(self.HELLO)
+        assert session.feed(b"bye\n") == ["bye events=0"]
+        pushed = []
+        session.engine.push = lambda chunk: pushed.append(chunk) or []
+        second = ("samples t_us=0 n=1024 v=" + ",".join(["0.5"] * 1024) + "\n").encode()
+        assert session.feed(second) == []
+        session.end()
+        assert session.received == 0 and pushed == [] and not log.exists()
 
     def test_bye_sets_done(self, rt_model):
         session = self.session(rt_model)

@@ -34,6 +34,23 @@ def make_blobs(n_per_class=60, gap=2.0, sd=0.4, seed=0):
     return X, y
 
 
+def objective_trace(X, y, feature_names, config=TrainConfig()):
+    """The objective at the start and after each epoch of a fit: the final
+    objective of the same fit capped at 0, 1, ..., its own epoch count."""
+
+    def fit():
+        return train_linear_svm(X, y, feature_names, "C", config).train_info
+
+    info = fit()
+    trace = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in range(info["epochs"] + 1):
+            mp.setattr(learn, "_MAX_ITERATIONS", cap)
+            trace.append(fit()["objective"])
+    assert trace[-1] == info["objective"]
+    return info, trace
+
+
 def make_matrix(values, labels, participants):
     n = len(labels)
     return FeatureMatrix(
@@ -92,8 +109,7 @@ class TestTraining:
 
     def test_objective_monotone_non_increasing(self):
         X, y = make_blobs(seed=2)
-        model = train_linear_svm(X, y, ("f1", "f2"), "C")
-        h = model.train_info["objective_history"]
+        _, h = objective_trace(X, y, ("f1", "f2"))
         assert len(h) >= 2
         for a, b in zip(h, h[1:]):
             assert b <= a + 1e-12
@@ -195,10 +211,7 @@ class TestTraining:
         X = np.vstack([X, X[:1]])
         y = np.append(y, "NA" if y[0] == "C" else "C")
         config = TrainConfig(c=c, class_weights={"C": weights[0], "NA": weights[1]})
-        info = train_linear_svm(
-            X, y, tuple(f"f{i}" for i in range(d)), "C", config
-        ).train_info
-        h = info["objective_history"]
+        info, h = objective_trace(X, y, tuple(f"f{i}" for i in range(d)), config)
         assert all(b <= a for a, b in zip(h, h[1:]))
         assert info["converged"] is True
         assert info["grad_norm"] <= 1e-6 * max(1.0, info["objective"])

@@ -109,15 +109,15 @@ def stream_client(
     faster, 0 floods without pacing. The STREAM_CHANNEL is streamed, the
     one the streaming model is trained on; the calibration profile defaults
     to one computed from it. A frame may hold at most
-    protocol.MAX_BUFFERED_S of signal, the most the server accepts at once.
+    protocol.MAX_FRAME_S of signal, the most the server accepts at once.
     """
     check_options(port, speed, frame_s, reference_rate_hz)
     fs = recording.sample_rate
     n_frame = max(1, int(frame_s * fs))
-    if n_frame > protocol.MAX_BUFFERED_S * fs:
+    if n_frame > protocol.MAX_FRAME_S * fs:
         raise ValueError(
             f"a {frame_s} s frame holds {n_frame} samples, more than the"
-            f" {protocol.MAX_BUFFERED_S} s the server accepts in one frame"
+            f" {protocol.MAX_FRAME_S} s the server accepts in one frame"
         )
     samples = recording.channel(STREAM_CHANNEL)
     if profile is None:

@@ -8,15 +8,15 @@ Client to server: hello (session open, calibration profile), samples
 (timestamped batch of raw amplitudes), bye (session close). Server to
 client: hello (ack), rate (live chews per second, roughly once per streamed
 second), level (feedback level transitions), bye (final event count), error
-(protocol violations and back-pressure rejections).
+(the reason a session ended: every error frame ends its session).
 """
 
 CLIENT_KINDS = ("hello", "samples", "bye")
 SERVER_KINDS = ("hello", "rate", "level", "bye", "error")
 
-# A samples frame may not carry more than this many seconds of signal; a
-# client pushing further ahead of processing gets a slowdown error instead.
-MAX_BUFFERED_S = 10.0
+# The most signal one samples frame may carry, in seconds: the server pushes
+# once per streamed second. A longer frame is a protocol error.
+MAX_FRAME_S = 1.0
 
 # Largest sample magnitude and the range of a hello's ref (the calibration
 # reference the engine divides by). Within them |v| / ref stays below 1e100,

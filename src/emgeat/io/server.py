@@ -36,11 +36,11 @@ DEFAULT_REFERENCE_RATE_HZ = 1.6
 
 # Longest frame line read before hello; a hello needs a few hundred bytes.
 _HELLO_LINE_BYTES = 4096
-# Highest hello sample_rate; it bounds the line cap derived from it (32 MB).
+# Highest hello sample_rate; it bounds the line cap derived from it (3.2 MB).
 _MAX_SAMPLE_RATE_HZ = 100_000.0
-# Bytes allowed per sample value after hello. A float's shortest repr and its
-# comma take at most 25, so a frame of MAX_BUFFERED_S of signal always fits,
-# and one a little longer still gets its slowdown reply.
+# Bytes allowed per sample of MAX_FRAME_S after hello, the line cap's growth.
+# A float's shortest repr and its comma take at most 25, so a frame within
+# the bound always fits; a longer line is refused unparsed.
 _VALUE_BYTES = 32
 
 
@@ -147,16 +147,19 @@ class _Session:
             self.normalizer = RateNormalizer(_positive_float(fields, "r_ref"))
         self.log_path = self.next_log_path()  # numbered only once accepted
         self.sample_rate = sample_rate
-        self.max_line += int(protocol.MAX_BUFFERED_S * sample_rate) * _VALUE_BYTES
+        self.max_line += int(protocol.MAX_FRAME_S * sample_rate) * _VALUE_BYTES
         self.engine = engine  # last: a session with an engine is fully open
         return [protocol.format_frame("hello", {"participant": fields["participant"]})]
 
     def samples(self, fields) -> list:
         t_us = protocol.parse_int("samples", fields, "t_us")
+        fs = self.sample_rate
+        n = protocol.parse_int("samples", fields, "n")
+        if n > protocol.MAX_FRAME_S * fs:  # before v is split: then n bounds the values
+            raise protocol.ProtocolError(f"samples frame n {n} holds over {protocol.MAX_FRAME_S} s")
         values = protocol.parse_values(fields)
         if not values:
             raise protocol.ProtocolError("samples frame carries no values")
-        n = protocol.parse_int("samples", fields, "n")
         if n != len(values):
             raise protocol.ProtocolError(
                 f"samples frame field n is {n} but {len(values)} values follow"
@@ -176,21 +179,12 @@ class _Session:
                 raise protocol.ProtocolError(f"samples value {v!r} at index {bad} {problem}")
         # t_us is the sample clock: a dropped, repeated or reordered frame
         # shows as a mismatch with the samples received so far.
-        fs = self.sample_rate
         expected = sample_time_us(self.received, fs)
         if t_us != expected:
             raise protocol.ProtocolError(
                 f"samples timestamp {t_us} is not {expected}: the clock must"
                 f" advance with the {self.received} samples received"
             )
-        if len(values) > protocol.MAX_BUFFERED_S * fs:
-            # Back-pressure: refuse to buffer more than MAX_BUFFERED_S at once.
-            return [
-                protocol.format_frame(
-                    "error",
-                    {"reason": "slowdown", "max_buffered_s": protocol.MAX_BUFFERED_S},
-                )
-            ]
         self.pending += values
         self.received += len(values)
         if int(self.received / fs) <= self.last_rate_second:
@@ -251,6 +245,8 @@ class _Handler(socketserver.StreamRequestHandler):
             while not session.done and (line := self.rfile.readline(session.max_line + 1)):
                 if replies := session.feed(line):
                     self.wfile.write("".join(r + "\n" for r in replies).encode())
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # the client hung up with replies unread: the session ends
         finally:
             session.end()
 

@@ -22,6 +22,7 @@ a stream reproduces the event log exactly regardless of pacing.
 """
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
@@ -187,9 +188,12 @@ def live_rate(events, t: float) -> float:
 
     Counts events lying wholly inside [t - RATE_WINDOW_S, t] and divides by
     the window length, so the rate ramps up over a session's first window.
+    The events must be in onset order, as _close_run logs them: the count
+    walks back from the newest and stops at the first that starts before the
+    window, so it reads only the window, however long the session.
     """
-    n = sum(1 for e in events if e.onset_s >= t - RATE_WINDOW_S and e.termination_s <= t)
-    return n / RATE_WINDOW_S
+    recent = takewhile(lambda e: e.onset_s >= t - RATE_WINDOW_S, reversed(events))
+    return sum(e.termination_s <= t for e in recent) / RATE_WINDOW_S
 
 
 def check_streaming_model(model: LinearModel) -> None:
@@ -210,7 +214,7 @@ class StreamState:
     segment, so between pushes it is shorter than one segment; segment k
     (counted by `segments`) starts at k * n_hop. `raw_predictions` holds the
     last VOTE_WINDOW - 1 predictions, all the next vote looks back on;
-    `events` keeps every event of the session.
+    `events` keeps every event of the session (live_rate reads its last 5 s).
     """
 
     profile: CalibrationProfile

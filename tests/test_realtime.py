@@ -286,6 +286,25 @@ class TestAssembleEvents:
         )
 
 
+@st.composite
+def onset_ordered_events(draw):
+    """(events, t): an onset-ordered log, as _close_run writes one or looser
+    (events may overlap, touch or leave gaps, and onsets may repeat), with
+    onsets and terminations drawn on the window's edges t - RATE_WINDOW_S
+    and t as well as anywhere around them, so t may fall inside events."""
+    t = draw(st.floats(0.0, 40.0))
+    edge = t - rt.RATE_WINDOW_S
+    times = st.one_of(st.just(edge), st.just(t), st.floats(-5.0, 45.0))
+    onsets = sorted(draw(st.lists(times, max_size=25)))
+    events = []
+    for k, onset in enumerate(onsets):
+        later = [o for o in onsets[k + 1 :] if o > onset][:1]  # touch the next onset
+        edges = [end for end in later + [t, edge] if end > onset]
+        free = st.floats(0.01, 4.0).map(onset.__add__)
+        events.append(ChewEvent(onset, draw(st.sampled_from(edges) | free if edges else free)))
+    return events, t
+
+
 class TestLiveRate:
     def test_five_events_in_window(self):
         events = [
@@ -307,6 +326,18 @@ class TestLiveRate:
 
     def test_boundary_event_included(self):
         assert rt.live_rate([ChewEvent(5.0, 10.0)], 10.0) == pytest.approx(0.2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=onset_ordered_events())
+    @example(case=([ChewEvent(5.0, 6.0), ChewEvent(5.0, 10.0), ChewEvent(9.0, 10.5)], 10.0))
+    def test_counting_back_equals_the_full_scan(self, case):
+        # live_rate stops at the first event, newest first, that starts
+        # before the window; on any onset-ordered log that must count
+        # exactly what a scan of every event counts.
+        events, t = case
+        start = t - rt.RATE_WINDOW_S
+        n = sum(1 for e in events if e.onset_s >= start and e.termination_s <= t)
+        assert rt.live_rate(events, t).hex() == (n / rt.RATE_WINDOW_S).hex()
 
 
 class TestStreamGeometry:

@@ -36,16 +36,6 @@ def check_interval(what: str, onset_s: float, termination_s: float) -> None:
         raise ValueError(f"{what} termination {termination_s} not after onset {onset_s}")
 
 
-@dataclass(frozen=True)
-class BurstInterval:
-    onset_s: float
-    termination_s: float
-
-    @property
-    def duration_s(self) -> float:
-        return self.termination_s - self.onset_s
-
-
 def baseline_stats(x: np.ndarray) -> BaselineStats:
     """Mean and standard deviation of a quiet segment."""
     x = np.asarray(x, dtype=float)
@@ -61,12 +51,13 @@ def compute_threshold(mu0: float, delta0: float) -> float:
     return mu0 + THRESHOLD_J * delta0
 
 
-def detect_bursts(x: np.ndarray, rate: float, thr: float) -> list:
+def detect_bursts(x: np.ndarray, rate: float, thr: float) -> tuple:
     """Find activity bursts in a conditioned envelope.
 
     Maximal runs of samples strictly above thr are extracted first, then runs
     separated by less than MERGE_GAP_S are merged, then merged runs shorter
-    than MIN_DURATION_S are dropped. Interval edges are expressed in seconds;
+    than MIN_DURATION_S are dropped. Returns (onsets, terms): float arrays of
+    burst edges in seconds, in onset order and empty when there is no burst;
     a run covering samples [i, j] spans [i / rate, (j + 1) / rate).
     """
     x = np.asarray(x, dtype=float)
@@ -76,27 +67,23 @@ def detect_bursts(x: np.ndarray, rate: float, thr: float) -> list:
     edges = np.diff((x > thr).astype(np.int8), prepend=0, append=0)
     onsets = np.flatnonzero(edges > 0) / rate
     terms = np.flatnonzero(edges < 0) / rate
-    if not onsets.size:
-        return []
+    if not onsets.size:  # the merge mask below needs at least one run
+        return onsets, terms
     # A gap shorter than MERGE_GAP_S joins a run to the one before it.
     split = onsets[1:] - terms[:-1] >= MERGE_GAP_S
     onsets, terms = onsets[np.append(True, split)], terms[np.append(split, True)]
     keep = terms - onsets >= MIN_DURATION_S
-    return [
-        BurstInterval(onset_s=o, termination_s=t)
-        for o, t in zip(onsets[keep].tolist(), terms[keep].tolist())
-    ]
+    return onsets[keep], terms[keep]
 
 
-def sequence_bounds(intervals: list, max_gap_s: float) -> list:
-    """Split intervals ordered by onset into sequences: a gap above max_gap_s
-    between one interval's termination and the next onset starts a new one.
+def sequence_bounds(onsets: np.ndarray, terms: np.ndarray, max_gap_s: float) -> list:
+    """Split intervals [onsets, terms) ordered by onset into sequences: a gap
+    above max_gap_s between one interval's termination and the next onset
+    starts a new one.
 
     Returns one (first, last) inclusive index pair per sequence.
     """
-    if not intervals:
+    if not len(onsets):
         return []
-    onsets = np.array([iv.onset_s for iv in intervals])
-    terms = np.array([iv.termination_s for iv in intervals])
     breaks = np.flatnonzero(onsets[1:] - terms[:-1] > max_gap_s).tolist()
-    return list(zip([0] + [b + 1 for b in breaks], breaks + [len(intervals) - 1]))
+    return list(zip([0] + [b + 1 for b in breaks], breaks + [len(onsets) - 1]))

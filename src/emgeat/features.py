@@ -319,8 +319,8 @@ class FeatureMatrix:
         return self.values.shape[0]
 
 
-def _best_overlap(t0, t1, intervals):
-    """Largest overlap of every window [t0, t1) with any of `intervals`.
+def _best_overlap(t0, t1, starts, ends):
+    """Largest overlap of every window [t0, t1) with any interval [starts, ends).
 
     Returns (best, which): the overlap in seconds (0 when none) and the index
     of the first interval, in order, that reaches it (-1 when none overlaps).
@@ -328,8 +328,8 @@ def _best_overlap(t0, t1, intervals):
     """
     best = np.zeros(np.shape(t0))
     which = np.full(np.shape(t0), -1)
-    for k, interval in enumerate(intervals):
-        ov = np.minimum(t1, interval.termination_s) - np.maximum(t0, interval.onset_s)
+    for k, (start, end) in enumerate(zip(starts, ends)):
+        ov = np.minimum(t1, end) - np.maximum(t0, start)
         better = ov > best
         best[better] = ov[better]
         which[better] = k
@@ -353,7 +353,9 @@ def window_matrix(recording, task, feature_names, values, onsets, terms) -> Feat
     and participant columns hold shared str objects (np.full would copy).
     """
     positive, kind = _task(task)
-    best, _ = _best_overlap(onsets, terms, recording.annotations_of(kind))
+    spans = recording.annotations_of(kind)
+    starts, ends = [a.onset_s for a in spans], [a.termination_s for a in spans]
+    best, _ = _best_overlap(onsets, terms, starts, ends)
     labels = np.array([NEGATIVE_LABEL] * best.size, dtype=object)
     labels[best >= LABEL_MIN_FRACTION * (terms - onsets)] = positive
     return FeatureMatrix(
@@ -403,12 +405,12 @@ def build_feature_matrix(
     blocks = []
     for envelope, stack in zip(envelopes.values(), stacks):
         thr = _resolve_threshold(envelope, rate, recording)
-        bursts = _events.detect_bursts(envelope, rate, thr)
+        starts, ends = _events.detect_bursts(envelope, rate, thr)
         # Cycle context comes from the burst overlapping the window most; the
         # trailing 0 is what index -1 (no overlapping burst) picks.
-        _, which = _best_overlap(onsets, terms, bursts)
-        durations = np.array([b.duration_s for b in bursts] + [0.0])
-        bounds = _events.sequence_bounds(bursts, CYCLE_SEQUENCE_GAP_S)
+        _, which = _best_overlap(onsets, terms, starts, ends)
+        durations = np.append(ends - starts, 0.0)
+        bounds = _events.sequence_bounds(starts, ends, CYCLE_SEQUENCE_GAP_S)
         per_burst = [b - a + 1 for a, b in bounds for _ in range(a, b + 1)]
         seq_lengths = np.array(per_burst + [0.0])
         blocks.append(

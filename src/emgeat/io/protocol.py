@@ -83,13 +83,14 @@ def parse_int(kind: str, fields: dict, name: str) -> int:
         raise ProtocolError(f"{kind} frame field {name} is not an integer") from None
 
 
-def parse_values(fields: dict):
-    """A samples frame's `v`: comma-separated floats, empty tokens skipped."""
+def parse_values(fields: dict, n: int) -> list:
+    """A samples frame's `v`: exactly n comma-separated floats. The commas
+    are counted before v is split, so a wrong n is refused unparsed."""
     require_fields("samples", fields, ["v"])
-    tokens = fields["v"].split(",")
-    if "" in tokens:
-        tokens = [t for t in tokens if t]
+    count = fields["v"].count(",") + 1
+    if count != n:
+        raise ProtocolError(f"samples frame field n is {n} but {count} values follow")
     try:
-        return list(map(float, tokens))
+        return list(map(float, fields["v"].split(",")))
     except ValueError:
         raise ProtocolError("samples frame carries unparseable samples") from None

@@ -155,15 +155,11 @@ class _Session:
         t_us = protocol.parse_int("samples", fields, "t_us")
         fs = self.sample_rate
         n = protocol.parse_int("samples", fields, "n")
+        if n < 1:
+            raise protocol.ProtocolError("samples frame carries no values")
         if n > protocol.MAX_FRAME_S * fs:  # before v is split: then n bounds the values
             raise protocol.ProtocolError(f"samples frame n {n} holds over {protocol.MAX_FRAME_S} s")
-        values = protocol.parse_values(fields)
-        if not values:
-            raise protocol.ProtocolError("samples frame carries no values")
-        if n != len(values):
-            raise protocol.ProtocolError(
-                f"samples frame field n is {n} but {len(values)} values follow"
-            )
+        values = protocol.parse_values(fields, n)
         # One C call per frame: the norm is nan, inf or above the limit
         # whenever a value is, and the scan only runs then. Rejecting here
         # keeps nan, inf and values whose features would overflow out of the

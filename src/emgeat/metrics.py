@@ -103,7 +103,7 @@ def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> Correct
         corrected_onsets=corrected_onsets,
         corrected_terminations=corrected_terms,
         corrected_gaps=corrected_gaps,
-        sequences=sequence_bounds(events, gap_cap_s),
+        sequences=sequence_bounds(onsets, terms, gap_cap_s),
     )
 
 

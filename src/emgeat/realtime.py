@@ -97,11 +97,10 @@ def calibrate(
 
     peaks = []
     for x in rectified:
-        for burst in detect_bursts(x, sample_rate, thr):
+        onsets, terms = detect_bursts(x, sample_rate, thr)
+        for lo, hi in zip(onsets.tolist(), terms.tolist()):
             # round(): int() can land one short and drop the last sample.
-            lo = round(burst.onset_s * sample_rate)
-            hi = round(burst.termination_s * sample_rate)
-            peaks.append(float(x[lo:hi].max()))
+            peaks.append(float(x[round(lo * sample_rate) : round(hi * sample_rate)].max()))
     if not peaks:
         raise ValueError("no contractions detected in the calibration segments")
 

@@ -191,7 +191,7 @@ def test_criterion_04_burst_detection_precision_recall():
             lead = int(plan.baseline_lead_s * rate)
             stats = events.baseline_stats(envelope[:lead])
             thr = events.compute_threshold(stats.mu, stats.sigma)
-            bursts = events.detect_bursts(envelope, rate, thr)
+            bursts = list(zip(*events.detect_bursts(envelope, rate, thr)))
             truth = [
                 (a.onset_s, a.termination_s)
                 for a in recording.annotations_of("chew")
@@ -199,7 +199,7 @@ def test_criterion_04_burst_detection_precision_recall():
             used = set()
             for t in truth:
                 for i, b in enumerate(bursts):
-                    if i not in used and iou(t, (b.onset_s, b.termination_s)) >= 0.5:
+                    if i not in used and iou(t, b) >= 0.5:
                         hits += 1
                         used.add(i)
                         break

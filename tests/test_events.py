@@ -5,13 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import emgeat.events as events
-from emgeat.events import (
-    BurstInterval,
-    baseline_stats,
-    compute_threshold,
-    detect_bursts,
-    sequence_bounds,
-)
+from emgeat.events import baseline_stats, compute_threshold, detect_bursts, sequence_bounds
 from emgeat.signal import envelope_rate, preprocess
 from emgeat.synth import SessionPlan, gen_session
 
@@ -37,48 +31,51 @@ class TestThreshold:
 
 class TestDetectBursts:
     def test_all_below_threshold(self):
-        assert detect_bursts(np.full(100, 0.1), 100.0, 0.5) == []
+        onsets, terms = detect_bursts(np.full(100, 0.1), 100.0, 0.5)
+        assert onsets.shape == terms.shape == (0,)
+        assert onsets.dtype == terms.dtype == float
 
     def test_rectangular_burst(self):
         rate = 100.0
         x = np.zeros(300)
         x[100:150] = 1.0  # 1.0 s .. 1.5 s
-        bursts = detect_bursts(x, rate, 0.5)
-        assert len(bursts) == 1
-        assert bursts[0].onset_s == pytest.approx(1.0, abs=1.0 / rate)
-        assert bursts[0].termination_s == pytest.approx(1.5, abs=1.0 / rate)
+        onsets, terms = detect_bursts(x, rate, 0.5)
+        assert len(onsets) == len(terms) == 1
+        assert onsets[0] == pytest.approx(1.0, abs=1.0 / rate)
+        assert terms[0] == pytest.approx(1.5, abs=1.0 / rate)
 
     def test_short_run_dropped(self):
         rate = 100.0
         x = np.zeros(200)
         x[50:53] = 1.0  # 0.03 s < default min duration 0.05 s
-        assert detect_bursts(x, rate, 0.5) == []
+        onsets, terms = detect_bursts(x, rate, 0.5)
+        assert onsets.size == terms.size == 0
 
     def test_nearby_runs_merged(self):
         rate = 100.0
         x = np.zeros(300)
         x[100:110] = 1.0
         x[113:123] = 1.0  # 0.03 s gap < default merge gap 0.05 s
-        bursts = detect_bursts(x, rate, 0.5)
-        assert len(bursts) == 1
-        assert bursts[0].onset_s == pytest.approx(1.0)
-        assert bursts[0].termination_s == pytest.approx(1.23)
+        onsets, terms = detect_bursts(x, rate, 0.5)
+        assert len(onsets) == len(terms) == 1
+        assert onsets[0] == pytest.approx(1.0)
+        assert terms[0] == pytest.approx(1.23)
 
     def test_distant_runs_stay_separate(self):
         rate = 100.0
         x = np.zeros(300)
         x[100:110] = 1.0
         x[130:140] = 1.0  # 0.2 s gap
-        assert len(detect_bursts(x, rate, 0.5)) == 2
+        onsets, terms = detect_bursts(x, rate, 0.5)
+        assert len(onsets) == len(terms) == 2
 
     def test_intervals_disjoint_and_sorted(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             x = np.abs(rng.standard_normal(1000))
-            bursts = detect_bursts(x, 100.0, float(rng.uniform(0.5, 2.0)))
-            for a, b in zip(bursts, bursts[1:]):
-                assert a.termination_s <= b.onset_s
-                assert a.onset_s < a.termination_s
+            onsets, terms = detect_bursts(x, 100.0, float(rng.uniform(0.5, 2.0)))
+            assert np.all(terms[:-1] <= onsets[1:])
+            assert np.all(onsets < terms)
 
     def test_raw_runs_only_contain_samples_above_thr(self, monkeypatch):
         monkeypatch.setattr(events, "MIN_DURATION_S", 0.0)
@@ -87,11 +84,11 @@ class TestDetectBursts:
         x = np.abs(rng.standard_normal(500))
         thr = 1.0
         rate = 100.0
-        bursts = detect_bursts(x, rate, thr)
+        onsets, terms = detect_bursts(x, rate, thr)
         covered = np.zeros(x.size, dtype=bool)
-        for b in bursts:
-            i0 = int(round(b.onset_s * rate))
-            i1 = int(round(b.termination_s * rate))
+        for onset, term in zip(onsets, terms):
+            i0 = int(round(onset * rate))
+            i1 = int(round(term * rate))
             assert np.all(x[i0:i1] > thr)
             covered[i0:i1] = True
         assert np.all(x[~covered] <= thr)
@@ -102,8 +99,8 @@ class TestDetectBursts:
             x = np.abs(rng.standard_normal(2000))
             totals = []
             for thr in np.linspace(0.1, 2.5, 9):
-                bursts = detect_bursts(x, 100.0, float(thr))
-                totals.append(sum(b.duration_s for b in bursts))
+                onsets, terms = detect_bursts(x, 100.0, float(thr))
+                totals.append(sum((terms - onsets).tolist()))
             for lo, hi in zip(totals, totals[1:]):
                 assert hi <= lo + 1e-12
 
@@ -134,8 +131,8 @@ def naive_bursts(x, rate, thr):
     return [(o, t) for o, t in merged if t - o >= events.MIN_DURATION_S]
 
 
-def bits(pairs):
-    return [(float(o).hex(), float(t).hex()) for o, t in pairs]
+def bits(values):
+    return [float(v).hex() for v in values]
 
 
 LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]
@@ -162,27 +159,26 @@ class TestDetectBurstsAgainstLoop:
             if zero_rules:
                 mp.setattr(events, "MIN_DURATION_S", 0.0)
                 mp.setattr(events, "MERGE_GAP_S", 0.0)
-            got = [(b.onset_s, b.termination_s) for b in detect_bursts(x, rate, thr)]
+            onsets, terms = detect_bursts(x, rate, thr)
             want = naive_bursts(x, rate, thr)
-        assert bits(got) == bits(want)
+        assert onsets.dtype == terms.dtype == float
+        assert bits(onsets) == bits(o for o, _ in want)
+        assert bits(terms) == bits(t for _, t in want)
 
 
 class TestSequences:
     def test_grouping_by_gap(self):
-        bursts = [
-            BurstInterval(0.0, 0.3),
-            BurstInterval(0.8, 1.1),  # gap 0.5
-            BurstInterval(4.0, 4.3),  # gap 2.9 > 2.0 -> new sequence
-        ]
-        assert sequence_bounds(bursts, 2.0) == [(0, 1), (2, 2)]
+        onsets = np.array([0.0, 0.8, 4.0])  # gaps 0.5, then 2.9 > 2.0 -> new sequence
+        terms = np.array([0.3, 1.1, 4.3])
+        assert sequence_bounds(onsets, terms, 2.0) == [(0, 1), (2, 2)]
 
     def test_gap_equal_to_the_cap_stays_inside(self):
-        bursts = [BurstInterval(0.0, 0.5), BurstInterval(2.5, 3.0)]  # gap exactly 2.0
-        assert sequence_bounds(bursts, 2.0) == [(0, 1)]
-        assert sequence_bounds(bursts, 1.5) == [(0, 0), (1, 1)]
+        onsets, terms = np.array([0.0, 2.5]), np.array([0.5, 3.0])  # gap exactly 2.0
+        assert sequence_bounds(onsets, terms, 2.0) == [(0, 1)]
+        assert sequence_bounds(onsets, terms, 1.5) == [(0, 0), (1, 1)]
 
     def test_empty(self):
-        assert sequence_bounds([], 2.0) == []
+        assert sequence_bounds(np.zeros(0), np.zeros(0), 2.0) == []
 
 
 class TestSyntheticDetection:
@@ -194,7 +190,7 @@ class TestSyntheticDetection:
         lead = int(plan.baseline_lead_s * rate)
         stats = baseline_stats(envelope[:lead])
         thr = compute_threshold(stats.mu, stats.sigma)
-        bursts = detect_bursts(envelope, rate, thr)
+        bursts = list(zip(*detect_bursts(envelope, rate, thr)))
         truth = [
             (a.onset_s, a.termination_s) for a in recording.annotations_of("chew")
         ]
@@ -210,7 +206,7 @@ class TestSyntheticDetection:
             for i, b in enumerate(bursts):
                 if i in used:
                     continue
-                if iou(t, (b.onset_s, b.termination_s)) >= 0.5:
+                if iou(t, b) >= 0.5:
                     hits += 1
                     used.add(i)
                     break

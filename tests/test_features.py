@@ -421,13 +421,13 @@ def per_window_matrix(recording, spec, task):
     for name in recording.channel_names:
         envelope = envelopes[name]
         thr = F._resolve_threshold(envelope, rate, recording)
-        bursts = detect_bursts(envelope, rate, thr)
+        onsets, terms = detect_bursts(envelope, rate, thr)
         sequences = [[]]  # a gap above the cap starts the next sequence
-        for burst in bursts:
+        for onset, term in zip(onsets.tolist(), terms.tolist()):
             last = sequences[-1]
-            if last and burst.onset_s - last[-1].termination_s > F.CYCLE_SEQUENCE_GAP_S:
+            if last and onset - last[-1][1] > F.CYCLE_SEQUENCE_GAP_S:
                 sequences.append([])
-            sequences[-1].append(burst)
+            sequences[-1].append((onset, term))
         channels.append((envelope, thr, sequences))
     rows, labels = [], []
     for s in starts:
@@ -436,10 +436,10 @@ def per_window_matrix(recording, spec, task):
         for envelope, thr, sequences in channels:
             best, cycle = 0.0, (0.0, 0.0)
             for seq in sequences:
-                for burst in seq:
-                    ov = naive_overlap(t0, t1, burst)
+                for onset, term in seq:
+                    ov = max(0.0, min(t1, term) - max(t0, onset))
                     if ov > best:  # the first burst reaching the largest overlap wins
-                        best, cycle = ov, (burst.duration_s, float(len(seq)))
+                        best, cycle = ov, (term - onset, float(len(seq)))
             segment = envelope[s : s + n_window]
             row.extend(extract_features(segment, rate, thr, *cycle))
         rows.append(row)
@@ -481,17 +481,19 @@ class TestMatrixAgainstPerWindowLoop:
         envelope = preprocess_recording(recording)["masseter"]
         rate = envelope_rate(fs)
         assert rate == 128.0
-        first, second = detect_bursts(envelope, rate, thr)
-        assert first.duration_s != second.duration_s
+        onsets, terms = detect_bursts(envelope, rate, thr)
+        assert len(onsets) == 2  # A, then B
+        durations = terms - onsets
+        assert durations[0] != durations[1]
         # A window ending 4 samples into B and starting 4 samples before A ends
         # overlaps each by 4 / 128 s; a hop of one sample makes it a row.
-        gap = round((second.onset_s - first.termination_s) * rate)
+        gap = round(float(onsets[1] - terms[0]) * rate)
         spec = WindowSpec(length_s=(gap + 8) / rate, hop_s=1 / rate)
         # both the matrix and the reference loop detect bursts at thr
         monkeypatch.setattr(F, "_resolve_threshold", lambda envelope, rate, recording: thr)
         matrix = build_feature_matrix(recording, spec, "chew")
         values, _, _, _ = per_window_matrix(recording, spec, "chew")
         assert np.array_equal(matrix.values, values)
-        (row,) = np.flatnonzero(matrix.onsets_s == first.termination_s - 4 / rate)
+        (row,) = np.flatnonzero(matrix.onsets_s == terms[0] - 4 / rate)
         column = matrix.feature_names.index("masseter_cycle_duration")
-        assert matrix.values[row, column] == first.duration_s
+        assert matrix.values[row, column] == durations[0]

@@ -665,8 +665,10 @@ class TestProtocol:
         with pytest.raises(io.ProtocolError, match="not an integer"):
             protocol.parse_int("samples", {"t_us": "1.5"}, "t_us")
         with pytest.raises(io.ProtocolError, match="unparseable samples"):
-            protocol.parse_values({"v": "1.0,oops"})
-        assert protocol.parse_values({"v": "1.0,2.0"}) == [1.0, 2.0]
+            protocol.parse_values({"v": "1.0,oops"}, 2)
+        with pytest.raises(io.ProtocolError, match="field n is 3 but 2 values follow"):
+            protocol.parse_values({"v": "1.0,2.0"}, 3)
+        assert protocol.parse_values({"v": "1.0,2.0"}, 2) == [1.0, 2.0]
 
     @settings(max_examples=300, deadline=None)
     @given(line=st.text(), allowed=st.sampled_from([None, io.protocol.CLIENT_KINDS]))
@@ -681,20 +683,17 @@ class TestProtocol:
         from emgeat.io import protocol
 
         def parse(v):
-            return protocol.parse_values({"v": v})
+            return protocol.parse_values({"v": v}, v.count(",") + 1)
 
-        # Empty tokens are skipped wherever they fall.
-        assert parse("1.0,,2.0,") == [1.0, 2.0]
-        assert parse(",1.0") == [1.0]
-        assert parse("") == [] and parse(",,") == []
         # Non-finite tokens parse; the session refuses them (TestServerErrors).
         values = parse("nan,inf,-inf,1e400")
         assert math.isnan(values[0]) and values[1:] == [math.inf, -math.inf, math.inf]
-        for bad in ("1.0,oops", "oops", "1.0,,oops,", "1.0;2.0"):
+        # An empty token is unparseable wherever it falls.
+        for bad in ("1.0,oops", "oops", "1.0,,oops,", "1.0;2.0", "1.0,,2.0", ",1.0", "1.0,", ""):
             with pytest.raises(io.ProtocolError, match="unparseable samples"):
                 parse(bad)
         with pytest.raises(io.ProtocolError, match="missing field 'v'"):
-            protocol.parse_values({})
+            protocol.parse_values({}, 1)
 
 
 # --- live server ------------------------------------------------------------
@@ -1851,31 +1850,34 @@ class TestSessionFeed:
             f"error reason=protocol detail=frame_longer_than_{cap}_bytes"
         ]
 
-    @pytest.mark.parametrize("n", [10_000, 162_035], ids=["one_second", "every_value"])
-    def test_line_memory_is_bounded_by_the_line_cap(self, rt_model, n):
-        # A line of the cap at 10 kHz, all of it `0,` values: 162 035 of
-        # them. With n at the 1 s bound the values are split and parsed
-        # before the count check refuses them; with n counting them all, the
-        # bound refuses the frame before v is split.
+    @pytest.mark.parametrize(
+        "token, n",
+        [(b"0,", 10_000), (b"0,", 162_035), (b"10,", 10_000)],
+        ids=["one_second", "every_value", "one_second_two_digit_tokens"],
+    )
+    def test_line_memory_is_bounded_by_the_line_cap(self, rt_model, token, n):
+        # A line of the cap at 10 kHz, all of it one token: 162 035 `0,` or
+        # 108 024 `10,` values. With n at the 1 s bound the commas are
+        # counted and the count refuses the frame before v is split; with n
+        # counting them all, the bound refuses it before v is counted.
         session = self.session(rt_model)
         session.feed(self.HELLO.replace(b"1024.0", b"10000.0"))
         cap = 4096 + 10_000 * 32
         assert session.max_line == cap
         prefix = b"samples t_us=0 n=%d v=" % n
-        line = prefix + (b"0," * cap)[: cap - len(prefix) - 1] + b"\n"
-        assert len(line) == cap and (cap - len(prefix)) // 2 == 162_035  # values
+        line = prefix + (token * cap)[: cap - len(prefix) - 1] + b"\n"
+        assert len(line) == cap and line.count(b",") > 100_000
         tracemalloc.start()
         try:
             replies = session.feed(line)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Parsing holds the decoded text and its v field, a list of one
-        # pointer per token, and a list of floats of 8 + 24 bytes each: 23x
-        # the cap on Python 3.11 (4x when n refuses the frame first). 32x
-        # leaves room for other versions' allocators, and is far below the
-        # 260x of a line ten times as long.
-        assert peak <= 32 * cap
+        # Refusing holds the decoded text and its v field: 4x the cap on
+        # Python 3.11 in every case. Splitting and parsing the `10,` line
+        # first would take 33x (one str and one float per token). 8x is a
+        # guess at other versions' allocators: Python 3.10 was not measured.
+        assert peak <= 8 * cap
         assert len(replies) == 1 and replies[0].startswith("error reason=protocol ")
         assert session.done
 

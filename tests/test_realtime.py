@@ -320,8 +320,9 @@ class TestLiveRate:
         assert rt.live_rate([], t=3.0) == 0.0
 
     def test_partial_overlap_excluded(self):
-        # Only events lying wholly inside the window count.
-        events = [ChewEvent(4.9, 5.2), ChewEvent(9.8, 10.2), ChewEvent(6.0, 6.4)]
+        # Only events lying wholly inside the window count: the first starts
+        # before it, the last ends after t.
+        events = [ChewEvent(4.9, 5.2), ChewEvent(6.0, 6.4), ChewEvent(9.8, 10.2)]
         assert rt.live_rate(events, t=10.0) == pytest.approx(0.2)
 
     def test_boundary_event_included(self):

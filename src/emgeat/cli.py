@@ -162,8 +162,7 @@ def cmd_eval_lopo(args) -> int:
 def cmd_analyze(args) -> int:
     _metrics.check_gap_cap(args.gap_cap)  # before the log is read
     events = _io.read_event_log(args.infile)
-    timeline = _metrics.correct_and_segment(events, gap_cap_s=args.gap_cap)
-    report = _metrics.session_metrics(timeline)
+    report = _metrics.session_metrics(events, gap_cap_s=args.gap_cap)
     for field in dataclasses.fields(report):
         value = getattr(report, field.name)
         if value is not None and not isinstance(value, int):
@@ -228,12 +227,12 @@ def cmd_replay(args) -> int:
 
 
 def cmd_feedback_sim(args) -> int:
-    normalizer = _feedback.RateNormalizer(reference_rate_hz=args.reference_rate)
-    level = _feedback.FeedbackLevel.NO_PULSE  # as a server session starts
+    _feedback.check_reference_rate(args.reference_rate)  # before the file is read
+    level = "no_pulse"  # as a server session starts
     for t, rate in _io.read_rate_series(args.infile):
-        new = _feedback.map_level(_feedback.normalize_rate(rate, normalizer))
-        if new is not level:
-            print(f"{float(t)!r},{new.label}")
+        new = _feedback.level(rate, args.reference_rate)
+        if new != level:
+            print(f"{float(t)!r},{new}")
         level = new
     return 0
 

@@ -1,13 +1,13 @@
 """Amplitude-threshold burst detection on conditioned envelopes.
 
-Bursts are maximal runs of samples above a baseline-derived threshold,
-cleaned up by gap merging and a minimum-duration rule, all by array
-operations with no loop over runs. They serve as the ground-truth surrogate
-for muscle contractions and as cycle context for the window features.
+Bursts are maximal runs of samples above a baseline-derived threshold
+(`activity_threshold`, a plain float from a quiet segment), cleaned up by
+gap merging and a minimum-duration rule, all by array operations with no
+loop over runs. They serve as the ground-truth surrogate for muscle
+contractions and as cycle context for the window features.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +20,6 @@ MIN_DURATION_S = 0.05
 MERGE_GAP_S = 0.05
 
 
-@dataclass(frozen=True)
-class BaselineStats:
-    """Location and spread of the quiet-signal envelope."""
-
-    mu: float
-    sigma: float
-
-
 def check_interval(what: str, onset_s: float, termination_s: float) -> None:
     """Reject an interval that is not finite or does not end after its onset."""
     if not (math.isfinite(onset_s) and math.isfinite(termination_s)):
@@ -36,19 +28,13 @@ def check_interval(what: str, onset_s: float, termination_s: float) -> None:
         raise ValueError(f"{what} termination {termination_s} not after onset {onset_s}")
 
 
-def baseline_stats(x: np.ndarray) -> BaselineStats:
-    """Mean and standard deviation of a quiet segment."""
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
+def activity_threshold(quiet: np.ndarray) -> float:
+    """Threshold for activity above a quiet segment: its mean plus
+    THRESHOLD_J standard deviations."""
+    quiet = np.asarray(quiet, dtype=float)
+    if quiet.size == 0:
         raise ValueError("baseline segment is empty")
-    return BaselineStats(mu=float(x.mean()), sigma=float(x.std()))
-
-
-def compute_threshold(mu0: float, delta0: float) -> float:
-    """Activity threshold above the baseline: mu0 + THRESHOLD_J * delta0."""
-    if delta0 < 0:
-        raise ValueError("baseline spread must be non-negative")
-    return mu0 + THRESHOLD_J * delta0
+    return float(quiet.mean()) + THRESHOLD_J * float(quiet.std())
 
 
 def detect_bursts(x: np.ndarray, rate: float, thr: float) -> tuple:

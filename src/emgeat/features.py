@@ -379,8 +379,7 @@ def _resolve_threshold(envelope, rate, recording):
         lo = int(quiet[0].onset_s * rate)
         hi = int(quiet[0].termination_s * rate)
         envelope = envelope[lo:max(hi, lo + 1)]
-    stats = _events.baseline_stats(envelope)
-    return _events.compute_threshold(stats.mu, stats.sigma)
+    return _events.activity_threshold(envelope)
 
 
 def build_feature_matrix(

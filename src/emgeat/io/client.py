@@ -12,7 +12,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 
-from ..feedback import RateNormalizer
+from ..feedback import check_reference_rate
 from ..realtime import STREAM_CHANNEL, CalibrationProfile, calibrate
 from ..signal import sample_time_us
 from . import protocol
@@ -91,7 +91,7 @@ def check_options(port: int, speed: float, frame_s: float, reference_rate_hz):
     if not (math.isfinite(frame_s) and frame_s > 0):
         raise ValueError(f"frame_s {frame_s} must be positive and finite")
     if reference_rate_hz is not None:
-        RateNormalizer(reference_rate_hz)  # the server's rule and message
+        check_reference_rate(reference_rate_hz)  # the server's rule and message
 
 
 def stream_client(
@@ -132,10 +132,12 @@ def stream_client(
     }
     if reference_rate_hz is not None:
         hello["r_ref"] = float(reference_rate_hz)
+    # Before connecting: a participant id the wire cannot carry is refused here.
+    hello_line = (protocol.format_frame("hello", hello) + "\n").encode()
     result, unread = ClientResult(), bytearray()
     with _connect(host, port) as sock:
         try:
-            sock.sendall((protocol.format_frame("hello", hello) + "\n").encode())
+            sock.sendall(hello_line)
             start_time = time.monotonic()
             for start in range(0, samples.size, n_frame):
                 chunk = samples[start : start + n_frame]

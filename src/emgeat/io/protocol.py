@@ -9,6 +9,10 @@ Client to server: hello (session open, calibration profile), samples
 client: hello (ack), rate (live chews per second, roughly once per streamed
 second), level (feedback level transitions), bye (final event count), error
 (the reason a session ended: every error frame ends its session).
+
+Every numeric field follows one number rule, the files' too: what float()
+or int() reads, in ASCII and without "_" (`plain_ascii`). Text fields such
+as the participant id are free.
 """
 
 CLIENT_KINDS = ("hello", "samples", "bye")
@@ -67,30 +71,44 @@ def require_fields(kind: str, fields: dict, names) -> None:
             raise ProtocolError(f"{kind} frame missing field {name!r}")
 
 
-def parse_float(kind: str, fields: dict, name: str) -> float:
+def plain_ascii(text: str) -> bool:
+    """The number rule of the wire and the files, on top of what float() and
+    int() check: a numeric field is ASCII and holds no "_". Both functions
+    read "1_0" as 10 and accept non-ASCII digits, Arabic-Indic or fullwidth."""
+    return text.isascii() and "_" not in text
+
+
+def _parse_number(kind: str, fields: dict, name: str, convert, what: str):
     require_fields(kind, fields, [name])
-    try:
-        return float(fields[name])
-    except ValueError:
-        raise ProtocolError(f"{kind} frame field {name} is not a number") from None
+    text = fields[name]
+    if plain_ascii(text):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    raise ProtocolError(f"{kind} frame field {name} is not {what}")
+
+
+def parse_float(kind: str, fields: dict, name: str) -> float:
+    return _parse_number(kind, fields, name, float, "a number")
 
 
 def parse_int(kind: str, fields: dict, name: str) -> int:
-    require_fields(kind, fields, [name])
-    try:
-        return int(fields[name])
-    except ValueError:
-        raise ProtocolError(f"{kind} frame field {name} is not an integer") from None
+    return _parse_number(kind, fields, name, int, "an integer")
 
 
 def parse_values(fields: dict, n: int) -> list:
     """A samples frame's `v`: exactly n comma-separated floats. The commas
-    are counted before v is split, so a wrong n is refused unparsed."""
+    are counted before v is split, so a wrong n is refused unparsed; the
+    number rule is checked once on the whole of v."""
     require_fields("samples", fields, ["v"])
-    count = fields["v"].count(",") + 1
+    v = fields["v"]
+    count = v.count(",") + 1
     if count != n:
         raise ProtocolError(f"samples frame field n is {n} but {count} values follow")
-    try:
-        return list(map(float, fields["v"].split(",")))
-    except ValueError:
-        raise ProtocolError("samples frame carries unparseable samples") from None
+    if plain_ascii(v):
+        try:
+            return list(map(float, v.split(",")))
+        except ValueError:
+            pass
+    raise ProtocolError("samples frame carries unparseable samples")

@@ -4,7 +4,8 @@ A recording file carries `# key=value` headers, a column header, and one
 `timestamp_us,<channel>,...` row per sample; annotations live in a sidecar
 `<path>.ann` with `kind,onset_s,termination_s` rows. Floats are written with
 repr so a write/read round trip reproduces the exact values, which keeps
-seeded pipelines byte-reproducible.
+seeded pipelines byte-reproducible. Every number read back follows the
+wire's number rule (`protocol.plain_ascii`).
 """
 
 import math
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..signal import Annotation, RawRecording, check_within, sample_time_us
+from .protocol import plain_ascii
 
 RECORDING_MAGIC = "# emg-recording v1"
 ANNOTATION_MAGIC = "# emg-annotations v1"
@@ -55,11 +57,12 @@ def rows(path, lines, start, columns):
 
 
 def parse_floats(where, columns, fields) -> list:
-    """The fields as finite floats; an unparseable or non-finite value is a
+    """The fields as finite floats; a value that breaks the wire's number
+    rule (protocol.plain_ascii), is unparseable or is non-finite is a
     FormatError naming its column."""
     try:
         values = list(map(float, fields))
-        if all(map(math.isfinite, values)):
+        if plain_ascii("".join(fields)) and all(map(math.isfinite, values)):
             return values
     except ValueError:
         pass
@@ -67,7 +70,9 @@ def parse_floats(where, columns, fields) -> list:
         try:
             value = float(text)
         except ValueError:
-            raise FormatError(f"{where}: {column} value {text!r} is unparseable") from None
+            value = None
+        if value is None or not plain_ascii(text):
+            raise FormatError(f"{where}: {column} value {text!r} is unparseable")
         if not math.isfinite(value):
             raise FormatError(f"{where}: {column} value {text} is not finite")
 
@@ -127,13 +132,14 @@ def read_recording(path) -> RawRecording:
     for key in ("participant", "sample_rate_hz"):
         if key not in headers:
             raise FormatError(f"{path}: missing header {key!r}")
+    text = headers["sample_rate_hz"]
     try:
-        sample_rate = float(headers["sample_rate_hz"])
+        sample_rate = float(text) if plain_ascii(text) else math.nan
     except ValueError:
         sample_rate = math.nan
     if not (math.isfinite(sample_rate) and sample_rate > 0):
         raise FormatError(
-            f"{path}: header sample_rate_hz={headers['sample_rate_hz']} is not"
+            f"{path}: header sample_rate_hz={text} is not"
             " a positive finite number"
         )
 

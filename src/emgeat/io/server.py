@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..feedback import FeedbackLevel, RateNormalizer, map_level, normalize_rate
+from ..feedback import check_reference_rate, level
 from ..learn import LinearModel
 from ..realtime import CalibrationProfile, StreamEngine, check_streaming_model
 from ..signal import sample_time_us
@@ -54,7 +54,7 @@ class ServerConfig:
     def __post_init__(self):
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port {self.port} is outside 0..65535")
-        RateNormalizer(self.reference_rate_hz)  # the sessions' rule and message
+        check_reference_rate(self.reference_rate_hz)  # the sessions' rule and message
 
 
 def _positive_float(fields, name: str) -> float:
@@ -70,9 +70,9 @@ class _Session:
     bye or an error; `end` runs however the connection ends. Only an accepted
     hello calls `next_log_path()` for the session's event log (None: none)."""
 
-    def __init__(self, model, normalizer: RateNormalizer, next_log_path):
+    def __init__(self, model, reference_rate_hz: float, next_log_path):
         self.model = model
-        self.normalizer = normalizer  # the server's, unless hello sets r_ref
+        self.reference_rate_hz = reference_rate_hz  # the server's, unless hello sets r_ref
         self.next_log_path = next_log_path
         self.log_path = None
         self.engine = None
@@ -82,7 +82,7 @@ class _Session:
         self.received = 0  # samples accepted, the sample clock
         self.pending = []  # accepted samples not yet pushed, under 1 s + 1 frame
         self.last_rate_second = 0
-        self.last_level = FeedbackLevel.NO_PULSE
+        self.last_level = "no_pulse"
 
     def feed(self, line: bytes) -> list:
         """The reply frames to one received line, its newline included. A
@@ -144,7 +144,7 @@ class _Session:
         except ValueError as exc:  # the band-pass must fit the rate
             raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
         if "r_ref" in fields:
-            self.normalizer = RateNormalizer(_positive_float(fields, "r_ref"))
+            self.reference_rate_hz = _positive_float(fields, "r_ref")
         self.log_path = self.next_log_path()  # numbered only once accepted
         self.sample_rate = sample_rate
         self.max_line += int(protocol.MAX_FRAME_S * sample_rate) * _VALUE_BYTES
@@ -222,10 +222,10 @@ class _Session:
             t = float(self.last_rate_second)
             rate = self.engine.rate_at(t)
             out.append(protocol.format_frame("rate", {"t": t, "value": rate}))
-            level = map_level(normalize_rate(rate, self.normalizer))
-            if level is not self.last_level:
-                out.append(protocol.format_frame("level", {"t": t, "value": level.label}))
-                self.last_level = level
+            label = level(rate, self.reference_rate_hz)
+            if label != self.last_level:
+                out.append(protocol.format_frame("level", {"t": t, "value": label}))
+                self.last_level = label
         return out
 
 
@@ -234,7 +234,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def handle(self):
         server = self.server
-        session = _Session(server.model, server.normalizer, server.next_log_path)
+        session = _Session(server.model, server.config.reference_rate_hz, server.next_log_path)
         try:
             # One byte past the cap tells an over-long line from one that fits;
             # an empty read is a client that went away.
@@ -260,7 +260,6 @@ class EmgServer(socketserver.ThreadingTCPServer):
         check_streaming_model(model)
         self.model = model
         self.config = config or ServerConfig()
-        self.normalizer = RateNormalizer(self.config.reference_rate_hz)
         self._session_counter = 0
         self._lock = threading.Lock()
         self._thread = None

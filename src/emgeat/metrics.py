@@ -4,7 +4,8 @@ Long pauses (drinking, talking) would inflate any rate computed over the
 raw clock, so gaps above a cap are shortened to the cap on a corrected
 timeline before rate statistics. The same cap defines chewing-sequence
 boundaries: a gap that had to be capped separates two sequences. Sequence
-statistics themselves are reported on the original clock.
+statistics themselves are reported on the original clock. One call,
+`session_metrics`, goes from an event log to all of them.
 """
 
 from dataclasses import dataclass
@@ -44,17 +45,6 @@ def check_event_order(prev: ChewEvent, cur: ChewEvent) -> None:
 
 
 @dataclass
-class CorrectedTimeline:
-    """Events with pause-attenuated clocks plus sequence grouping."""
-
-    events: list  # original ChewEvents, ordered by onset
-    corrected_onsets: np.ndarray
-    corrected_terminations: np.ndarray
-    corrected_gaps: np.ndarray  # capped gaps, length L-1
-    sequences: list  # (first_index, last_index) per sequence, inclusive
-
-
-@dataclass
 class SessionMetrics:
     """A meal's statistics, in the order `emgeat analyze` prints them."""
 
@@ -74,12 +64,16 @@ def check_gap_cap(gap_cap_s: float) -> None:
         raise ValueError(f"gap cap {gap_cap_s!r} must be positive")
 
 
-def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> CorrectedTimeline:
-    """Cap long gaps and group events into chewing sequences.
+def session_metrics(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> SessionMetrics:
+    """Summary statistics of a meal's chew events.
 
-    Events must be ordered by onset and non-overlapping. Durations are never
-    altered; only the gaps between events shrink (to at most gap_cap_s) on
-    the corrected clock.
+    Events must be ordered by onset and non-overlapping. On the corrected
+    clock every gap above gap_cap_s shrinks to it and durations are kept;
+    the overall rate is events divided by the corrected span (first onset to
+    last corrected termination), and its reciprocal form, the mean chew
+    period, is reported alongside. A gap that had to be capped separates
+    two sequences, whose statistics are on the original clock. A gap mean
+    over no gaps is None.
     """
     check_gap_cap(gap_cap_s)
     events = list(events)
@@ -88,57 +82,28 @@ def correct_and_segment(events, gap_cap_s: float = DEFAULT_GAP_CAP_S) -> Correct
     for prev, cur in zip(events, events[1:]):
         check_event_order(prev, cur)
 
+    n = len(events)
     durations = np.array([e.duration_s for e in events])
     onsets = np.array([e.onset_s for e in events])
     terms = np.array([e.termination_s for e in events])
-    corrected_gaps = np.minimum(onsets[1:] - terms[:-1], gap_cap_s)
-
-    corrected_onsets = np.empty(len(events))
-    corrected_onsets[0] = onsets[0]
-    corrected_onsets[1:] = onsets[0] + np.cumsum(durations[:-1] + corrected_gaps)
-    corrected_terms = corrected_onsets + durations
-
-    return CorrectedTimeline(
-        events=events,
-        corrected_onsets=corrected_onsets,
-        corrected_terminations=corrected_terms,
-        corrected_gaps=corrected_gaps,
-        sequences=sequence_bounds(onsets, terms, gap_cap_s),
-    )
-
-
-def session_metrics(timeline: CorrectedTimeline) -> SessionMetrics:
-    """Summary statistics of a corrected timeline.
-
-    The overall rate is events divided by the corrected span (first corrected
-    onset to last corrected termination); its reciprocal form, the mean chew
-    period, is reported alongside. A gap mean over no gaps is None.
-    """
-    events = timeline.events
-    n = len(events)
-    span = float(timeline.corrected_terminations[-1] - timeline.corrected_onsets[0])
+    capped_gaps = np.minimum(onsets[1:] - terms[:-1], gap_cap_s)
+    # The last corrected onset, summed in event order.
+    last_onset = onsets[0] + np.cumsum(durations[:-1] + capped_gaps)[-1] if n > 1 else onsets[0]
+    span = float(last_onset + durations[-1] - onsets[0])
     if span <= 0:
         raise ValueError("degenerate timeline: zero corrected span")
 
-    n_seq = len(timeline.sequences)
-    seq_durations = [
-        events[last].termination_s - events[first].onset_s
-        for first, last in timeline.sequences
-    ]
-    seq_gaps = [
-        events[timeline.sequences[i + 1][0]].onset_s
-        - events[timeline.sequences[i][1]].termination_s
-        for i in range(n_seq - 1)
-    ]
-
+    firsts, lasts = np.array(sequence_bounds(onsets, terms, gap_cap_s)).T
+    n_seq = len(firsts)
+    seq_gaps = onsets[firsts[1:]] - terms[lasts[:-1]]
     return SessionMetrics(
         n_events=n,
         n_sequences=n_seq,
         overall_rate_hz=n / span,
         mean_chew_period_s=span / n,
-        chew_duration_s=float(np.mean([e.duration_s for e in events])),
-        chew_gap_s=float(np.mean(timeline.corrected_gaps)) if n > 1 else None,
-        sequence_duration_s=float(np.mean(seq_durations)),
-        sequence_gap_s=float(np.mean(seq_gaps)) if seq_gaps else None,
+        chew_duration_s=float(np.mean(durations)),
+        chew_gap_s=float(np.mean(capped_gaps)) if n > 1 else None,
+        sequence_duration_s=float(np.mean(terms[lasts] - onsets[firsts])),
+        sequence_gap_s=float(np.mean(seq_gaps)) if n_seq > 1 else None,
         chews_per_sequence=n / n_seq,
     )

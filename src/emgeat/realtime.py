@@ -28,7 +28,7 @@ import numpy as np
 
 from . import features as _features
 from . import signal as _signal
-from .events import baseline_stats, compute_threshold, detect_bursts
+from .events import activity_threshold, detect_bursts
 from .learn import LinearModel, decision_values
 from .metrics import ChewEvent
 
@@ -92,8 +92,7 @@ def calibrate(
         raise ValueError("calibration segments shorter than one chunk")
     pieces.sort(key=lambda piece: float(np.sqrt(np.mean(piece**2))))
     quiet = np.concatenate(pieces[: max(1, int(len(pieces) * _QUIET_FRACTION))])
-    stats = baseline_stats(quiet)
-    thr = compute_threshold(stats.mu, stats.sigma)
+    thr = activity_threshold(quiet)
 
     peaks = []
     for x in rectified:
@@ -106,8 +105,10 @@ def calibrate(
 
     return CalibrationProfile(
         reference_amplitude=float(np.percentile(peaks, CALIBRATION_PERCENTILE)),
-        mu0=stats.mu,
-        delta0=stats.sigma,
+        # No stage reads mu0 and delta0 back: they only fill the hello,
+        # which perfbench/wire.py sends as well (ROADMAP item 12).
+        mu0=float(quiet.mean()),
+        delta0=float(quiet.std()),
         sample_rate=sample_rate,
         source=source,
     )

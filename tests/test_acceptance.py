@@ -189,8 +189,7 @@ def test_criterion_04_burst_detection_precision_recall():
             )
             rate = sig.envelope_rate(recording.sample_rate)
             lead = int(plan.baseline_lead_s * rate)
-            stats = events.baseline_stats(envelope[:lead])
-            thr = events.compute_threshold(stats.mu, stats.sigma)
+            thr = events.activity_threshold(envelope[:lead])
             bursts = list(zip(*events.detect_bursts(envelope, rate, thr)))
             truth = [
                 (a.onset_s, a.termination_s)
@@ -328,7 +327,7 @@ def test_criterion_08_session_metrics_exactness():
             metrics.ChewEvent(1.0, 1.5),
             metrics.ChewEvent(2.0, 2.5),
         ]
-        report = metrics.session_metrics(metrics.correct_and_segment(hand))
+        report = metrics.session_metrics(hand)
         hand_ok = (
             report.overall_rate_hz == 1.2
             and report.mean_chew_period_s == 2.5 / 3.0
@@ -349,33 +348,30 @@ def test_criterion_08_session_metrics_exactness():
                 raw.append(metrics.ChewEvent(t, t + dur))
                 t += dur + float(rng.uniform(0.01, 6.0))
             cap = float(rng.uniform(0.5, 5.0))
-            timeline = metrics.correct_and_segment(raw, gap_cap_s=cap)
+            capped = metrics.session_metrics(raw, gap_cap_s=cap)
             durations = np.array([e.duration_s for e in raw])
             gaps_in = np.array(
                 [b.onset_s - a.termination_s for a, b in zip(raw, raw[1:])]
             )
-            if not np.allclose(
-                timeline.corrected_terminations - timeline.corrected_onsets,
-                durations,
+            # The corrected span keeps every duration and caps every gap.
+            if not np.isclose(
+                n / capped.overall_rate_hz,
+                durations.sum() + np.minimum(gaps_in, cap).sum(),
                 atol=1e-9,
             ):
                 invariants_ok = False
-            if not np.allclose(
-                timeline.corrected_gaps, np.minimum(gaps_in, cap), atol=1e-9
+            if n > 1 and not np.isclose(
+                capped.chew_gap_s, np.minimum(gaps_in, cap).mean(), atol=1e-9
             ):
                 invariants_ok = False
-            identity = metrics.correct_and_segment(raw, gap_cap_s=np.inf)
+            identity = metrics.session_metrics(raw, gap_cap_s=np.inf)
             if not (
-                np.allclose(
-                    identity.corrected_onsets,
-                    [e.onset_s for e in raw],
+                np.isclose(
+                    n / identity.overall_rate_hz,
+                    raw[-1].termination_s - raw[0].onset_s,
                     atol=1e-9,
                 )
-                and np.allclose(
-                    identity.corrected_terminations,
-                    [e.termination_s for e in raw],
-                    atol=1e-9,
-                )
+                and identity.n_sequences == 1
             ):
                 invariants_ok = False
         ok = hand_ok and invariants_ok
@@ -413,23 +409,25 @@ def test_criterion_09_trailing_rate_exactness():
 
 def test_criterion_10_feedback_level_mapping():
     def body():
-        L = feedback.FeedbackLevel
+        # With a reference rate of 1 the rate is exactly twice its
+        # normalized value, so each point below is exactly on the scale.
         points = {
-            0.15: L.NO_PULSE,
-            0.45: L.SINGLE_PULSE,
-            0.70: L.DOUBLE_PULSE,
-            0.90: L.INTENSE_DOUBLE,
-            0.30: L.SINGLE_PULSE,
-            0.60: L.DOUBLE_PULSE,
-            0.80: L.INTENSE_DOUBLE,
-            1.00: L.INTENSE_DOUBLE,
+            0.15: "no_pulse",
+            0.45: "single_pulse",
+            0.70: "double_pulse",
+            0.90: "intense_double",
+            0.30: "single_pulse",
+            0.60: "double_pulse",
+            0.80: "intense_double",
+            1.00: "intense_double",
         }
         bands_ok = all(
-            feedback.map_level(norm) is want for norm, want in points.items()
+            feedback.level(2.0 * norm, 1.0) == want for norm, want in points.items()
         )
-        order = list(L)
+        order = [label for _, label in feedback.BANDS] + [feedback.TOP_LABEL]
         sweep = [
-            order.index(feedback.map_level(v)) for v in np.linspace(0.0, 1.0, 10001)
+            order.index(feedback.level(2.0 * v, 1.0))
+            for v in np.linspace(0.0, 1.0, 10001)
         ]
         monotone = all(b >= a for a, b in zip(sweep, sweep[1:]))
         ok = bands_ok and monotone

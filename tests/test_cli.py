@@ -514,6 +514,29 @@ class TestReplay:
         assert rc == 1
         assert err.startswith("emgeat:")
 
+    def test_participant_the_wire_cannot_carry_exits_before_connecting(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # generate writes the id to a valid recording; the hello cannot hold it.
+        rc = main(
+            [
+                "generate", "--out", str(tmp_path), "--participant", "P 1",
+                "--duration", "3", "--seed", "5",
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+
+        def never(*args):
+            raise AssertionError("connected before the hello was built")
+
+        monkeypatch.setattr(io.client, "_connect", never)
+        rc, _, err = run_cli(
+            ["replay", "--in", str(tmp_path / "P 1.csv"), "--speed", "0"], capsys
+        )
+        assert rc == 1
+        assert err.splitlines() == ["emgeat: field participant='P 1' not representable"]
+
     @pytest.mark.parametrize("rate", ["nan", "0", "-1"])
     def test_bad_reference_rate_exits_before_connecting(self, session_file, capsys, rate):
         import socket

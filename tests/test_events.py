@@ -5,28 +5,25 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import emgeat.events as events
-from emgeat.events import baseline_stats, compute_threshold, detect_bursts, sequence_bounds
+from emgeat.events import activity_threshold, detect_bursts, sequence_bounds
 from emgeat.signal import envelope_rate, preprocess
 from emgeat.synth import SessionPlan, gen_session
 
 
 class TestThreshold:
     def test_frozen_example(self):
-        assert compute_threshold(0.1, 0.02) == pytest.approx(0.2)
+        # mean 0.1, standard deviation 0.02
+        assert activity_threshold(np.array([0.08, 0.12])) == pytest.approx(0.2)
 
     def test_zero_spread(self):
-        assert compute_threshold(0.1, 0.0) == 0.1
-
-    def test_negative_spread_rejected(self):
-        with pytest.raises(ValueError):
-            compute_threshold(0.1, -0.01)
+        assert activity_threshold(np.full(5, 0.125)) == 0.125
 
     def test_baseline_stats(self):
-        stats = baseline_stats(np.array([1.0, 2.0, 3.0]))
-        assert stats.mu == pytest.approx(2.0)
-        assert stats.sigma == pytest.approx(np.sqrt(2.0 / 3.0))
-        with pytest.raises(ValueError):
-            baseline_stats(np.array([]))
+        assert activity_threshold(np.array([1.0, 2.0, 3.0])) == pytest.approx(
+            2.0 + 5.0 * np.sqrt(2.0 / 3.0)
+        )
+        with pytest.raises(ValueError, match="baseline segment is empty"):
+            activity_threshold(np.array([]))
 
 
 class TestDetectBursts:
@@ -188,8 +185,7 @@ class TestSyntheticDetection:
         envelope = preprocess(recording.channel("masseter"), recording.sample_rate)
         rate = envelope_rate(recording.sample_rate)
         lead = int(plan.baseline_lead_s * rate)
-        stats = baseline_stats(envelope[:lead])
-        thr = compute_threshold(stats.mu, stats.sigma)
+        thr = activity_threshold(envelope[:lead])
         bursts = list(zip(*detect_bursts(envelope, rate, thr)))
         truth = [
             (a.onset_s, a.termination_s) for a in recording.annotations_of("chew")

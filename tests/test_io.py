@@ -448,8 +448,8 @@ LIBRARY_CHECKS = {
     "TrainConfig.c": (lambda v, *_: learn.TrainConfig(c=v), "penalty C", False),
     "SessionPlan.duration_s": (lambda v, *_: synth.SessionPlan(duration_s=v), "duration_s", False),
     "SessionPlan.sample_rate": (lambda v, *_: synth.SessionPlan(sample_rate=v), "sample_rate", False),
-    "normalize_rate": (
-        lambda v, *_: feedback.normalize_rate(v, feedback.RateNormalizer(1.6)),
+    "feedback.level": (
+        lambda v, *_: feedback.level(v, 1.6),
         "non-negative and finite",
         True,
     ),
@@ -615,6 +615,69 @@ class TestSharedReader:
         reader, path = reader_files[name]
         content = path.read_bytes().replace(b"\n", end)
         assert same_result(altered(reader_files, name, content), reader(path))
+
+
+# Numbers that float() or int() would read but that break the number rule of
+# the wire and the files: an "_" between digits, or digits outside ASCII.
+NOT_PLAIN = ["1_0", "2_5.0", "\u0661\u0662", "\uff11\uff12"]
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("text", NOT_PLAIN)
+    def test_wire_fields_refuse_them(self, text):
+        from emgeat.io import protocol
+
+        with pytest.raises(io.ProtocolError, match="hello frame field ref is not a number"):
+            protocol.parse_float("hello", {"ref": text}, "ref")
+        with pytest.raises(io.ProtocolError, match="samples frame field t_us is not an integer"):
+            protocol.parse_int("samples", {"t_us": text}, "t_us")
+        for v in (f"0.5,{text}", f"{text},0.5"):
+            with pytest.raises(io.ProtocolError, match="unparseable samples"):
+                protocol.parse_values({"v": v}, 2)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "samples t_us=0 n=2 v=1_0,2_5",
+            "samples t_us=0 n=1_0 v=" + ",".join(["0.5"] * 10),
+            "samples t_us=\u0661\u0662 n=1 v=0.5",
+            "samples t_us=0 n=1 v=\uff10.5",
+        ],
+    )
+    def test_a_session_refuses_them(self, rt_model, line):
+        session = io.server._Session(rt_model, io.DEFAULT_REFERENCE_RATE_HZ, lambda: None)
+        session.feed(TestRandomLines.HELLO)
+        [reply] = session.feed((line + "\n").encode())
+        assert reply.startswith("error reason=protocol detail=samples_frame_")
+        assert session.done
+
+    @pytest.mark.parametrize("text", NOT_PLAIN)
+    @pytest.mark.parametrize("name", [r for r in READERS if r != "model"])
+    def test_file_readers_refuse_them(self, reader_files, name, text):
+        lines = reader_files[name][1].read_text().splitlines()
+        row, _ = lines[-1].rsplit(",", 1)
+        lines[-1] = f"{row},{text}"
+        with pytest.raises(
+            io.FormatError, match=rf":{len(lines)}: \w+ value '{text}' is unparseable"
+        ):
+            altered(reader_files, name, "\n".join(lines).encode())
+
+    @pytest.mark.parametrize("rate", ["1_024.0", "\uff11024.0"])
+    def test_sample_rate_header_refuses_them(self, tmp_path, rate):
+        path = tmp_path / "x.csv"
+        path.write_text(
+            f"# emg-recording v1\n# participant=P\n# sample_rate_hz={rate}\n"
+            "timestamp_us,masseter\n0,0.1\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(io.FormatError, match=f"sample_rate_hz={rate} is not"):
+            io.read_recording(path)
+
+    def test_text_fields_stay_free(self, tmp_path):
+        rec = dataclasses.replace(small_recording(), participant_id="P_\u0661")
+        path = io.write_recording(rec, tmp_path / "p.csv")
+        assert io.read_recording(path).participant_id == "P_\u0661"
+        assert io.parse_frame("hello participant=P_\u0661")[1]["participant"] == "P_\u0661"
 
 
 class TestProtocol:
@@ -1076,6 +1139,18 @@ class TestServerSessions:
                 reference_rate_hz=rate,
             )
 
+    @pytest.mark.parametrize("participant", ["P 1", "P=1"])
+    def test_participant_the_wire_cannot_carry_refused_before_connecting(
+        self, monkeypatch, participant
+    ):
+        def never(*args):
+            raise AssertionError("connected before the hello was built")
+
+        monkeypatch.setattr(io.client, "_connect", never)
+        rec = short_session(seed=29, participant=participant)
+        with pytest.raises(io.ProtocolError, match=f"participant='{participant}' not"):
+            io.stream_client(rec, "127.0.0.1", 1, speed=0)
+
     def test_frame_of_exactly_the_cap_is_accepted(self, server, profile):
         rec = short_session(seed=30, duration_s=3.0)
         result = io.stream_client(
@@ -1510,8 +1585,7 @@ def per_frame_reference(model, profile, samples, fs, n_frame, participant):
             source=participant,
         ),
     )
-    normalizer = feedback.RateNormalizer(io.DEFAULT_REFERENCE_RATE_HZ)
-    second, level = 0, feedback.FeedbackLevel.NO_PULSE
+    second, level = 0, "no_pulse"
     replies, closed = [], []
     for start in range(0, samples.size, n_frame):
         closed.append(engine.push(samples[start : start + n_frame]))
@@ -1520,9 +1594,9 @@ def per_frame_reference(model, profile, samples, fs, n_frame, participant):
             second += 1
             rate = engine.rate_at(float(second))
             lines.append(io.format_frame("rate", {"t": float(second), "value": rate}))
-            new = feedback.map_level(feedback.normalize_rate(rate, normalizer))
-            if new is not level:
-                lines.append(io.format_frame("level", {"t": float(second), "value": new.label}))
+            new = feedback.level(rate, io.DEFAULT_REFERENCE_RATE_HZ)
+            if new != level:
+                lines.append(io.format_frame("level", {"t": float(second), "value": new}))
                 level = new
         replies.append(lines)
     return replies, closed, engine.finalize()
@@ -1816,8 +1890,7 @@ class TestSessionFeed:
 
     @staticmethod
     def session(model):
-        normalizer = feedback.RateNormalizer(io.DEFAULT_REFERENCE_RATE_HZ)
-        return io.server._Session(model, normalizer, lambda: None)
+        return io.server._Session(model, io.DEFAULT_REFERENCE_RATE_HZ, lambda: None)
 
     def test_line_before_hello_refused(self, rt_model):
         session = self.session(rt_model)

@@ -369,7 +369,6 @@ STARTUP_SCRIPT = textwrap.dedent(
         import scipy.signal
     import emgeat.cli
     from emgeat import learn, realtime, signal, synth
-    from emgeat.feedback import RateNormalizer
     from emgeat.io import protocol
     from emgeat.io.server import _Session
 
@@ -381,7 +380,7 @@ STARTUP_SCRIPT = textwrap.dedent(
         matrix.values, matrix.labels, matrix.feature_names, "C",
         learn.TrainConfig(class_weights=learn.compute_class_weights(matrix.labels)),
     )
-    session = _Session(model, RateNormalizer(1.5), lambda: None)
+    session = _Session(model, 1.5, lambda: None)
     hello = {"participant": "P", "sample_rate": rec.sample_rate,
              "ref": profile.reference_amplitude, "mu0": profile.mu0,
              "delta0": profile.delta0}

@@ -23,6 +23,22 @@ from . import signal as _signal
 from . import synth as _synth
 
 
+def _plain(convert):
+    """An argparse type: `convert` under the wire's number rule
+    (protocol.plain_ascii). Ranges are checked by the library."""
+
+    def parse(text: str):
+        if not _io.protocol.plain_ascii(text):
+            raise ValueError(text)
+        return convert(text)
+
+    parse.__name__ = convert.__name__  # argparse names the type in its message
+    return parse
+
+
+_float, _int = _plain(float), _plain(int)
+
+
 def _parse_artifact(text: str):
     # kind:onset:termination, e.g. speech:10:12.5
     parts = text.split(":")
@@ -32,14 +48,14 @@ def _parse_artifact(text: str):
         )
     kind, onset, term = parts
     try:
-        return (kind, float(onset), float(term))
+        return (kind, _float(onset), _float(term))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad artifact interval {text!r}")
 
 
 def _parse_grid(text: str) -> list:
     try:
-        grid = [float(v) for v in text.split(",") if v]
+        grid = [_float(v) for v in text.split(",")]  # an empty token too is refused
     except ValueError:
         grid = []
     if not grid or not all(math.isfinite(c) and c > 0 for c in grid):
@@ -250,15 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthesize a session recording")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--participant", default=plan.participant_id)
-    p.add_argument("--duration", type=float, default=plan.duration_s, help="seconds")
-    p.add_argument("--rate", type=float, default=plan.chew_rate_hz, help="chews per second")
+    p.add_argument("--duration", type=_float, default=plan.duration_s, help="seconds")
+    p.add_argument("--rate", type=_float, default=plan.chew_rate_hz, help="chews per second")
     p.add_argument(
-        "--chew-duration", type=float, default=plan.chew_duration_mean_s, help="mean seconds"
+        "--chew-duration", type=_float, default=plan.chew_duration_mean_s, help="mean seconds"
     )
     p.add_argument(
-        "--swallow-every", type=int, default=plan.swallow_every_n_chews, metavar="N"
+        "--swallow-every", type=_int, default=plan.swallow_every_n_chews, metavar="N"
     )
-    p.add_argument("--snr", type=float, default=plan.snr_db, help="dB")
+    p.add_argument("--snr", type=_float, default=plan.snr_db, help="dB")
     p.add_argument(
         "--artifact",
         action="append",
@@ -267,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KIND:ON:OFF",
         help="speech/motion interval, repeatable",
     )
-    p.add_argument("--baseline-lead", type=float, default=plan.baseline_lead_s, help="seconds")
-    p.add_argument("--seed", type=int, default=plan.seed)
+    p.add_argument("--baseline-lead", type=_float, default=plan.baseline_lead_s, help="seconds")
+    p.add_argument("--seed", type=_int, default=plan.seed)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("preprocess", help="condition one channel to a text file")
@@ -281,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--task", choices=sorted(_features.TASKS), default="chew")
-    p.add_argument("--hop", type=float, default=0.25, help="seconds")
+    p.add_argument("--hop", type=_float, default=0.25, help="seconds")
     p.add_argument(
         "--realtime",
         action="store_true",
@@ -293,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", nargs="+", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--positive", default="C", help="positive class label")
-    p.add_argument("--c", type=float, default=_learn.DEFAULT_C, help="penalty")
+    p.add_argument("--c", type=_float, default=_learn.DEFAULT_C, help="penalty")
     p.add_argument(
         "--grid",
         type=_parse_grid,
@@ -301,30 +317,30 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="C1,C2,...",
         help="grid-search the penalty by k-fold F1",
     )
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", type=_int, default=3)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval-lopo", help="leave-one-participant-out evaluation table")
     p.add_argument("--in", dest="infile", nargs="+", required=True)
     p.add_argument("--positive", default="C")
-    p.add_argument("--c", type=float, default=_learn.DEFAULT_C)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--c", type=_float, default=_learn.DEFAULT_C)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=cmd_eval_lopo)
 
     p = sub.add_parser("analyze", help="event log -> session metrics report")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--gap-cap", type=float, default=_metrics.DEFAULT_GAP_CAP_S)
+    p.add_argument("--gap-cap", type=_float, default=_metrics.DEFAULT_GAP_CAP_S)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("serve", help="run the live classification server")
     p.add_argument("--model", required=True)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
+    p.add_argument("--port", type=_int, default=8765)
     p.add_argument("--log-dir", default=None)
     p.add_argument(
         "--reference-rate",
-        type=float,
+        type=_float,
         default=_io.DEFAULT_REFERENCE_RATE_HZ,
         help="chews/s mapped to mid-scale feedback",
     )
@@ -333,18 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="stream a recording file to a server")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
-    p.add_argument("--speed", type=float, default=1.0, help="0 floods, 10 = x10")
+    p.add_argument("--port", type=_int, default=8765)
+    p.add_argument("--speed", type=_float, default=1.0, help="0 floods, 10 = x10")
     p.add_argument(
-        "--frame", type=float, default=_io.client.DEFAULT_FRAME_S, help="seconds per frame"
+        "--frame", type=_float, default=_io.client.DEFAULT_FRAME_S, help="seconds per frame"
     )
-    p.add_argument("--reference-rate", type=float, default=None)
+    p.add_argument("--reference-rate", type=_float, default=None)
     p.add_argument("--transcript", default=None, help="write server replies here")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("feedback-sim", help="rate series -> level transitions")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--reference-rate", type=float, default=_io.DEFAULT_REFERENCE_RATE_HZ)
+    p.add_argument("--reference-rate", type=_float, default=_io.DEFAULT_REFERENCE_RATE_HZ)
     p.set_defaults(func=cmd_feedback_sim)
 
     return parser

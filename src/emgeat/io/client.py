@@ -127,8 +127,6 @@ def stream_client(
         "participant": recording.participant_id,
         "sample_rate": float(fs),
         "ref": profile.reference_amplitude,
-        "mu0": profile.mu0,
-        "delta0": profile.delta0,
     }
     if reference_rate_hz is not None:
         hello["r_ref"] = float(reference_rate_hz)

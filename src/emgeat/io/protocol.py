@@ -4,15 +4,16 @@ One frame per line: a kind token followed by space-separated key=value
 fields. Frame timestamps are sample-clock seconds or microseconds, never
 wall-clock, so transcripts are reproducible under any replay pacing.
 
-Client to server: hello (session open, calibration profile), samples
-(timestamped batch of raw amplitudes), bye (session close). Server to
-client: hello (ack), rate (live chews per second, roughly once per streamed
-second), level (feedback level transitions), bye (final event count), error
-(the reason a session ended: every error frame ends its session).
+Client to server: hello (session open with the engine's inputs: the
+participant, sample rate and calibration reference), samples (timestamped
+batch of raw amplitudes), bye (session close). Server to client: hello
+(ack), rate (live chews per second, roughly once per streamed second), level
+(feedback level transitions), bye (final event count), error (the reason a
+session ended: every error frame ends its session).
 
-Every numeric field follows one number rule, the files' too: what float()
-or int() reads, in ASCII and without "_" (`plain_ascii`). Text fields such
-as the participant id are free.
+Every numeric field follows one number rule, the files' and the command
+line's too: what float() or int() reads, in ASCII, without "_" and without
+whitespace (`plain_ascii`). Text fields such as the participant id are free.
 """
 
 CLIENT_KINDS = ("hello", "samples", "bye")
@@ -72,10 +73,16 @@ def require_fields(kind: str, fields: dict, names) -> None:
 
 
 def plain_ascii(text: str) -> bool:
-    """The number rule of the wire and the files, on top of what float() and
-    int() check: a numeric field is ASCII and holds no "_". Both functions
-    read "1_0" as 10 and accept non-ASCII digits, Arabic-Indic or fullwidth."""
-    return text.isascii() and "_" not in text
+    """The number rule of the wire, the files and the command line, on top
+    of what float() and int() check: a numeric field is ASCII and holds no
+    "_" and no whitespace. Both functions read "1_0" as 10, accept non-ASCII
+    digits, Arabic-Indic or fullwidth, and strip whitespace around a number.
+    One `in` test per character: on a whole samples value list this costs
+    far less than a regex or a set."""
+    return text.isascii() and not (
+        "_" in text or " " in text or "\t" in text or "\n" in text
+        or "\v" in text or "\f" in text or "\r" in text
+    )
 
 
 def _parse_number(kind: str, fields: dict, name: str, convert, what: str):

@@ -81,7 +81,6 @@ class _Session:
         self.done = False  # bye or an error answered
         self.received = 0  # samples accepted, the sample clock
         self.pending = []  # accepted samples not yet pushed, under 1 s + 1 frame
-        self.last_rate_second = 0
         self.last_level = "no_pulse"
 
     def feed(self, line: bytes) -> list:
@@ -122,9 +121,8 @@ class _Session:
         return self.close()
 
     def open(self, fields) -> list:
-        protocol.require_fields(
-            "hello", fields, ["participant", "sample_rate", "ref", "mu0", "delta0"]
-        )
+        # The engine's inputs only; any other field is ignored.
+        protocol.require_fields("hello", fields, ["participant", "sample_rate", "ref"])
         sample_rate = _positive_float(fields, "sample_rate")
         if sample_rate > _MAX_SAMPLE_RATE_HZ:
             raise protocol.ProtocolError(
@@ -133,14 +131,8 @@ class _Session:
         ref, (low, high) = _positive_float(fields, "ref"), protocol.REF_RANGE
         if not low <= ref <= high:
             raise protocol.ProtocolError(f"hello ref {ref!r} is outside [{low!r}, {high!r}]")
-        profile = CalibrationProfile(
-            reference_amplitude=ref,
-            mu0=protocol.parse_float("hello", fields, "mu0"),
-            delta0=protocol.parse_float("hello", fields, "delta0"),
-            sample_rate=sample_rate,
-        )
         try:
-            engine = StreamEngine(self.model, profile)
+            engine = StreamEngine(self.model, CalibrationProfile(ref, sample_rate))
         except ValueError as exc:  # the band-pass must fit the rate
             raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
         if "r_ref" in fields:
@@ -181,12 +173,13 @@ class _Session:
                 f"samples timestamp {t_us} is not {expected}: the clock must"
                 f" advance with the {self.received} samples received"
             )
+        second = int(self.received / fs)  # whole seconds before this frame
         self.pending += values
         self.received += len(values)
-        if int(self.received / fs) <= self.last_rate_second:
+        if int(self.received / fs) == second:
             return []  # no second completed, nothing to report yet
         self.flush()
-        return self._tick()
+        return self._tick(float(second + 1))
 
     def flush(self):
         """Push the held samples in one call and log the events they close."""
@@ -213,19 +206,16 @@ class _Session:
         if events and self.log_path is not None:
             append_events(events, self.log_path)
 
-    def _tick(self) -> list:
-        """Rate frame per whole streamed second, level frame on transitions."""
-        out = []
-        now = int(self.received / self.sample_rate)  # the engine's clock, flushed
-        while self.last_rate_second < now:
-            self.last_rate_second += 1
-            t = float(self.last_rate_second)
-            rate = self.engine.rate_at(t)
-            out.append(protocol.format_frame("rate", {"t": t, "value": rate}))
-            label = level(rate, self.reference_rate_hz)
-            if label != self.last_level:
-                out.append(protocol.format_frame("level", {"t": t, "value": label}))
-                self.last_level = label
+    def _tick(self, t: float) -> list:
+        """The rate frame of streamed second t, and a level frame if the
+        band changed. One per frame that completes a second is enough: a
+        frame holds at most MAX_FRAME_S = 1 s, so it completes at most one."""
+        rate = self.engine.rate_at(t)
+        out = [protocol.format_frame("rate", {"t": t, "value": rate})]
+        label = level(rate, self.reference_rate_hz)
+        if label != self.last_level:
+            out.append(protocol.format_frame("level", {"t": t, "value": label}))
+            self.last_level = label
         return out
 
 

@@ -57,18 +57,17 @@ _CHUNK_S = 0.5
 
 @dataclass(frozen=True)
 class CalibrationProfile:
-    """Per-session amplitude context captured before the meal."""
+    """Per-session amplitude context captured before the meal. The engine
+    reads the reference amplitude and the sample rate, nothing else."""
 
     reference_amplitude: float
-    mu0: float
-    delta0: float
     sample_rate: float
+    # Only calibrate fills mu0 and delta0, and no stage reads them back:
+    # they stay for the benchmark's hello (perfbench/wire.py) until it
+    # stops sending them.
+    mu0: float = np.nan
+    delta0: float = np.nan
     source: str = ""
-
-    @property
-    def effective_rate(self) -> float:
-        """Rate of the decimated envelope the segments are cut from."""
-        return _signal.envelope_rate(self.sample_rate)
 
 
 def calibrate(
@@ -105,8 +104,6 @@ def calibrate(
 
     return CalibrationProfile(
         reference_amplitude=float(np.percentile(peaks, CALIBRATION_PERCENTILE)),
-        # No stage reads mu0 and delta0 back: they only fill the hello,
-        # which perfbench/wire.py sends as well (ROADMAP item 12).
         mu0=float(quiet.mean()),
         delta0=float(quiet.std()),
         sample_rate=sample_rate,
@@ -125,7 +122,7 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     the features of each segment alone.
     """
     x = np.asarray(segment, dtype=float) / profile.reference_amplitude
-    freqs, power = _features.periodogram(x, profile.effective_rate)
+    freqs, power = _features.periodogram(x, _signal.envelope_rate(profile.sample_rate))
     f = _features
     out = np.empty(x.shape[:-1] + (len(RT_FEATURE_NAMES),))
     out[..., 0] = f.mav(x)
@@ -209,16 +206,18 @@ def check_streaming_model(model: LinearModel) -> None:
 class StreamState:
     """Mutable per-session detector state (one per live stream).
 
-    The profile fixes `sos` (its rate's band-pass) and `n_segment`/`n_hop`
-    (envelope samples), computed here once. `envelope` starts at the next
-    segment, so between pushes it is shorter than one segment; segment k
-    (counted by `segments`) starts at k * n_hop. `raw_predictions` holds the
-    last VOTE_WINDOW - 1 predictions, all the next vote looks back on;
-    `events` keeps every event of the session (live_rate reads its last 5 s).
+    The profile fixes `sos` (its rate's band-pass), `rate` (the envelope's)
+    and `n_segment`/`n_hop` (envelope samples), computed here once.
+    `envelope` starts at the next segment, so between pushes it is shorter
+    than one segment; segment k (counted by `segments`) starts at k * n_hop.
+    `raw_predictions` holds the last VOTE_WINDOW - 1 predictions, all the
+    next vote looks back on; `events` keeps every event of the session
+    (live_rate reads its last 5 s).
     """
 
     profile: CalibrationProfile
     sos: np.ndarray = field(init=False)
+    rate: float = field(init=False)
     n_segment: int = field(init=False)
     n_hop: int = field(init=False)
     zi: np.ndarray = field(init=False)
@@ -233,9 +232,8 @@ class StreamState:
 
     def __post_init__(self):
         self.sos = _signal.bandpass(self.profile.sample_rate)
-        self.n_segment, self.n_hop = _features._window_geometry(
-            SEGMENT_S, HOP_S, self.profile.effective_rate
-        )
+        self.rate = _signal.envelope_rate(self.profile.sample_rate)
+        self.n_segment, self.n_hop = _features._window_geometry(SEGMENT_S, HOP_S, self.rate)
         self.zi = np.zeros((self.sos.shape[0], 2))
 
 
@@ -257,9 +255,7 @@ def _segment_pass(st: StreamState, samples) -> tuple:
     segments = _features._segment_stack(st.envelope, st.n_segment, st.n_hop)
     k = segments.shape[0]
     rows = rt_features(segments, st.profile)
-    onsets, ends = _features._segment_times(
-        st.segments, k, st.n_segment, st.n_hop, st.profile.effective_rate
-    )
+    onsets, ends = _features._segment_times(st.segments, k, st.n_segment, st.n_hop, st.rate)
     st.segments += k
     st.envelope = st.envelope[k * st.n_hop :]
     return rows, onsets, ends

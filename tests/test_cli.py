@@ -16,7 +16,7 @@ import pytest
 
 import emgeat.io as io
 import emgeat.realtime as rt
-from emgeat.cli import build_parser, main
+from emgeat.cli import _float, _int, build_parser, main
 from emgeat.metrics import ChewEvent
 
 
@@ -69,9 +69,10 @@ class TestGenerate:
         assert rec.annotations_of("speech")[0].termination_s == rec.duration_s
 
     def test_bad_artifact_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["generate", "--out", str(tmp_path), "--artifact", "speech:10"])
-        assert exc.value.code == 2
+        for artifact in ("speech:10", "speech:1_0:12", "speech: 1:2"):
+            with pytest.raises(SystemExit) as exc:
+                main(["generate", "--out", str(tmp_path), "--artifact", artifact])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("participant", ["P,1", "P\n1"])
     def test_id_no_file_can_hold_exits_before_writing(self, tmp_path, capsys, participant):
@@ -268,7 +269,9 @@ class TestTrainAndEval:
         assert grid_lines[0].startswith("grid,c=0.1,mean_f1=")
         assert any(l.startswith("selected,c=") for l in lines)
 
-    @pytest.mark.parametrize("grid", [",", "nan,1", "0,1", "-1", "1,inf", "1,x"])
+    @pytest.mark.parametrize(
+        "grid", [",", "nan,1", "0,1", "-1", "1,inf", "1,x", "1,,2", "1,", "1_0", "1, 2"]
+    )
     def test_unusable_grid_is_usage_error_before_reading(self, tmp_path, capsys, grid):
         # The dataset does not exist: the grid is refused while parsing.
         model_path = tmp_path / "m.model"
@@ -809,9 +812,9 @@ class TestFloatOptions:
         monkeypatch.setattr(io.EmgServer, "serve_forever", lambda self: None)
 
     def test_every_float_option_has_a_rule(self):
-        assert sorted(FORBIDDEN) == sorted(typed_options(float))
+        assert sorted(FORBIDDEN) == sorted(typed_options(_float))
 
-    @pytest.mark.parametrize("subcommand", sorted({name for name, _ in typed_options(float)}))
+    @pytest.mark.parametrize("subcommand", sorted({name for name, _ in typed_options(_float)}))
     def test_valid_arguments_succeed(
         self, subcommand, valid_inputs, live_server, tmp_path, capsys
     ):
@@ -822,7 +825,7 @@ class TestFloatOptions:
         assert (argv[0], option) in FORBIDDEN, "add the option's rule to FORBIDDEN"
         yield from refusals(argv, option, FORBIDDEN[argv[0], option], tmp_path, capsys)
 
-    @pytest.mark.parametrize("subcommand, option", typed_options(float))
+    @pytest.mark.parametrize("subcommand, option", typed_options(_float))
     def test_forbidden_values_refused(
         self, subcommand, option, valid_inputs, live_server, tmp_path, capsys
     ):
@@ -831,7 +834,7 @@ class TestFloatOptions:
             pass
 
     @pytest.mark.parametrize(  # generate reads no file
-        "subcommand, option", [o for o in typed_options(float) if o[0] != "generate"]
+        "subcommand, option", [o for o in typed_options(_float) if o[0] != "generate"]
     )
     def test_forbidden_values_refused_before_the_input_is_read(
         self, subcommand, option, valid_inputs, live_server, tmp_path, capsys
@@ -854,9 +857,9 @@ class TestIntOptions:
         monkeypatch.setattr(io.EmgServer, "serve_forever", lambda self: None)
 
     def test_every_int_option_has_a_rule(self):
-        assert sorted(INT_FORBIDDEN) == sorted(typed_options(int))
+        assert sorted(INT_FORBIDDEN) == sorted(typed_options(_int))
 
-    @pytest.mark.parametrize("subcommand, option", typed_options(int))
+    @pytest.mark.parametrize("subcommand, option", typed_options(_int))
     def test_forbidden_values_refused_before_the_input_is_read(
         self, subcommand, option, valid_inputs, live_server, tmp_path, capsys
     ):
@@ -869,3 +872,18 @@ class TestIntOptions:
             for value, err in refusals(argv, option, values, tmp_path, capsys):
                 # Spaces around it: "1" alone would match many a message.
                 assert f" {value} " in err and "missing.csv" not in err, err
+
+
+@pytest.mark.parametrize(
+    "subcommand, option, kind",
+    [(*o, "float") for o in typed_options(_float)] + [(*o, "int") for o in typed_options(_int)],
+)
+def test_numeric_options_follow_the_wire_number_rule(subcommand, option, kind, capsys):
+    # What float() and int() read but the wire refuses: an "_", non-ASCII
+    # digits, whitespace around the digits. argparse refuses it while it
+    # parses, before it checks the required arguments.
+    for value in ("1_6", "\u0661", "\uff11", " 1", "1\t", "1\n"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([subcommand, f"{option}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {option}: invalid {kind} value: {value!r}" in capsys.readouterr().err

@@ -6,8 +6,11 @@ pacing and still produce the transcripts a real-time client would see.
 """
 
 import dataclasses
+import functools
+import itertools
 import math
 import pickle
+import re
 import select
 import socket
 import threading
@@ -618,12 +621,17 @@ class TestSharedReader:
 
 
 # Numbers that float() or int() would read but that break the number rule of
-# the wire and the files: an "_" between digits, or digits outside ASCII.
-NOT_PLAIN = ["1_0", "2_5.0", "\u0661\u0662", "\uff11\uff12"]
+# the wire and the files: an "_" between digits, digits outside ASCII, or
+# ASCII whitespace around the digits, which both functions strip. A line
+# break cannot sit inside a file's field, so only the wire's checks get it.
+NOT_PLAIN = [
+    "1_0", "2_5.0", "\u0661\u0662", "\uff11\uff12", " 1", "1 ", "\t0", "1\x0b", "\x0c1"
+]
+LINE_BREAKS = ["1\n", "\r1"]
 
 
 class TestNumberRule:
-    @pytest.mark.parametrize("text", NOT_PLAIN)
+    @pytest.mark.parametrize("text", NOT_PLAIN + LINE_BREAKS)
     def test_wire_fields_refuse_them(self, text):
         from emgeat.io import protocol
 
@@ -642,6 +650,8 @@ class TestNumberRule:
             "samples t_us=0 n=1_0 v=" + ",".join(["0.5"] * 10),
             "samples t_us=\u0661\u0662 n=1 v=0.5",
             "samples t_us=0 n=1 v=\uff10.5",
+            "samples t_us=\t0 n=1 v=0.5",
+            "samples t_us=0 n=2 v=1.0\t,2.0",
         ],
     )
     def test_a_session_refuses_them(self, rt_model, line):
@@ -657,12 +667,11 @@ class TestNumberRule:
         lines = reader_files[name][1].read_text().splitlines()
         row, _ = lines[-1].rsplit(",", 1)
         lines[-1] = f"{row},{text}"
-        with pytest.raises(
-            io.FormatError, match=rf":{len(lines)}: \w+ value '{text}' is unparseable"
-        ):
+        unparseable = rf":{len(lines)}: \w+ value {re.escape(repr(text))} is unparseable"
+        with pytest.raises(io.FormatError, match=unparseable):
             altered(reader_files, name, "\n".join(lines).encode())
 
-    @pytest.mark.parametrize("rate", ["1_024.0", "\uff11024.0"])
+    @pytest.mark.parametrize("rate", ["1_024.0", "\uff11024.0", " 1024.0", "1024.0\t"])
     def test_sample_rate_header_refuses_them(self, tmp_path, rate):
         path = tmp_path / "x.csv"
         path.write_text(
@@ -1568,12 +1577,22 @@ class TestServerErrors:
                 io.serve(offline, config)
 
 
+def frame_bounds(size, n_frame):
+    """(start, stop) of each frame over `size` samples: `n_frame` samples
+    each, or, for a list, its sizes in turn, repeated."""
+    sizes = itertools.cycle(n_frame if isinstance(n_frame, list) else [n_frame])
+    starts = [0]
+    while starts[-1] < size:
+        starts.append(min(size, starts[-1] + next(sizes)))
+    return list(zip(starts, starts[1:]))
+
+
 def per_frame_reference(model, profile, samples, fs, n_frame, participant):
     """Replies and events of a server that pushes each frame on arrival.
 
-    An in-process engine gets one push per `n_frame` samples and is ticked
-    after each; returns, per frame, the rate/level lines it answers with and
-    the events it closes, plus the events the final bye closes.
+    An in-process engine gets one push per frame (`frame_bounds`) and is
+    ticked after each; returns, per frame, the rate/level lines it answers
+    with and the events it closes, plus the events the final bye closes.
     """
     engine = rt.StreamEngine(
         model,
@@ -1587,8 +1606,8 @@ def per_frame_reference(model, profile, samples, fs, n_frame, participant):
     )
     second, level = 0, "no_pulse"
     replies, closed = [], []
-    for start in range(0, samples.size, n_frame):
-        closed.append(engine.push(samples[start : start + n_frame]))
+    for start, stop in frame_bounds(samples.size, n_frame):
+        closed.append(engine.push(samples[start:stop]))
         lines = []
         while second < int(engine.current_time_s):
             second += 1
@@ -1616,17 +1635,17 @@ def hello_line(profile, fs, participant):
 
 
 def sample_frames(samples, fs, n_frame):
-    """The samples frames a client sends, `n_frame` values each."""
+    """The samples frames a client sends, one per `frame_bounds`."""
     return [
         io.format_frame(
             "samples",
             {
                 "t_us": round(start * 1_000_000 / fs),
-                "n": samples[start : start + n_frame].size,
-                "v": ",".join(repr(float(v)) for v in samples[start : start + n_frame]),
+                "n": stop - start,
+                "v": ",".join(repr(float(v)) for v in samples[start:stop]),
             },
         )
-        for start in range(0, samples.size, n_frame)
+        for start, stop in frame_bounds(samples.size, n_frame)
     ]
 
 
@@ -2032,6 +2051,58 @@ class TestSessionFeed:
             if session.done:
                 break
         assert fed == byte_exchange(server.port, self.HELLO + line + b"\nbye\n")
+
+    @pytest.mark.parametrize("name", ["participant", "sample_rate", "ref"])
+    def test_hello_without_an_engine_input_refused(self, rt_model, name):
+        fields = {"participant": "P", "sample_rate": "1024.0", "ref": "1.0"}
+        del fields[name]
+        line = " ".join(["hello"] + [f"{k}={v}" for k, v in fields.items()]) + "\n"
+        assert self.session(rt_model).feed(line.encode()) == [
+            f"error reason=protocol detail=hello_frame_missing_field_'{name}'"
+        ]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def recording_at(fs):
+        return synth.gen_session(
+            synth.SessionPlan(duration_s=6.0, seed=43, sample_rate=fs, participant_id="F")
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        fs=st.sampled_from([1024.0, 1000.5, 1500.0]),
+        extra=st.sampled_from(["", " mu0=0.1 delta0=0.02", " mu0=abc"]),
+    )
+    def test_random_frame_sizes_give_the_per_frame_replies(
+        self, rt_model, profile, tmp_path_factory, data, fs, extra
+    ):
+        # Any frame sizes up to the 1 s bound: one reply per second the
+        # frames complete, the rate frames at t = 1.0, 2.0, ... with no gap
+        # and no repeat, and the replies and event log of one push per frame.
+        # The hello's fields past the engine's inputs change nothing.
+        sizes = data.draw(st.lists(st.integers(1, int(fs)), min_size=1, max_size=6))
+        samples = self.recording_at(fs).channel(rt.STREAM_CHANNEL)
+        log = tmp_path_factory.mktemp("feed") / "session.events"
+        session = self.session(rt_model)
+        session.next_log_path = lambda: log
+        ref = profile.reference_amplitude
+        lines = [
+            f"hello participant=F sample_rate={fs!r} ref={ref!r}{extra}",
+            *sample_frames(samples, fs, sizes),
+            "bye",
+        ]
+        fed = [reply for line in lines for reply in session.feed((line + "\n").encode())]
+        replies, closed, final = per_frame_reference(rt_model, profile, samples, fs, sizes, "F")
+        events = [e for c in closed for e in c] + final
+        assert fed == (
+            ["hello participant=F"]
+            + [line for lines in replies for line in lines]
+            + [f"bye events={len(events)}"]
+        )
+        rate_t = [io.parse_frame(r)[1]["t"] for r in fed if r.startswith("rate ")]
+        assert rate_t == [repr(float(t)) for t in range(1, int(samples.size / fs) + 1)]
+        assert (log.read_text() if log.exists() else "") == log_text(events)
 
     def test_fed_lines_give_the_socket_transcript(self, server, rt_model, profile):
         recording = short_session(seed=31)

@@ -23,6 +23,7 @@ from emgeat.signal import (
     apply_filter,
     bandpass,
     block_means,
+    envelope_rate,
 )
 
 FS = 1024.0
@@ -64,7 +65,7 @@ class TestCalibrate:
     def test_profile_rates(self):
         profile = rt.calibrate([tone_burst_recording()], FS, source="desk")
         assert profile.sample_rate == FS
-        assert profile.effective_rate == pytest.approx(FS / 10)
+        assert envelope_rate(profile.sample_rate) == pytest.approx(FS / 10)
         assert profile.source == "desk"
 
     def test_peak_includes_a_burst_last_sample_at_1500_hz(self):
@@ -119,7 +120,7 @@ class TestRtFeatures:
         f = rt.rt_features(seg, profile)
         x = seg / 0.7
         n = x.size
-        eff = profile.effective_rate
+        eff = envelope_rate(profile.sample_rate)
         tapered = x * np.hamming(n)
         power = np.abs(np.fft.rfft(tapered)) ** 2 / n
         freqs = np.fft.rfftfreq(n, d=1.0 / eff)
@@ -356,9 +357,9 @@ class TestStreamGeometry:
 
     def test_profile_rate_sets_the_envelope_rate(self):
         profile = make_profile()
-        assert profile.effective_rate == FS / DECIMATION_FACTOR
-        with pytest.raises(AttributeError):
-            profile.effective_rate = 1.0
+        assert rt.StreamState(profile).rate == FS / DECIMATION_FACTOR
+        with pytest.raises(AttributeError):  # frozen: the rate cannot drift
+            profile.sample_rate = 1.0
 
 
 def run_engine(model, profile, raw, chunk):

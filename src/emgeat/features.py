@@ -275,17 +275,11 @@ def _window_geometry(length_s: float, hop_s: float, rate: float):
 
 
 def _segment_stack(x: np.ndarray, n_window: int, n_hop: int) -> np.ndarray:
-    """Read-only (k, n_window) view of every full window of a contiguous
-    signal, one every n_hop samples (a strided sliding_window_view)."""
+    """Read-only (k, n_window) view of every full window of a signal, one
+    every n_hop samples: numpy's sliding_window_view, strided by n_hop."""
     if n_window > x.size:
         raise ValueError("signal shorter than one window")
-    k = (x.size - n_window) // n_hop + 1
-    step = x.itemsize
-    stack = np.ndarray(
-        (k, n_window), dtype=float, buffer=x, strides=(n_hop * step, step)
-    )
-    stack.flags.writeable = False
-    return stack
+    return np.lib.stride_tricks.sliding_window_view(x, n_window)[::n_hop]
 
 
 def _segment_times(first: int, k: int, n_window: int, n_hop: int, rate: float):

@@ -137,11 +137,13 @@ class _Session:
             raise protocol.ProtocolError(f"hello sample_rate {sample_rate!r}: {exc}")
         if "r_ref" in fields:
             self.reference_rate_hz = _positive_float(fields, "r_ref")
+        # The reply can still refuse the participant: build it first.
+        reply = protocol.format_frame("hello", {"participant": fields["participant"]})
         self.log_path = self.next_log_path()  # numbered only once accepted
         self.sample_rate = sample_rate
         self.max_line += int(protocol.MAX_FRAME_S * sample_rate) * _VALUE_BYTES
         self.engine = engine  # last: a session with an engine is fully open
-        return [protocol.format_frame("hello", {"participant": fields["participant"]})]
+        return [reply]
 
     def samples(self, fields) -> list:
         t_us = protocol.parse_int("samples", fields, "t_us")

@@ -83,7 +83,7 @@ def calibrate(
         raise ValueError("no calibration segments")
     sos = _signal.bandpass(sample_rate)
     segments = [_signal._check_signal(s) for s in segments]
-    rectified = [_signal.rectify(_signal.apply_filter(s, sos)) for s in segments]
+    rectified = [np.abs(_signal.apply_filter(s, sos)) for s in segments]
 
     chunk = max(1, int(_CHUNK_S * sample_rate))
     pieces = [x[i : i + chunk] for x in rectified for i in range(0, x.size - chunk + 1, chunk)]
@@ -221,7 +221,6 @@ class StreamState:
     n_segment: int = field(init=False)
     n_hop: int = field(init=False)
     zi: np.ndarray = field(init=False)
-    raw_consumed: int = 0
     carry: np.ndarray = field(default_factory=lambda: np.zeros(0))
     envelope: np.ndarray = field(default_factory=lambda: np.zeros(0))
     segments: int = 0
@@ -248,7 +247,6 @@ def _segment_pass(st: StreamState, samples) -> tuple:
     envelope, st.carry = _signal.block_means(
         np.abs(filtered, out=filtered), _signal.DECIMATION_FACTOR, st.carry
     )
-    st.raw_consumed += filtered.size
     st.envelope = np.concatenate([st.envelope, envelope])
     if st.envelope.size < st.n_segment:
         return np.empty((0, len(RT_FEATURE_NAMES))), np.empty(0), np.empty(0)
@@ -274,10 +272,6 @@ class StreamEngine:
         check_streaming_model(model)
         self.model = model
         self.state = StreamState(profile)
-
-    @property
-    def current_time_s(self) -> float:
-        return self.state.raw_consumed / self.state.profile.sample_rate
 
     @property
     def events(self) -> list:

@@ -285,11 +285,6 @@ def _check_signal(x) -> np.ndarray:
     return x
 
 
-def rectify(x: np.ndarray) -> np.ndarray:
-    """Full-wave rectification."""
-    return np.abs(np.asarray(x, dtype=float))
-
-
 def normalize(x: np.ndarray) -> np.ndarray:
     """Min-max normalization of the whole recording to [0, 1].
 
@@ -326,7 +321,7 @@ def preprocess(x: np.ndarray, sample_rate: float) -> np.ndarray:
     decimation by DECIMATION_FACTOR to envelope_rate(sample_rate). A ragged
     final block is averaged over the samples it actually has."""
     y = apply_filter(_check_signal(x), bandpass(sample_rate))
-    means, leftover = block_means(normalize(rectify(y)), DECIMATION_FACTOR)
+    means, leftover = block_means(normalize(np.abs(y)), DECIMATION_FACTOR)
     if leftover.size:
         means = np.append(means, leftover.mean())
     return means

@@ -1609,7 +1609,7 @@ def per_frame_reference(model, profile, samples, fs, n_frame, participant):
     for start, stop in frame_bounds(samples.size, n_frame):
         closed.append(engine.push(samples[start:stop]))
         lines = []
-        while second < int(engine.current_time_s):
+        while second < int(stop / fs):
             second += 1
             rate = engine.rate_at(float(second))
             lines.append(io.format_frame("rate", {"t": float(second), "value": rate}))
@@ -1991,6 +1991,28 @@ class TestSessionFeed:
         ]
         assert session.engine is None and session.done
         assert claimed == []  # no log number used up
+
+    @settings(max_examples=40, deadline=None)
+    @given(participant=st.text(alphabet="Pa1_.=", max_size=6))
+    @example(participant="=P")
+    @example(participant="a=b")
+    @example(participant="P=")
+    @example(participant="P01")
+    def test_hello_is_answered_with_its_log_number_or_refused(self, rt_model, participant):
+        # A participant the reply frame cannot carry ("=" anywhere in it) is
+        # refused before the hello takes a log number or opens the engine.
+        claimed = []
+        session = self.session(rt_model)
+        session.next_log_path = lambda: claimed.append(1)
+        replies = session.feed(
+            self.HELLO.replace(b"participant=P", b"participant=" + participant.encode())
+        )
+        if "=" in participant:
+            assert len(replies) == 1 and replies[0].startswith("error reason=protocol ")
+            assert claimed == [] and session.engine is None and session.done
+        else:
+            assert replies == [f"hello participant={participant}"]
+            assert claimed == [1] and session.engine is not None and not session.done
 
     def test_log_path_failure_is_a_server_error(self, rt_model):
         def next_log_path():

@@ -367,10 +367,11 @@ def run_engine(model, profile, raw, chunk):
     engine = rt.StreamEngine(model, profile)
     closures = []
     for i in range(0, raw.size, chunk):
+        pushed_s = min(i + chunk, raw.size) / profile.sample_rate
         for event in engine.push(raw[i : i + chunk]):
-            closures.append((engine.current_time_s, event))
+            closures.append((pushed_s, event))
     for event in engine.finalize():
-        closures.append((engine.current_time_s, event))
+        closures.append((raw.size / profile.sample_rate, event))
     return engine.events, closures
 
 
@@ -396,12 +397,6 @@ class TestStreamEngine:
     def test_empty_push_is_noop(self, rt_model, profile):
         engine = rt.StreamEngine(rt_model, profile)
         assert engine.push(np.array([])) == []
-        assert engine.current_time_s == 0.0
-
-    def test_clock_tracks_samples(self, rt_model, profile):
-        engine = rt.StreamEngine(rt_model, profile)
-        engine.push(np.zeros(512))
-        assert engine.current_time_s == pytest.approx(512 / FS)
 
     def test_events_property_returns_copy(self, rt_model, profile):
         engine = rt.StreamEngine(rt_model, profile)
@@ -467,14 +462,13 @@ class TestStreamEngine:
         chunk[9] = np.nan
         with pytest.raises(ValueError, match="non-finite sample at index 9"):
             engine.push(chunk)
-        assert engine.state.raw_consumed == 512
         assert np.isfinite(engine.state.zi).all()
 
     def test_rate_at_uses_engine_log(self, rt_model, profile, test_session):
         raw = test_session.channel("masseter")
         engine = rt.StreamEngine(rt_model, profile)
         engine.push(raw)
-        t = engine.current_time_s
+        t = raw.size / profile.sample_rate
         assert engine.rate_at(t) == pytest.approx(
             rt.live_rate(engine.events, t)
         )
@@ -621,7 +615,6 @@ class TestSegmentPass:
         assert from_array.segments > 0
         for name in ("zi", "carry", "envelope"):
             assert np.array_equal(getattr(from_list, name), getattr(from_array, name))
-        assert from_list.raw_consumed == from_array.raw_consumed == raw.size
         assert from_list.segments == from_array.segments
 
 

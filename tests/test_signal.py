@@ -26,7 +26,6 @@ from emgeat.signal import (
     envelope_rate,
     normalize,
     preprocess,
-    rectify,
 )
 
 
@@ -301,21 +300,6 @@ class TestRecordingTypes:
             RawRecording("P", rate, ("masseter",), np.zeros((1, 8)))
 
 
-class TestRectify:
-    def test_small_example(self):
-        assert np.array_equal(rectify(np.array([-1.0, 2.0, -3.0])), [1.0, 2.0, 3.0])
-
-    def test_zeros(self):
-        assert np.array_equal(rectify(np.zeros(5)), np.zeros(5))
-
-    def test_equals_abs_and_idempotent(self):
-        x = np.random.default_rng(3).standard_normal(500)
-        r = rectify(x)
-        assert np.array_equal(r, np.abs(x))
-        assert np.all(r >= 0)
-        assert np.array_equal(rectify(r), r)
-
-
 class TestNormalize:
     def test_small_example(self):
         assert np.allclose(normalize(np.array([0.0, 2.0, 4.0])), [0.0, 0.5, 1.0])
@@ -349,7 +333,7 @@ class TestFullChain:
 
     def test_ragged_tail_is_the_mean_of_its_samples(self):
         x = np.random.default_rng(10).standard_normal(10245)
-        envelope = normalize(rectify(apply_filter(x, bandpass(1024.0))))
+        envelope = normalize(np.abs(apply_filter(x, bandpass(1024.0))))
         out = preprocess(x, 1024.0)
         assert out[-1] == envelope[-5:].mean()
         assert np.array_equal(

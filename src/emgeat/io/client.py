@@ -17,7 +17,10 @@ from ..realtime import STREAM_CHANNEL, CalibrationProfile, calibrate
 from ..signal import sample_time_us
 from . import protocol
 
-DEFAULT_FRAME_S = 0.125
+# One frame per streamed second, the most the server takes at once: it
+# replies once per second whatever the framing, and each frame costs it a
+# wake-up, so smaller frames only add work at slow pace.
+DEFAULT_FRAME_S = protocol.MAX_FRAME_S
 # A server started just before the client may not be listening yet.
 CONNECT_RETRIES = 3
 CONNECT_RETRY_WAIT_S = 0.2

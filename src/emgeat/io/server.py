@@ -16,10 +16,23 @@ the same as with one push per frame; only the moment an event-log line is
 written moves to the end of its second. However a session ends (bye, an
 error or a disconnect), the held samples are pushed and their events logged
 first.
+
+A session opens its event log once, when it first has an event to log, and
+writes and flushes each second's lines through that one handle: after every
+completed second the file holds exactly the events closed so far. The log is
+closed when the session ends, and a session that closes no event creates no
+file.
+
+The server's thread sleeps in select between connections, with no poll
+interval, so an idle server does not wake; shutdown() wakes it through a
+socketpair.
 """
 
+import contextlib
 import math
 import re
+import selectors
+import socket
 import socketserver
 import threading
 from dataclasses import dataclass
@@ -30,7 +43,7 @@ from ..learn import LinearModel
 from ..realtime import CalibrationProfile, StreamEngine, check_streaming_model
 from ..signal import sample_time_us
 from . import protocol
-from .datasets import append_events
+from .datasets import format_event_line
 
 DEFAULT_REFERENCE_RATE_HZ = 1.6
 
@@ -68,13 +81,15 @@ class _Session:
     """The wire protocol of one connection. `feed` answers each received
     line (line cap, UTF-8, parse, hello first, dispatch) until `done`, set at
     bye or an error; `end` runs however the connection ends. Only an accepted
-    hello calls `next_log_path()` for the session's event log (None: none)."""
+    hello calls `next_log_path()` for the session's event log (None: none),
+    which is opened at the first event to log and closed by `end`."""
 
     def __init__(self, model, reference_rate_hz: float, next_log_path):
         self.model = model
         self.reference_rate_hz = reference_rate_hz  # the server's, unless hello sets r_ref
         self.next_log_path = next_log_path
         self.log_path = None
+        self.log = None  # the open event log, from the first logged event
         self.engine = None
         self.sample_rate = None  # the hello's
         self.max_line = _HELLO_LINE_BYTES  # longest line accepted, in bytes
@@ -94,12 +109,14 @@ class _Session:
             return self._answer(line)
         except (protocol.ProtocolError, ValueError, OSError) as exc:
             self.done = True
-            self.end()
             reason = "protocol" if isinstance(exc, protocol.ProtocolError) else "server"
             # One field: no whitespace, no "="; of an OSError, no server path.
             text = (exc.strerror or type(exc).__name__) if isinstance(exc, OSError) else exc
             detail = re.sub(r"[\s=]", "_", str(text))
             return [protocol.format_frame("error", {"reason": reason, "detail": detail})]
+        finally:
+            if self.done:
+                self.end()
 
     def _answer(self, line: bytes) -> list:
         if len(line) > self.max_line:
@@ -192,12 +209,13 @@ class _Session:
     def end(self):
         """However the session ends, the samples it accepted reach the
         engine and the events they close reach the log, as if each frame had
-        been pushed on arrival. The session is over either way: a failure
-        here must not replace the reply it is owed."""
-        try:
+        been pushed on arrival; then the log is closed. The session is over
+        either way: a failure here must not replace the reply it is owed."""
+        with contextlib.suppress(ValueError, OSError):
             self.flush()
-        except (ValueError, OSError):
-            pass
+        if self.log is not None:
+            with contextlib.suppress(OSError):
+                self.log.close()
 
     def close(self) -> list:
         self.flush()
@@ -206,7 +224,10 @@ class _Session:
 
     def _log_events(self, events):
         if events and self.log_path is not None:
-            append_events(events, self.log_path)
+            if self.log is None:
+                self.log = open(self.log_path, "a", encoding="utf-8")
+            self.log.write("".join(format_event_line(e) + "\n" for e in events))
+            self.log.flush()
 
     def _tick(self, t: float) -> list:
         """The rate frame of streamed second t, and a level frame if the
@@ -255,6 +276,9 @@ class EmgServer(socketserver.ThreadingTCPServer):
         self._session_counter = 0
         self._lock = threading.Lock()
         self._thread = None
+        # shutdown() writes to one end to wake serve_forever's select; made
+        # before binding, whose failure calls server_close().
+        self._wake_recv, self._wake_send = socket.socketpair()
         super().__init__((self.config.host, self.config.port), _Handler)
 
     @property
@@ -275,7 +299,17 @@ class EmgServer(socketserver.ThreadingTCPServer):
                     return path
 
     def serve_forever(self):
-        super().serve_forever(poll_interval=0.05)
+        """Accept connections until shutdown(). Between them the thread
+        sleeps in select with no timeout: only a connection, shutdown() or a
+        signal whose handler raises (cmd_serve's SIGINT) wakes it."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._wake_recv, selectors.EVENT_READ)
+            while True:
+                ready = [key.fileobj for key, _ in selector.select()]
+                if self._wake_recv in ready:
+                    return
+                self._handle_request_noblock()  # socketserver's own accept step
 
     def start_background(self):
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -283,11 +317,16 @@ class EmgServer(socketserver.ThreadingTCPServer):
         return self
 
     def shutdown(self):
-        # socketserver's shutdown() waits forever unless serve_forever runs in another thread.
         if self._thread is not None:
-            super().shutdown()
+            self._wake_send.send(b"\0")
             self._thread.join(timeout=5)
+            self._thread = None
         self.server_close()
+
+    def server_close(self):
+        super().server_close()
+        self._wake_recv.close()
+        self._wake_send.close()
 
 
 def serve(model: LinearModel, config: ServerConfig = None) -> EmgServer:

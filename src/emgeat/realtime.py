@@ -15,7 +15,9 @@ offline feature matrix uses.
 
 Training and serving share one segment pass (_segment_pass): rt_training_set
 runs it once over a recording, StreamEngine.push once per chunk before the
-vote and the run assembly.
+vote and the run assembly. A server pushes once per streamed second of every
+live session, so the pass keeps its fixed per-call costs low: rt_features
+takes each reduction its features share once.
 
 Timing uses the sample clock throughout, never the wall clock, so replaying
 a stream reproduces the event log exactly regardless of pacing.
@@ -120,18 +122,25 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     value, so each entry matches its offline counterpart on the same input.
     An (n, length) stack of segments gives an (n, 7) array whose rows equal
     the features of each segment alone.
+
+    This runs once per live push, so the shared reductions are taken once:
+    one |x| serves mav, iemg and peak_amp (mav is iemg / n, as numpy's mean
+    divides its sum), and one total power serves mnf and mnp. The results
+    are bit-identical to the offline feature functions.
     """
     x = np.asarray(segment, dtype=float) / profile.reference_amplitude
     freqs, power = _features.periodogram(x, _signal.envelope_rate(profile.sample_rate))
-    f = _features
+    magnitude = np.abs(x)
+    iemg = np.add.reduce(magnitude, axis=-1)
+    total_power = np.add.reduce(power, axis=-1)
     out = np.empty(x.shape[:-1] + (len(RT_FEATURE_NAMES),))
-    out[..., 0] = f.mav(x)
-    out[..., 1] = f.sd(x)
-    out[..., 2] = f.peak_amp(x)
-    out[..., 3] = f.rms(x)
-    out[..., 4] = f.iemg(x)
-    out[..., 5] = f.mean_freq(freqs, power)
-    out[..., 6] = f.mean_power(power)
+    out[..., 0] = iemg / x.shape[-1]
+    out[..., 1] = _features.sd(x)
+    out[..., 2] = np.maximum.reduce(magnitude, axis=-1)
+    out[..., 3] = _features.rms(x)
+    out[..., 4] = iemg
+    out[..., 5] = _features._weighted_freq(freqs, power, total_power)
+    out[..., 6] = total_power / power.shape[-1]
     return out
 
 

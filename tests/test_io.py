@@ -1577,6 +1577,30 @@ class TestServerErrors:
                 io.serve(offline, config)
 
 
+class TestShutdown:
+    """The serving thread sleeps in select with no poll interval, and
+    shutdown() wakes it."""
+
+    @pytest.mark.parametrize("connected", [False, True], ids=["idle", "mid_session"])
+    def test_shutdown_returns_at_once(self, rt_model, connected):
+        srv = io.serve(rt_model, io.ServerConfig()).start_background()
+        thread = srv._thread
+        with socket.socket() as sock:
+            if connected:
+                sock.connect(("127.0.0.1", srv.port))
+                fh = sock.makefile("r")
+                sock.sendall(TestRandomLines.HELLO)
+                assert fh.readline() == "hello participant=P\n"
+                sock.sendall(("\n".join(sample_frames(np.zeros(300), 1024.0, 128)) + "\n").encode())
+            time.sleep(0.2)  # long past any poll of the accept loop
+            started = time.monotonic()
+            srv.shutdown()
+            assert time.monotonic() - started < 1.0
+        assert not thread.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", srv.port), timeout=10).close()
+
+
 def frame_bounds(size, n_frame):
     """(start, stop) of each frame over `size` samples: `n_frame` samples
     each, or, for a list, its sizes in turn, repeated."""
@@ -1686,7 +1710,9 @@ class TestBatchedPushes:
 
         monkeypatch.setattr(rt.StreamEngine, "push", spy)
         rec = short_session(seed=41, duration_s=10.0)
-        result = io.stream_client(rec, "127.0.0.1", server.port, speed=0, profile=profile)
+        result = io.stream_client(
+            rec, "127.0.0.1", server.port, speed=0, profile=profile, frame_s=128 / 1024
+        )
         assert result.errors == [] and result.reported_events > 0
         assert sizes == [1024] * 10  # 80 frames of 128 samples
 
@@ -1806,6 +1832,68 @@ class TestBatchedPushes:
         events = push(rt.StreamEngine(rt_model, profile), np.concatenate(pushed))
         log = logged_server.config.log_dir / "session_001.events"
         assert (log.read_text() if log.exists() else "") == log_text(events)
+
+    def test_log_holds_the_events_closed_so_far_after_every_frame(
+        self, rt_model, profile, test_session, tmp_path
+    ):
+        # Written and flushed once per second through one handle: a reader
+        # never sees a line before its second ends, nor misses one after.
+        fs = test_session.sample_rate
+        samples = test_session.channel("masseter")[: int(20 * fs)]
+        log = tmp_path / "session.events"
+        session = TestSessionFeed.session(rt_model)
+        session.next_log_path = lambda: log
+        session.feed((hello_line(profile, fs, "E") + "\n").encode())
+        handles = set()
+        for frame in sample_frames(samples, fs, 128):
+            session.feed((frame + "\n").encode())
+            handles.add(session.log)
+            text = log.read_text() if log.exists() else ""
+            assert text == log_text(session.engine.events)
+        assert len(session.engine.events) > 3 and len(handles - {None}) == 1
+        assert not session.log.closed
+        session.end()
+        assert session.log.closed
+
+    @pytest.mark.parametrize("end", ["bye", "nan", "disconnect"])
+    def test_log_closed_with_the_per_second_bytes_however_the_session_ends(
+        self, rt_model, profile, test_session, tmp_path, end
+    ):
+        # The session ends while an event is held with its samples, as in
+        # test_event_log_whatever_ends_the_session; the file holds what
+        # append_events, once per frame, writes for one push per frame.
+        fs, n_frame = test_session.sample_rate, 128
+        samples = test_session.channel("masseter")[: int(20 * fs)]
+        _, closed, _ = per_frame_reference(rt_model, profile, samples, fs, n_frame, "E")
+        last = max(k for k, c in enumerate(closed) if c and (k + 1) * n_frame % int(fs))
+        samples = samples[: (last + 1) * n_frame]
+        _, closed, final = per_frame_reference(rt_model, profile, samples, fs, n_frame, "E")
+        expected = tmp_path / "per_frame.events"
+        for events in closed + ([final] if end == "bye" else []):
+            io.append_events(events, expected)
+        log = tmp_path / "session.events"
+        session = TestSessionFeed.session(rt_model)
+        session.next_log_path = lambda: log
+        lines = [hello_line(profile, fs, "E"), *sample_frames(samples, fs, n_frame)]
+        t_us = round(samples.size * 1_000_000 / fs)
+        lines += {"bye": ["bye"], "nan": [f"samples t_us={t_us} n=1 v=nan"]}.get(end, [])
+        for line in lines:
+            session.feed((line + "\n").encode())
+        if end == "disconnect":
+            session.end()  # as the handler does when the client goes away
+        assert session.log.closed
+        assert log.read_bytes() == expected.read_bytes()
+
+    def test_session_closing_no_event_creates_no_file(self, rt_model, tmp_path):
+        log = tmp_path / "session.events"
+        session = TestSessionFeed.session(rt_model)
+        session.next_log_path = lambda: log
+        hello = TestSessionFeed.HELLO.decode().rstrip("\n")
+        lines = [hello, *sample_frames(np.zeros(3000), 1024.0, 128), "bye"]
+        replies = [r for line in lines for r in session.feed((line + "\n").encode())]
+        assert replies[-1] == "bye events=0" and session.done
+        assert [r.split()[0] for r in replies].count("rate") == 2
+        assert session.log is None and not log.exists()
 
     def test_log_failure_on_the_ending_flush_keeps_the_error_frame(
         self, logged_server, rt_model, profile, test_session

@@ -6,12 +6,13 @@ of the Hamming-tapered segment. Two burst-context features (cycle duration,
 cycles per sequence) are filled in by the matrix builder from the detected
 burst that overlaps the window most.
 
-Every feature function, the periodogram and extract_features reduce along
-the last axis: one segment gives a float (extract_features one row), an
-(n, length) window stack one value (row) per segment, bit-identical to that
-segment's own. MYOP, WAMP, ZC and SSC are per-row counts of samples or sample
-pairs that clear a threshold (Phinyomark et al., Expert Syst. Appl. 39(8),
-2012).
+Each of the sixteen segment formulas is written once, in _window_features,
+which both extract_features and the live detector's realtime.rt_features
+call. It, the periodogram and extract_features reduce along the last axis:
+one segment gives one row, an (n, length) window stack one row per segment,
+bit-identical to that segment's own. MYOP, WAMP, ZC and SSC are per-row
+counts of samples or sample pairs that clear a threshold (Phinyomark et al.,
+Expert Syst. Appl. 39(8), 2012).
 """
 
 from dataclasses import dataclass
@@ -91,128 +92,77 @@ def periodogram(segment: np.ndarray, rate: float):
     return np.fft.rfftfreq(n, d=1.0 / rate), power
 
 
-def _value(v, cast=float):
-    """A Python scalar for one segment, the per-row array for a stack."""
-    return cast(v) if v.ndim == 0 else v
-
-
-def _pair_rate(hits, n: int):
-    """Per-row count of true entries over the n - 1 sample pairs (0 if n < 2)."""
-    return _value(np.count_nonzero(hits, axis=-1) / max(n - 1, 1))
-
-
 def _half_index(c):
     """First index along the last axis where running sum c reaches half its end."""
     return np.argmax(c >= 0.5 * c[..., -1:], axis=-1)
 
 
-# --- time-domain features -------------------------------------------------
+def _window_features(out, x, rate, names, thr=None):
+    """Write feature names[j] of every window of x (last axis) to out[..., j].
 
+    Each formula is written once here, over intermediates shared between
+    features: one |x|, one variance, one np.diff, one total power and one
+    power cumsum. With thr None only mav, iemg, var, rms, sd, peak_amp, mnf
+    and mnp are computed, the ones the live detector uses; the others need
+    thr, the amplitude threshold of MYOP/WAMP/ZC/SSC.
 
-def mav(x):
-    """Mean absolute value."""
-    return _value(np.abs(x).mean(axis=-1))
-
-
-def iemg(x):
-    """Integrated EMG: sum of absolute values."""
-    return _value(np.add.reduce(np.abs(x), axis=-1))
-
-
-def variance(x):
-    """Sample variance (N-1 denominator); 0 for a single sample."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] < 2:
-        return _value(np.zeros(x.shape[:-1]))
-    return _value(x.var(axis=-1, ddof=1))
-
-
-def rms(x):
-    """Root mean square."""
-    return _value(np.sqrt(np.square(x).mean(axis=-1)))
-
-
-def sd(x):
-    """Sample standard deviation, sqrt of variance."""
-    return _value(np.sqrt(variance(x)))
-
-
-def waveform_length(x):
-    """Cumulative length of the waveform: sum of |x[i+1] - x[i]|."""
-    return _value(np.abs(np.diff(np.asarray(x, dtype=float), axis=-1)).sum(axis=-1))
-
-
-def peak_amp(x):
-    """Largest absolute amplitude in the segment."""
-    return _value(np.maximum.reduce(np.abs(x), axis=-1))
-
-
-def myop(x, thr: float):
-    """Myopulse percentage rate: fraction of samples with |x| >= thr."""
-    return _value((np.abs(x) >= thr).mean(axis=-1))
-
-
-def wamp(x, thr: float):
-    """Willison amplitude as a rate: count of |x[i] - x[i+1]| >= thr over N-1."""
-    x = np.asarray(x, dtype=float)
-    return _pair_rate(np.abs(np.diff(x, axis=-1)) >= thr, x.shape[-1])
-
-
-def zero_crossings(x, thr: float):
-    """Sign-change rate: crossings with |x[i] - x[i+1]| >= thr over N-1 pairs."""
-    x = np.asarray(x, dtype=float)
-    s = np.sign(x)
-    crossing = (s[..., :-1] != s[..., 1:]) & (np.abs(x[..., :-1] - x[..., 1:]) >= thr)
-    return _pair_rate(crossing, x.shape[-1])
-
-
-def slope_sign_changes(x, thr: float):
-    """Rate of slope-sign turns: (x[i]-x[i-1])(x[i]-x[i+1]) >= thr over N-1."""
-    x = np.asarray(x, dtype=float)
-    product = (x[..., 1:-1] - x[..., :-2]) * (x[..., 1:-1] - x[..., 2:])
-    return _pair_rate(product >= thr, x.shape[-1])
-
-
-def t50(x):
-    """Normalized time at which the cumulative rectified sum reaches 50%."""
-    x = np.abs(np.asarray(x, dtype=float))
-    return _value(_half_index(np.cumsum(x, axis=-1)) / max(x.shape[-1] - 1, 1))
-
-
-# --- spectral features ----------------------------------------------------
-
-
-def mean_freq(freqs, power):
-    """Mean frequency: power-weighted average of the bin frequencies."""
-    return _value(_weighted_freq(freqs, power, np.add.reduce(power, axis=-1)))
-
-
-def _weighted_freq(freqs, power, total):
-    """mean_freq given the total power along the last axis (0 where it is
-    0), for a caller that needs the total as well."""
+    mav is iemg / n and mnp the total power over the bins: numpy's mean
+    divides its sum the same way, so both are bit-identical to it.
+    """
+    freqs, power = periodogram(x, rate)
+    n = x.shape[-1]
+    magnitude = np.abs(x)
+    iemg = np.add.reduce(magnitude, axis=-1)
+    var = x.var(axis=-1, ddof=1) if n > 1 else np.zeros(x.shape[:-1])
+    total = np.add.reduce(power, axis=-1)
     weighted = np.add.reduce(freqs * power, axis=-1)
-    return np.divide(weighted, total, out=np.zeros(total.shape), where=total != 0)
-
-
-def mean_power(power):
-    """Average periodogram power over the one-sided bins."""
-    return _value(np.asarray(power).mean(axis=-1))
-
-
-def median_freq_index(power):
-    """Smallest bin index where cumulative power reaches half the total."""
-    return _value(_half_index(np.cumsum(power, axis=-1)), int)
-
-
-def median_freq(freqs, power):
-    """Frequency of the median-power bin."""
-    return _value(freqs[median_freq_index(power)])
-
-
-def median_freq_power(power):
-    """Periodogram power at the median-frequency bin."""
-    idx = np.asarray(median_freq_index(power))[..., None]
-    return _value(np.take_along_axis(np.asarray(power), idx, axis=-1)[..., 0])
+    values = {
+        "mav": iemg / n,
+        "iemg": iemg,
+        # Sample variance (N-1 denominator).
+        "var": var,
+        "rms": np.sqrt(np.square(x).mean(axis=-1)),
+        "sd": np.sqrt(var),
+        "peak_amp": np.maximum.reduce(magnitude, axis=-1),
+        # Mean frequency: power-weighted average of the bin frequencies, 0
+        # for a window without power.
+        "mnf": np.divide(weighted, total, out=np.zeros(total.shape), where=total != 0),
+        "mnp": total / power.shape[-1],
+    }
+    if thr is not None:
+        # Rates over the n - 1 sample pairs (0 if n < 2).
+        pairs = max(n - 1, 1)
+        step = np.diff(x, axis=-1)
+        step_size = np.abs(step)
+        large_step = step_size >= thr
+        sign = np.sign(x)
+        median_index = _half_index(np.cumsum(power, axis=-1))
+        values.update(
+            {
+                # Cumulative length of the waveform.
+                "wl": step_size.sum(axis=-1),
+                # Myopulse percentage rate: share of samples with |x| >= thr.
+                "myop": (magnitude >= thr).mean(axis=-1),
+                # Willison amplitude: pairs with |x[i+1] - x[i]| >= thr.
+                "wamp": np.count_nonzero(large_step, axis=-1) / pairs,
+                # Sign changes across a step of at least thr.
+                "zc": np.count_nonzero(
+                    (sign[..., :-1] != sign[..., 1:]) & large_step, axis=-1
+                ) / pairs,
+                # Slope-sign turns, (x[i]-x[i-1])(x[i]-x[i+1]) >= thr. That
+                # product is exactly the negative of step[i-1] * step[i].
+                "ssc": np.count_nonzero(step[..., :-1] * step[..., 1:] <= -thr, axis=-1)
+                / pairs,
+                # Frequency and power of the first bin where the cumulative
+                # power reaches half the total.
+                "mdf": freqs[median_index],
+                "mpf": np.take_along_axis(power, median_index[..., None], axis=-1)[..., 0],
+                # Normalized time at which the cumulative |x| reaches half its sum.
+                "t50": _half_index(np.cumsum(magnitude, axis=-1)) / pairs,
+            }
+        )
+    for j, name in enumerate(names):
+        out[..., j] = values[name]
 
 
 # --- window extraction ----------------------------------------------------
@@ -238,30 +188,10 @@ def extract_features(
         raise ValueError("empty segment")
     if not np.isfinite(x).all():
         raise ValueError("segment contains non-finite samples")
-    freqs, power = periodogram(x, rate)
-    values = np.stack(
-        [
-            mav(x),
-            iemg(x),
-            variance(x),
-            rms(x),
-            sd(x),
-            waveform_length(x),
-            peak_amp(x),
-            myop(x, thr),
-            wamp(x, thr),
-            zero_crossings(x, thr),
-            slope_sign_changes(x, thr),
-            mean_freq(freqs, power),
-            mean_power(power),
-            median_freq(freqs, power),
-            median_freq_power(power),
-            t50(x),
-            np.broadcast_to(np.asarray(cycle_duration, dtype=float), x.shape[:-1]),
-            np.broadcast_to(np.asarray(cycles_per_sequence, dtype=float), x.shape[:-1]),
-        ],
-        axis=-1,
-    )
+    values = np.empty(x.shape[:-1] + (len(FEATURE_NAMES),))
+    _window_features(values, x, rate, FEATURE_NAMES[:-2], thr)
+    values[..., -2] = cycle_duration
+    values[..., -1] = cycles_per_sequence
     finite = np.isfinite(values).reshape(-1, len(FEATURE_NAMES)).all(axis=0)
     if not finite.all():
         bad = FEATURE_NAMES[int(np.argmin(finite))]

@@ -220,7 +220,7 @@ class _Session:
     def close(self) -> list:
         self.flush()
         self._log_events(self.engine.finalize())
-        return [protocol.format_frame("bye", {"events": len(self.engine.events)})]
+        return [protocol.format_frame("bye", {"events": len(self.engine.state.events)})]
 
     def _log_events(self, events):
         if events and self.log_path is not None:

@@ -17,7 +17,9 @@ Training and serving share one segment pass (_segment_pass): rt_training_set
 runs it once over a recording, StreamEngine.push once per chunk before the
 vote and the run assembly. A server pushes once per streamed second of every
 live session, so the pass keeps its fixed per-call costs low: rt_features
-takes each reduction its features share once.
+takes its seven features from the offline feature kernel, which computes
+each shared reduction once and, given no threshold, skips the features that
+need one and the two half-point searches.
 
 Timing uses the sample clock throughout, never the wall clock, so replaying
 a stream reproduces the event log exactly regardless of pacing.
@@ -35,6 +37,8 @@ from .learn import LinearModel, decision_values
 from .metrics import ChewEvent
 
 RT_FEATURE_NAMES = ("mean", "sd", "peak_amp", "rms", "iemg", "mnf", "mnp")
+# The offline name of each, in the same order.
+_OFFLINE_NAMES = ("mav", "sd", "peak_amp", "rms", "iemg", "mnf", "mnp")
 
 # The one channel a live session streams and the streaming model is trained on.
 STREAM_CHANNEL = "masseter"
@@ -123,24 +127,15 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     An (n, length) stack of segments gives an (n, 7) array whose rows equal
     the features of each segment alone.
 
-    This runs once per live push, so the shared reductions are taken once:
-    one |x| serves mav, iemg and peak_amp (mav is iemg / n, as numpy's mean
-    divides its sum), and one total power serves mnf and mnp. The results
-    are bit-identical to the offline feature functions.
+    The values come from the offline feature kernel, which computes only
+    these seven when given no threshold, so each equals the matching column
+    of features.extract_features on the scaled segment bit for bit.
     """
     x = np.asarray(segment, dtype=float) / profile.reference_amplitude
-    freqs, power = _features.periodogram(x, _signal.envelope_rate(profile.sample_rate))
-    magnitude = np.abs(x)
-    iemg = np.add.reduce(magnitude, axis=-1)
-    total_power = np.add.reduce(power, axis=-1)
     out = np.empty(x.shape[:-1] + (len(RT_FEATURE_NAMES),))
-    out[..., 0] = iemg / x.shape[-1]
-    out[..., 1] = _features.sd(x)
-    out[..., 2] = np.maximum.reduce(magnitude, axis=-1)
-    out[..., 3] = _features.rms(x)
-    out[..., 4] = iemg
-    out[..., 5] = _features._weighted_freq(freqs, power, total_power)
-    out[..., 6] = total_power / power.shape[-1]
+    _features._window_features(
+        out, x, _signal.envelope_rate(profile.sample_rate), _OFFLINE_NAMES
+    )
     return out
 
 

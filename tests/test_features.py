@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emgeat.features import (
     CHEW_WINDOW_S,
@@ -14,12 +14,11 @@ from emgeat.features import (
     WindowSpec,
     build_feature_matrix,
     extract_features,
-    mean_power,
-    median_freq_index,
     periodogram,
     window_matrix,
 )
 from emgeat import features as F
+from emgeat import realtime as rt
 from emgeat.events import detect_bursts
 from emgeat.signal import Annotation, RawRecording, envelope_rate, preprocess_recording
 from emgeat.synth import SessionPlan, gen_session
@@ -58,6 +57,7 @@ def sign(v):
 
 def naive_feature_vector(seg, rate, thr, cycle_duration, cycles_per_sequence):
     n = len(seg)
+    pairs = max(n - 1, 1)  # 0 rates, not a division by 0, for one sample
     x = [float(v) for v in seg]
     mav = sum(abs(v) for v in x) / n
     iemg = sum(abs(v) for v in x)
@@ -68,14 +68,14 @@ def naive_feature_vector(seg, rate, thr, cycle_duration, cycles_per_sequence):
     wl = sum(abs(x[i + 1] - x[i]) for i in range(n - 1))
     peak = max(abs(v) for v in x)
     myop = sum(1 for v in x if abs(v) >= thr) / n
-    wamp = sum(1 for i in range(n - 1) if abs(x[i] - x[i + 1]) >= thr) / (n - 1)
+    wamp = sum(1 for i in range(n - 1) if abs(x[i] - x[i + 1]) >= thr) / pairs
     zc = (
         sum(
             1
             for i in range(n - 1)
             if sign(x[i]) != sign(x[i + 1]) and abs(x[i] - x[i + 1]) >= thr
         )
-        / (n - 1)
+        / pairs
     )
     ssc = (
         sum(
@@ -83,7 +83,7 @@ def naive_feature_vector(seg, rate, thr, cycle_duration, cycles_per_sequence):
             for i in range(1, n - 1)
             if (x[i] - x[i - 1]) * (x[i] - x[i + 1]) >= thr
         )
-        / (n - 1)
+        / pairs
     )
     total = sum(abs(v) for v in x)
     acc = 0.0
@@ -91,7 +91,7 @@ def naive_feature_vector(seg, rate, thr, cycle_duration, cycles_per_sequence):
     for i, v in enumerate(x):
         acc += abs(v)
         if acc >= 0.5 * total:
-            t50 = i / (n - 1)
+            t50 = i / pairs
             break
     freqs, power = naive_periodogram(x, rate)
     p_total = sum(power)
@@ -130,56 +130,64 @@ class TestOracleEquivalence:
         assert time.perf_counter() - t_start < 5.0
 
 
+def column(name, segment, rate=102.4, thr=0.0):
+    """Feature `name` of one segment (a float) or of each row of a stack."""
+    return extract_features(segment, rate, thr)[..., FEATURE_NAMES.index(name)]
+
+
 class TestFrozenExamples:
     def test_mav_iemg_wl(self):
         x = np.array([1.0, -1.0, 1.0, -1.0])
-        assert F.mav(x) == 1.0
-        assert F.iemg(x) == 4.0
-        assert F.waveform_length(x) == 6.0
+        assert column("mav", x) == 1.0
+        assert column("iemg", x) == 4.0
+        assert column("wl", x) == 6.0
 
     def test_constant_segment(self):
         x = np.full(64, 0.5)
-        assert F.rms(x) == pytest.approx(0.5)
-        assert F.sd(x) == 0.0
-        assert F.waveform_length(x) == 0.0
-        assert F.zero_crossings(x, 0.0) == 0.0
+        assert column("rms", x) == pytest.approx(0.5)
+        assert column("sd", x) == 0.0
+        assert column("wl", x) == 0.0
+        assert column("zc", x) == 0.0
 
     def test_80hz_tone_spectral(self):
         t = np.arange(1024) / 1024.0
         x = np.sin(2 * np.pi * 80.0 * t)
-        freqs, power = periodogram(x, 1024.0)
-        assert F.mean_freq(freqs, power) == pytest.approx(80.0, abs=2.0)
-        assert F.median_freq(freqs, power) == pytest.approx(80.0, abs=2.0)
+        assert column("mnf", x, 1024.0) == pytest.approx(80.0, abs=2.0)
+        assert column("mdf", x, 1024.0) == pytest.approx(80.0, abs=2.0)
 
     def test_mnp_is_mean_bin_exactly(self):
         x = np.random.default_rng(8).standard_normal(256)
         _, power = periodogram(x, 102.4)
-        assert mean_power(power) == float(np.mean(power))
+        assert column("mnp", x) == float(np.mean(power))
 
     def test_t50_uniform_amplitude(self):
         n = 101
         x = np.full(n, 0.7)
-        assert abs(F.t50(x) - 0.5) <= 1.0 / (n - 1)
+        assert abs(column("t50", x) - 0.5) <= 1.0 / (n - 1)
 
     def test_zc_10hz_sine(self):
         t = np.arange(1024) / 1024.0
         x = np.sin(2 * np.pi * 10.0 * t)
-        assert F.zero_crossings(x, 0.0) == pytest.approx(20.0 / 1023.0)
+        assert column("zc", x, 1024.0) == pytest.approx(20.0 / 1023.0)
 
     def test_myop_threshold_extremes(self):
         x = np.abs(np.random.default_rng(2).standard_normal(100)) + 0.01
-        assert F.myop(x, float(np.max(x)) + 1.0) == 0.0
-        assert F.myop(x, 0.0) == 1.0
+        assert column("myop", x, thr=float(np.max(x)) + 1.0) == 0.0
+        assert column("myop", x, thr=0.0) == 1.0
 
     def test_mdf_bisection_property(self):
+        """mdf is the first bin where the cumulative power reaches half the
+        total, and mpf the power in that bin."""
         rng = np.random.default_rng(21)
         for _ in range(25):
-            _, power = periodogram(rng.standard_normal(128), 102.4)
+            x = rng.standard_normal(128)
+            freqs, power = periodogram(x, 102.4)
             c = np.cumsum(power)
-            idx = median_freq_index(power)
+            (idx,) = np.flatnonzero(freqs == column("mdf", x))
             assert c[idx] >= 0.5 * c[-1]
             if idx > 0:
                 assert c[idx - 1] < 0.5 * c[-1]
+            assert column("mpf", x) == power[idx]
 
 
 class TestPeriodogramPin:
@@ -199,93 +207,106 @@ class TestScaleRelations:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(256)
         a = 3.7
-        for fn in (F.mav, F.iemg, F.rms, F.sd, F.waveform_length, F.peak_amp):
-            assert fn(a * x) == pytest.approx(a * fn(x), rel=1e-12)
-        assert F.variance(a * x) == pytest.approx(a * a * F.variance(x), rel=1e-12)
+        for name in ("mav", "iemg", "rms", "sd", "wl", "peak_amp"):
+            assert column(name, a * x) == pytest.approx(a * column(name, x), rel=1e-12)
+        assert column("var", a * x) == pytest.approx(a * a * column("var", x), rel=1e-12)
 
     def test_threshold_features_invariant_under_coscaling(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(256)
         thr = 0.3
         a = 2.5
-        assert F.zero_crossings(a * x, a * thr) == F.zero_crossings(x, thr)
-        assert F.wamp(a * x, a * thr) == F.wamp(x, thr)
-        assert F.myop(a * x, a * thr) == F.myop(x, thr)
+        for name in ("zc", "wamp", "myop"):
+            assert column(name, a * x, thr=a * thr) == column(name, x, thr=thr)
         # the slope-sign product is quadratic in amplitude
-        assert F.slope_sign_changes(a * x, a * a * thr) == F.slope_sign_changes(x, thr)
-        assert F.t50(a * x) == F.t50(x)
+        assert column("ssc", a * x, thr=a * a * thr) == column("ssc", x, thr=thr)
+        assert column("t50", a * x) == column("t50", x)
 
     def test_spectral_shape_invariant(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(256)
-        f1, p1 = periodogram(x, 102.4)
-        f2, p2 = periodogram(4.0 * x, 102.4)
-        assert F.mean_freq(f1, p1) == pytest.approx(F.mean_freq(f2, p2), rel=1e-12)
-        assert F.median_freq(f1, p1) == F.median_freq(f2, p2)
-        assert mean_power(p2) == pytest.approx(16.0 * mean_power(p1), rel=1e-12)
+        assert column("mnf", x) == pytest.approx(column("mnf", 4.0 * x), rel=1e-12)
+        assert column("mdf", x) == column("mdf", 4.0 * x)
+        assert column("mnp", 4.0 * x) == pytest.approx(16.0 * column("mnp", x), rel=1e-12)
 
 
 class TestStackedSegments:
     def test_each_row_equals_its_own_segment(self):
         rng = np.random.default_rng(8)
         stack = rng.standard_normal((9, 40))
-        stack[4] = 0.0  # no power: mean_freq falls back to 0
-        for fn in (
-            F.mav, F.iemg, F.variance, F.rms, F.sd, F.waveform_length, F.peak_amp, F.t50
-        ):
-            assert np.array_equal(fn(stack), [fn(row) for row in stack])
-        for fn in (F.myop, F.wamp, F.zero_crossings, F.slope_sign_changes):
-            for thr in (0.0, 0.3):
-                assert np.array_equal(fn(stack, thr), [fn(row, thr) for row in stack])
-        freqs, power = periodogram(stack, 102.4)
-        assert np.array_equal(power, [periodogram(row, 102.4)[1] for row in stack])
-        assert np.array_equal(
-            F.mean_freq(freqs, power), [F.mean_freq(freqs, p) for p in power]
-        )
-        assert F.mean_freq(freqs, power)[4] == 0.0
-        assert np.array_equal(mean_power(power), [mean_power(p) for p in power])
-        assert np.array_equal(
-            median_freq_index(power), [median_freq_index(p) for p in power]
-        )
-        assert np.array_equal(
-            F.median_freq(freqs, power), [F.median_freq(freqs, p) for p in power]
-        )
-        assert np.array_equal(
-            F.median_freq_power(power), [F.median_freq_power(p) for p in power]
-        )
+        stack[4] = 0.0  # no power: mnf falls back to 0
         cyc = np.arange(9.0)
-        assert np.array_equal(
-            extract_features(stack, 102.4, 0.3, cyc, 2 * cyc),
-            [extract_features(row, 102.4, 0.3, c, 2 * c) for row, c in zip(stack, cyc)],
-        )
+        for thr in (0.0, 0.3):
+            assert np.array_equal(
+                extract_features(stack, 102.4, thr, cyc, 2 * cyc),
+                [extract_features(row, 102.4, thr, c, 2 * c) for row, c in zip(stack, cyc)],
+            )
+        _, power = periodogram(stack, 102.4)
+        assert np.array_equal(power, [periodogram(row, 102.4)[1] for row in stack])
+        assert column("mnf", stack)[4] == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_short_segments(self, n):
         stack = np.random.default_rng(n).standard_normal((3, n))
-        for fn in (F.waveform_length, F.t50):
-            assert np.array_equal(fn(stack), [fn(row) for row in stack])
-        for fn in (F.wamp, F.zero_crossings, F.slope_sign_changes):
-            assert np.array_equal(fn(stack, 0.0), [fn(row, 0.0) for row in stack])
+        assert np.array_equal(
+            extract_features(stack, 102.4), [extract_features(row, 102.4) for row in stack]
+        )
         if n < 3:
-            assert np.array_equal(F.slope_sign_changes(stack, 0.0), np.zeros(3))
+            assert np.array_equal(column("ssc", stack), np.zeros(3))
         if n == 1:
-            assert F.wamp(stack[0], 0.0) == F.t50(stack[0]) == 0.0
-
-    def test_one_segment_gives_a_float(self):
-        x = np.random.default_rng(9).standard_normal(16)
-        freqs, power = periodogram(x, 102.4)
-        values = [F.mav(x), F.iemg(x), F.variance(x), F.rms(x), F.sd(x), F.peak_amp(x)]
-        values += [F.waveform_length(x), F.t50(x), F.myop(x, 0.1), F.wamp(x, 0.1)]
-        values += [F.zero_crossings(x, 0.1), F.slope_sign_changes(x, 0.1)]
-        values += [F.mean_freq(freqs, power), mean_power(power)]
-        values += [F.median_freq(freqs, power), F.median_freq_power(power)]
-        assert all(type(v) is float for v in values)
-        assert type(median_freq_index(power)) is int
-        assert extract_features(x, 102.4).shape == (18,)
+            assert column("wamp", stack[0]) == column("t50", stack[0]) == 0.0
 
     def test_single_sample_segments_have_zero_variance(self):
-        assert np.array_equal(F.variance(np.ones((3, 1))), np.zeros(3))
-        assert F.sd(np.ones(1)) == 0.0
+        assert np.array_equal(column("var", np.ones((3, 1))), np.zeros(3))
+        assert column("sd", np.ones(1)) == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 5),
+        n=st.integers(1, 70),
+        thr=st.floats(0.0, 3.0),
+        reference=st.floats(1e-3, 1e3),
+        zero_row=st.booleans(),
+        rectified=st.booleans(),
+    )
+    @example(seed=0, k=2, n=1, thr=0.0, reference=0.7, zero_row=False, rectified=True)
+    @example(seed=0, k=2, n=2, thr=0.0, reference=0.7, zero_row=True, rectified=True)
+    @example(seed=0, k=3, n=3, thr=0.5, reference=1.0, zero_row=True, rectified=False)
+    @example(seed=0, k=1, n=51, thr=0.0, reference=1.0, zero_row=True, rectified=True)
+    def test_stack_rows_oracle_and_live_columns(
+        self, seed, k, n, thr, reference, zero_row, rectified
+    ):
+        """On random windows, signed or rectified, 1- to 3-sample ones and
+        all-zero rows included: a stack's rows are each window's own bit for
+        bit, each row matches the naive loop, and the live detector's seven
+        features are the matching columns of the scaled windows'."""
+        # Samples from a seeded generator, not drawn floats: on a lone impulse
+        # (a flat spectrum) the cumulative power lands exactly on half the
+        # total, and the naive DFT's last-bit rounding picks the next mdf bin.
+        stack = np.random.default_rng(seed).standard_normal((k, n))
+        if rectified:
+            stack = np.abs(stack)
+        if zero_row:
+            stack[-1] = 0.0
+        rate = envelope_rate(1024.0)
+        cyc = np.arange(float(k))
+        got = extract_features(stack, rate, thr, cyc, 2 * cyc)
+        rows = [extract_features(row, rate, thr, c, 2 * c) for row, c in zip(stack, cyc)]
+        assert all(row.shape == (len(FEATURE_NAMES),) for row in rows)
+        assert np.array_equal(got, rows)
+        for row, segment, c in zip(got, stack, cyc):
+            want = naive_feature_vector(segment, rate, thr, c, 2 * c)
+            for name, g, w in zip(FEATURE_NAMES, row, want):
+                assert abs(g - w) <= 1e-9 * max(1.0, abs(w)), f"feature {name}: {g} vs {w}"
+
+        profile = rt.CalibrationProfile(reference_amplitude=reference, sample_rate=1024.0)
+        offline = extract_features(stack / reference, rate)
+        columns = [
+            FEATURE_NAMES.index("mav" if name == "mean" else name)
+            for name in rt.RT_FEATURE_NAMES
+        ]
+        assert np.array_equal(rt.rt_features(stack, profile), offline[:, columns])
 
 
 class TestWindowMatrix:

@@ -1701,11 +1701,13 @@ class TestBatchedPushes:
     readers must see exactly what one push per frame would give."""
 
     def test_one_push_per_streamed_second(self, server, profile, monkeypatch):
-        sizes = []
+        # Per engine: the handler of an earlier test's session on the shared
+        # server may still be flushing its held samples while this one runs.
+        sizes = {}
         push = rt.StreamEngine.push
 
         def spy(engine, samples):
-            sizes.append(len(samples))
+            sizes.setdefault(engine, []).append(len(samples))
             return push(engine, samples)
 
         monkeypatch.setattr(rt.StreamEngine, "push", spy)
@@ -1714,7 +1716,7 @@ class TestBatchedPushes:
             rec, "127.0.0.1", server.port, speed=0, profile=profile, frame_s=128 / 1024
         )
         assert result.errors == [] and result.reported_events > 0
-        assert sizes == [1024] * 10  # 80 frames of 128 samples
+        assert [1024] * 10 in sizes.values()  # 80 frames of 128 samples
 
     def test_seconds_ending_inside_frames(self, logged_server, rt_model, profile):
         # 12.8 frames of 100 samples per second at 1280 Hz: most seconds end

@@ -9,7 +9,6 @@ functions in isolation.
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import sosfilt
 
@@ -162,46 +161,6 @@ class TestRtFeatures:
         profile = make_profile(reference=0.7)
         single = np.array([rt.rt_features(seg, profile) for seg in stack])
         assert np.array_equal(rt.rt_features(stack, profile), single)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        stack=hnp.arrays(
-            float,
-            st.tuples(st.integers(1, 5), st.integers(1, 70)),
-            elements=st.floats(0.0, 1e3),
-        ),
-        reference=st.floats(1e-3, 1e3),
-        zero_row=st.booleans(),
-    )
-    @example(stack=np.array([[0.25], [3.0]]), reference=0.7, zero_row=False)
-    @example(stack=np.array([[0.25, 0.5], [3.0, 1.0]]), reference=0.7, zero_row=True)
-    @example(stack=np.zeros((1, 51)), reference=1.0, zero_row=False)
-    def test_one_pass_equals_the_offline_functions(self, stack, reference, zero_row):
-        """Bit for bit, on any non-negative stack (the envelope is one):
-        1- and 2-sample segments and all-zero rows included, as a stack and
-        row by row."""
-        if zero_row:
-            stack[-1] = 0.0
-        profile = make_profile(reference=reference)
-        x = stack / reference
-        freqs, power = features.periodogram(x, envelope_rate(FS))
-        expected = np.stack(
-            [
-                features.mav(x),
-                features.sd(x),
-                features.peak_amp(x),
-                features.rms(x),
-                features.iemg(x),
-                features.mean_freq(freqs, power),
-                features.mean_power(power),
-            ],
-            axis=-1,
-        )
-        assert np.array_equal(rt.rt_features(stack, profile), expected)
-        assert all(
-            np.array_equal(rt.rt_features(row, profile), want)
-            for row, want in zip(stack, expected)
-        )
 
     @settings(max_examples=120, deadline=None)
     @given(

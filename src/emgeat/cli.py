@@ -106,12 +106,7 @@ def cmd_featurize(args) -> int:
         raise ValueError(f"--realtime features the chew task only, not {args.task}")
     recording = _io.read_recording(args.infile)
     if args.realtime:
-        profile = _realtime.calibrate(
-            [recording.channel(_realtime.STREAM_CHANNEL)],
-            recording.sample_rate,
-            source=recording.participant_id,
-        )
-        matrix = _realtime.rt_training_set(recording, profile)
+        matrix = _realtime.rt_training_set(recording, _realtime.self_calibrate(recording))
     else:
         matrix = _features.build_feature_matrix(recording, spec, args.task)
     path = _io.write_dataset(matrix, args.out)
@@ -214,14 +209,13 @@ def cmd_serve(args) -> int:
 
 def cmd_replay(args) -> int:
     # The numbers first: a missing file must not hide a bad one.
-    _io.client.check_options(args.port, args.speed, args.frame, args.reference_rate)
+    _io.client.check_options(args.port, args.speed, args.reference_rate)
     recording = _io.read_recording(args.infile)
     result = _io.stream_client(
         recording,
         args.host,
         args.port,
         speed=args.speed,
-        frame_s=args.frame,
         reference_rate_hz=args.reference_rate,
     )
     if args.transcript:
@@ -351,9 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_int, default=8765)
     p.add_argument("--speed", type=_float, default=1.0, help="0 floods, 10 = x10")
-    p.add_argument(
-        "--frame", type=_float, default=_io.client.DEFAULT_FRAME_S, help="seconds per frame"
-    )
     p.add_argument("--reference-rate", type=_float, default=None)
     p.add_argument("--transcript", default=None, help="write server replies here")
     p.set_defaults(func=cmd_replay)

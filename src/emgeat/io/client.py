@@ -1,26 +1,24 @@
 """Replay client: stream a recorded session to a server at real or fast pace.
 
-Pacing only changes wall-clock spacing between sample frames; frame content
-is derived from the sample clock, so a x10 replay produces the same server
-transcript as a real-time one. One thread sends each frame, then reads the
-replies until that frame's pacing deadline.
+The client sends one frame per streamed second, the most the server takes
+at once: the server replies once per second whatever the framing, and each
+frame costs it a wake-up. Pacing only changes wall-clock spacing between
+frames; frame content is derived from the sample clock, so a x10 replay
+produces the same server transcript as a real-time one. One thread sends
+each frame, then reads the replies until that frame's pacing deadline.
 """
 
-import math
 import select
 import socket
+import threading
 import time
 from dataclasses import dataclass, field
 
 from ..feedback import check_reference_rate
-from ..realtime import STREAM_CHANNEL, CalibrationProfile, calibrate
+from ..realtime import STREAM_CHANNEL, CalibrationProfile, self_calibrate
 from ..signal import sample_time_us
 from . import protocol
 
-# One frame per streamed second, the most the server takes at once: it
-# replies once per second whatever the framing, and each frame costs it a
-# wake-up, so smaller frames only add work at slow pace.
-DEFAULT_FRAME_S = protocol.MAX_FRAME_S
 # A server started just before the client may not be listening yet.
 CONNECT_RETRIES = 3
 CONNECT_RETRY_WAIT_S = 0.2
@@ -72,6 +70,8 @@ def _connect(host, port):
 def _read_until(sock, unread: bytearray, result: ClientResult, deadline: float) -> bool:
     """Pass `result` each reply line that arrives by `deadline`, a monotonic
     time; True once the session is over: a line ended it or the server left."""
+    # No further than select can wait: a pace near 0 puts deadlines past it.
+    deadline = min(deadline, time.monotonic() + threading.TIMEOUT_MAX)
     while select.select([sock], [], [], max(0.0, deadline - time.monotonic()))[0]:
         try:
             data = sock.recv(65536)
@@ -84,15 +84,13 @@ def _read_until(sock, unread: bytearray, result: ClientResult, deadline: float) 
     return False
 
 
-def check_options(port: int, speed: float, frame_s: float, reference_rate_hz):
+def check_options(port: int, speed: float, reference_rate_hz):
     """The checks of stream_client that need no recording, so that a caller
     can run them before it reads one."""
     if not 1 <= port <= 65535:
         raise ValueError(f"port {port} is outside 1..65535")
     if not speed >= 0:
         raise ValueError(f"speed must be >= 0, not {speed!r}")
-    if not (math.isfinite(frame_s) and frame_s > 0):
-        raise ValueError(f"frame_s {frame_s} must be positive and finite")
     if reference_rate_hz is not None:
         check_reference_rate(reference_rate_hz)  # the server's rule and message
 
@@ -102,7 +100,6 @@ def stream_client(
     host: str,
     port: int,
     speed: float = 1.0,
-    frame_s: float = DEFAULT_FRAME_S,
     profile: CalibrationProfile = None,
     reference_rate_hz: float = None,
 ) -> ClientResult:
@@ -110,21 +107,16 @@ def stream_client(
 
     speed is a wall-clock divisor: 1.0 replays in real time, 10.0 ten times
     faster, 0 floods without pacing. The STREAM_CHANNEL is streamed, the
-    one the streaming model is trained on; the calibration profile defaults
-    to one computed from it. A frame may hold at most
-    protocol.MAX_FRAME_S of signal, the most the server accepts at once.
+    one the streaming model is trained on, in frames of one second
+    (protocol.MAX_FRAME_S); the calibration profile defaults to
+    realtime.self_calibrate's.
     """
-    check_options(port, speed, frame_s, reference_rate_hz)
+    check_options(port, speed, reference_rate_hz)
     fs = recording.sample_rate
-    n_frame = max(1, int(frame_s * fs))
-    if n_frame > protocol.MAX_FRAME_S * fs:
-        raise ValueError(
-            f"a {frame_s} s frame holds {n_frame} samples, more than the"
-            f" {protocol.MAX_FRAME_S} s the server accepts in one frame"
-        )
+    n_frame = max(1, int(protocol.MAX_FRAME_S * fs))
     samples = recording.channel(STREAM_CHANNEL)
     if profile is None:
-        profile = calibrate([samples], fs, source=recording.participant_id)
+        profile = self_calibrate(recording)
 
     hello = {
         "participant": recording.participant_id,

@@ -163,34 +163,48 @@ def train_linear_svm(
     d = X.shape[1]
     ridge = np.diag([1.0] * d + [0.0])  # the bias is not regularized
     theta = np.zeros(d + 1)
-    f, grad, active = _evaluate(Z1, y, sw, config.c, theta)
     converged = False
     epoch = 0
-    for epoch in range(1, _MAX_ITERATIONS + 1):
-        rows = Z1[active]
-        # Positive definite: a step toward the quadratic model's minimizer
-        # cannot satisfy all its active rows while both classes are present,
-        # so every iterate keeps a row inside the margin: the bias entry is > 0.
-        hess = ridge + 2.0 * config.c * (rows.T * sw[active]) @ rows
-        step = np.linalg.solve(hess, -grad)
-        slope = float(grad @ step)  # -slope is the squared Newton decrement
-        # The quadratic model predicts an improvement of -slope / 2; below
-        # _TOL this is the last step, taken so the result sits on the optimum.
-        last = -0.5 * slope <= _TOL * max(1.0, f)
-        t = 1.0
-        for _ in range(60):
-            trial = _evaluate(Z1, y, sw, config.c, theta + t * step)
-            if trial[0] <= f + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-        else:
-            converged = last  # no decrease left at float resolution
-            break
-        theta = theta + t * step
-        f, grad, active = trial  # the next step starts from the accepted trial
-        if last:
-            converged = True
-            break
+    # A C so large that the fit leaves finite arithmetic would give a model of
+    # infinities and nans: an overflow, a nan, a Hessian whose ridge is lost
+    # to rounding (singular) or a non-finite result, whichever shows first.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            f, grad, active = _evaluate(Z1, y, sw, config.c, theta)
+            for epoch in range(1, _MAX_ITERATIONS + 1):
+                rows = Z1[active]
+                # Positive definite: a step toward the quadratic model's
+                # minimizer cannot satisfy all its active rows while both
+                # classes are present, so every iterate keeps a row inside
+                # the margin: the bias entry is > 0.
+                hess = ridge + 2.0 * config.c * (rows.T * sw[active]) @ rows
+                step = np.linalg.solve(hess, -grad)
+                slope = float(grad @ step)  # -slope is the squared Newton decrement
+                # The quadratic model predicts an improvement of -slope / 2;
+                # below _TOL this is the last step, taken so the result sits
+                # on the optimum.
+                last = -0.5 * slope <= _TOL * max(1.0, f)
+                t = 1.0
+                for _ in range(60):
+                    trial = _evaluate(Z1, y, sw, config.c, theta + t * step)
+                    if trial[0] <= f + _ARMIJO * t * slope:
+                        break
+                    t *= 0.5
+                else:
+                    converged = last  # no decrease left at float resolution
+                    break
+                theta = theta + t * step
+                f, grad, active = trial  # the next step starts from this trial
+                if last:
+                    converged = True
+                    break
+            grad_norm = float(np.sqrt(grad @ grad))
+        if not (np.isfinite(theta).all() and math.isfinite(f + grad_norm)):
+            raise FloatingPointError
+    except (FloatingPointError, np.linalg.LinAlgError):
+        raise ValueError(
+            f"penalty C {config.c!r} takes the fit beyond finite arithmetic"
+        ) from None
 
     return LinearModel(
         feature_names=tuple(feature_names),
@@ -203,7 +217,7 @@ def train_linear_svm(
             "converged": converged,
             "epochs": epoch,
             "objective": f,
-            "grad_norm": float(np.sqrt(grad @ grad)),
+            "grad_norm": grad_norm,
             "c": config.c,
             "class_weights": {k: float(v) for k, v in weights_by_class.items()},
         },

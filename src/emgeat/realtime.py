@@ -117,6 +117,14 @@ def calibrate(
     )
 
 
+def self_calibrate(recording) -> CalibrationProfile:
+    """The profile of a recording calibrated on its own STREAM_CHANNEL, for
+    a session with no calibration recorded beforehand."""
+    return calibrate(
+        [recording.channel(STREAM_CHANNEL)], recording.sample_rate, recording.participant_id
+    )
+
+
 def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     """Seven features of one envelope segment, ordered as RT_FEATURE_NAMES.
 

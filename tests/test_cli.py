@@ -285,6 +285,20 @@ class TestTrainAndEval:
         assert f"argument --grid: penalty grid {grid!r} needs positive, finite values" in err
         assert not model_path.exists()
 
+    def test_penalty_beyond_finite_arithmetic_is_domain_error(self, tmp_path, capsys):
+        # One message naming C, no RuntimeWarning, no model file.
+        datasets = featurize_sessions(tmp_path, capsys, seeds=(31, 32))
+        model_path = tmp_path / "m.model"
+        for argv in (["train", "--out", str(model_path)], ["eval-lopo"]):
+            rc, out, err = run_cli(
+                argv + ["--in", *map(str, datasets), "--c", "1e300"], capsys
+            )
+            assert rc == 1 and out == ""
+            assert err.splitlines() == [
+                "emgeat: penalty C 1e+300 takes the fit beyond finite arithmetic"
+            ]
+        assert not model_path.exists()
+
     def test_eval_lopo_table(self, tmp_path, capsys):
         datasets = featurize_sessions(tmp_path, capsys, seeds=(35, 36, 37))
         rc, out, _ = run_cli(
@@ -485,21 +499,24 @@ class TestReplay:
         assert rc == 1
         assert "error" in err
 
-    def test_frame_over_the_server_cap_exits_before_connecting(self, session_file, capsys):
-        import socket
-
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            free_port = probe.getsockname()[1]
-        rc, _, err = run_cli(
-            [
-                "replay", "--in", str(session_file), "--port", str(free_port),
-                "--frame", "11",
-            ],
-            capsys,
-        )
+    def test_pace_near_zero_waits_for_the_server(self, rt_model, session_file, tmp_path, capsys):
+        # The first frame's deadline, 1e10 s ahead, is past what select
+        # takes; the server's error frame still ends the session.
+        log_dir = tmp_path / "not_a_dir"
+        log_dir.write_text("")
+        srv = io.serve(rt_model, io.ServerConfig(log_dir=log_dir)).start_background()
+        try:
+            rc, _, err = run_cli(
+                [
+                    "replay", "--in", str(session_file), "--port",
+                    str(srv.port), "--speed", "1e-10",
+                ],
+                capsys,
+            )
+        finally:
+            srv.shutdown()
         assert rc == 1
-        assert err.startswith("emgeat: a 11.0 s frame holds 11264 samples")
+        assert err.startswith("error: error reason=server ") and "Traceback" not in err
 
     def test_no_server_is_domain_error(self, session_file, capsys):
         import socket
@@ -566,7 +583,7 @@ class TestReplay:
         def never(*args):
             raise AssertionError("reached past the port check")
 
-        monkeypatch.setattr(io.client, "calibrate", never)
+        monkeypatch.setattr(io.client, "self_calibrate", never)
         monkeypatch.setattr(io.client, "_connect", never)
         rc, _, err = run_cli(["replay", "--in", str(session_file), "--port", port], capsys)
         assert rc == 1
@@ -721,7 +738,6 @@ FORBIDDEN = {
     ("analyze", "--gap-cap"): {"nan", "-inf", "0", "-1"},  # inf means no cap
     ("serve", "--reference-rate"): POSITIVE_FINITE,
     ("replay", "--speed"): {"nan", "-inf", "-1"},  # 0 and inf flood
-    ("replay", "--frame"): POSITIVE_FINITE,
     ("replay", "--reference-rate"): POSITIVE_FINITE,
     ("feedback-sim", "--reference-rate"): POSITIVE_FINITE,
 }

@@ -1107,30 +1107,6 @@ class TestServerSessions:
         result = io.stream_client(rec, "127.0.0.1", server.port, speed=0, profile=profile)
         assert [t for t, _ in result.rates] == [float(k) for k in range(1, 8)]
 
-    @pytest.mark.parametrize(
-        "frame_s, message",
-        [
-            (0.0, "must be positive"),
-            (-1.0, "must be positive"),
-            (11.0, "1.0 s"),
-            (1.001, "1.0 s"),  # 1025 samples at 1024 Hz, one over the bound
-            # inf used to overflow `int` instead
-            (math.inf, "must be positive and finite"),
-            (math.nan, "must be positive and finite"),
-        ],
-    )
-    def test_frame_the_server_would_refuse_rejected_before_connecting(
-        self, frame_s, message
-    ):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            free_port = probe.getsockname()[1]
-        with pytest.raises(ValueError, match=message):
-            io.stream_client(
-                short_session(seed=29), "127.0.0.1", free_port, speed=0,
-                frame_s=frame_s,
-            )
-
     @pytest.mark.parametrize("speed", [-1.0, math.nan])
     def test_negative_or_nan_speed_rejected_before_connecting(self, speed):
         # A nan speed used to pass `speed < 0` and flood.
@@ -1160,12 +1136,36 @@ class TestServerSessions:
         with pytest.raises(io.ProtocolError, match=f"participant='{participant}' not"):
             io.stream_client(rec, "127.0.0.1", 1, speed=0)
 
-    def test_frame_of_exactly_the_cap_is_accepted(self, server, profile):
-        rec = short_session(seed=30, duration_s=3.0)
-        result = io.stream_client(
-            rec, "127.0.0.1", server.port, speed=0, profile=profile, frame_s=1.0
+    @pytest.mark.parametrize("fs", [1024.0, 1000.5])
+    def test_replay_sends_one_streamed_second_per_frame(self, profile, fs):
+        # floor(fs) samples a frame, the most the server accepts in one; a
+        # one-connection server records the lines, then answers bye.
+        rec = synth.gen_session(
+            synth.SessionPlan(duration_s=3.5, seed=30, sample_rate=fs, participant_id="F")
         )
-        assert result.errors == [] and result.reported_events is not None
+        received = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def serve():
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rb") as fh:
+                    for line in iter(fh.readline, b"bye\n"):
+                        received.append(line.decode().rstrip("\n"))
+                    conn.sendall(b"hello participant=F\nbye events=0\n")
+
+            thread = threading.Thread(target=serve, daemon=True)
+            thread.start()
+            result = io.stream_client(
+                rec, "127.0.0.1", listener.getsockname()[1], speed=0, profile=profile
+            )
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert result.errors == [] and result.reported_events == 0
+        frames = received[1:]
+        assert frames == sample_frames(rec.channel(rt.STREAM_CHANNEL), fs, int(fs))
+        assert [io.parse_frame(f)[1]["n"] for f in frames] == [str(int(fs))] * 3 + [
+            str(rec.n_samples - 3 * int(fs))
+        ]
 
     def test_server_absent(self):
         with socket.socket() as probe:
@@ -1240,6 +1240,16 @@ class TestReplayClient:
         assert elapsed < 5.0
         assert result.transcript == ["hello participant=S", error.decode()]
         assert result.errors == [error.decode()] and result.reported_events is None
+
+    def test_wait_beyond_what_select_takes(self):
+        # A pace near 0 puts the next frame's deadline past select's limit
+        # (`replay --speed 1e-10` used to die with an OverflowError).
+        result = io.ClientResult()
+        sock, peer = socket.socketpair()
+        with sock, peer:
+            peer.sendall(b"bye events=0\n")
+            assert io.client._read_until(sock, bytearray(), result, time.monotonic() + 1e12)
+        assert result.reported_events == 0
 
     def test_no_sleep_after_the_last_connect_attempt(self, monkeypatch):
         sleeps = []
@@ -1712,10 +1722,18 @@ class TestBatchedPushes:
 
         monkeypatch.setattr(rt.StreamEngine, "push", spy)
         rec = short_session(seed=41, duration_s=10.0)
-        result = io.stream_client(
-            rec, "127.0.0.1", server.port, speed=0, profile=profile, frame_s=128 / 1024
+        fs = rec.sample_rate
+        replies = raw_exchange(
+            server.port,
+            [
+                hello_line(profile, fs, "S"),
+                *sample_frames(rec.channel(rt.STREAM_CHANNEL), fs, 128),
+                "bye",
+            ],
         )
-        assert result.errors == [] and result.reported_events > 0
+        assert not any(r.startswith("error ") for r in replies)
+        kind, fields = io.parse_frame(replies[-1])
+        assert kind == "bye" and int(fields["events"]) > 0
         assert [1024] * 10 in sizes.values()  # 80 frames of 128 samples
 
     def test_seconds_ending_inside_frames(self, logged_server, rt_model, profile):
@@ -1725,16 +1743,17 @@ class TestBatchedPushes:
         rec = synth.gen_session(
             synth.SessionPlan(duration_s=10.0, seed=42, sample_rate=fs, participant_id="R")
         )
-        result = io.stream_client(
-            rec, "127.0.0.1", logged_server.port, speed=0, profile=profile,
-            frame_s=n_frame / fs,
+        samples = rec.channel("masseter")
+        transcript = raw_exchange(
+            logged_server.port,
+            [hello_line(profile, fs, "R"), *sample_frames(samples, fs, n_frame), "bye"],
         )
         replies, closed, final = per_frame_reference(
-            rt_model, profile, rec.channel("masseter"), fs, n_frame, "R"
+            rt_model, profile, samples, fs, n_frame, "R"
         )
         events = [e for c in closed for e in c] + final
         assert len(events) > 3
-        assert result.transcript == (
+        assert transcript == (
             ["hello participant=R"]
             + [line for lines in replies for line in lines]
             + [f"bye events={len(events)}"]

@@ -1,5 +1,7 @@
 """Linear classifier: weights, gradient oracle, folds, LOPO evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,13 @@ class TestTraining:
         assert len(h) >= 2
         for a, b in zip(h, h[1:]):
             assert b <= a + 1e-12
+
+    @pytest.mark.parametrize("c", [1e300, 1e200, 1e160])
+    def test_penalty_beyond_finite_arithmetic_refused(self, c):
+        # Raised, not warned: the test suite turns a RuntimeWarning into an error.
+        X, y = make_blobs()
+        with pytest.raises(ValueError, match=re.escape(f"penalty C {c!r} takes the fit beyond")):
+            train_linear_svm(X, y, ("f1", "f2"), "C", TrainConfig(c=c))
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(7)

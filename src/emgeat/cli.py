@@ -11,8 +11,6 @@ import signal
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import feedback as _feedback
 from . import features as _features
 from . import io as _io
@@ -190,19 +188,15 @@ def cmd_serve(args) -> int:
         reference_rate_hz=args.reference_rate,
     )
     server = _io.serve(_io.load_model(args.model), config)
-    previous = {}
+    # SIGTERM stops the server as SIGINT does (see main), so the shutdown runs.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        # `serve &` from a non-interactive shell starts with SIGINT ignored;
-        # both stop signals raise KeyboardInterrupt, so the shutdown runs.
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            previous[signum] = signal.signal(signum, signal.default_int_handler)
         print(f"listening on {config.host}:{server.port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
+        signal.signal(signal.SIGTERM, previous)
         server.shutdown()
     return 0
 
@@ -359,11 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # `emgeat ... &` from a non-interactive shell starts with SIGINT ignored:
+    # Ctrl-C and kill -INT must end every command, serve with status 0 after
+    # its shutdown, any other with 130 and one line instead of a traceback.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"emgeat: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("emgeat: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

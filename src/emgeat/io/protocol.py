@@ -14,7 +14,16 @@ session ended: every error frame ends its session).
 Every numeric field follows one number rule, the files' and the command
 line's too: what float() or int() reads, in ASCII, without "_" and without
 whitespace (`plain_ascii`). Text fields such as the participant id are free.
+
+A samples frame's values decode to one float64 array (`parse_values`), which
+is also where the value rule is enforced: every value finite and within
+MAX_SAMPLE_ABS. The server holds that array as it is until the engine
+takes it.
 """
+
+import math
+
+import numpy as np
 
 CLIENT_KINDS = ("hello", "samples", "bye")
 SERVER_KINDS = ("hello", "rate", "level", "bye", "error")
@@ -77,7 +86,7 @@ def plain_ascii(text: str) -> bool:
     of what float() and int() check: a numeric field is ASCII and holds no
     "_" and no whitespace. Both functions read "1_0" as 10, accept non-ASCII
     digits, Arabic-Indic or fullwidth, and strip whitespace around a number.
-    One `in` test per character: on a whole samples value list this costs
+    One `in` test per character: on a samples frame's whole `v` this costs
     far less than a regex or a set."""
     return text.isascii() and not (
         "_" in text or " " in text or "\t" in text or "\n" in text
@@ -104,18 +113,31 @@ def parse_int(kind: str, fields: dict, name: str) -> int:
     return _parse_number(kind, fields, name, int, "an integer")
 
 
-def parse_values(fields: dict, n: int) -> list:
-    """A samples frame's `v`: exactly n comma-separated floats. The commas
+def parse_values(fields: dict, n: int) -> np.ndarray:
+    """A samples frame's `v`: exactly n comma-separated floats, as one
+    float64 array, each value what float() reads from its token. The commas
     are counted before v is split, so a wrong n is refused unparsed; the
-    number rule is checked once on the whole of v."""
+    number rule is checked once on the whole of v. Then the value rule: no
+    value may be nan, inf or above MAX_SAMPLE_ABS in magnitude, and the
+    first one that is is named."""
     require_fields("samples", fields, ["v"])
     v = fields["v"]
     count = v.count(",") + 1
     if count != n:
         raise ProtocolError(f"samples frame field n is {n} but {count} values follow")
-    if plain_ascii(v):
-        try:
-            return list(map(float, v.split(",")))
-        except ValueError:
-            pass
-    raise ProtocolError("samples frame carries unparseable samples")
+    try:
+        x = list(map(float, v.split(","))) if plain_ascii(v) else None
+    except ValueError:
+        x = None
+    if x is None:
+        raise ProtocolError("samples frame carries unparseable samples")
+    # One C call per frame: the norm is nan, inf or above the limit whenever
+    # a value is, and only then are the values searched, as an array. On a
+    # server idle between frames, numpy's abs, compare and all on every
+    # frame cost several times what this call adds.
+    if not (math.hypot(*x) <= MAX_SAMPLE_ABS or (ok := np.abs(x) <= MAX_SAMPLE_ABS).all()):
+        i = int(ok.argmin())  # the first value out of range
+        overflow = f"exceeds {MAX_SAMPLE_ABS!r} in magnitude, where features overflow"
+        problem = overflow if math.isfinite(x[i]) else "is not finite"
+        raise ProtocolError(f"samples value {x[i]!r} at index {i} {problem}")
+    return np.fromiter(x, float, n)

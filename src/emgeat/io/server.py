@@ -7,15 +7,17 @@ every outgoing value is derived from the sample clock, so identical client
 transcripts produce byte-identical server transcripts. Two concurrent sessions
 share nothing but the (read-only) model.
 
-Every frame is parsed and checked on arrival, but its samples are held until
-they complete a streamed second: the engine is fed once per second, at the
+Every frame is parsed and checked on arrival (`protocol.parse_values` makes
+its values one checked float64 array), but that array is held until the
+frames complete a streamed second: the engine is fed once per second, at the
 rate tick, because most of a push's cost is fixed (at 1024 Hz a push of a
 second's 1024 samples costs about twice one of a 128-sample frame, not eight
 times). The engine is chunk-invariant, so the replies and the event log are
 the same as with one push per frame; only the moment an event-log line is
-written moves to the end of its second. However a session ends (bye, an
-error or a disconnect), the held samples are pushed and their events logged
-first.
+written moves to the end of its second. The held arrays are joined in one
+concatenate per push, so the engine receives the float64 array it computes
+on. However a session ends (bye, an error or a disconnect), the held samples
+are pushed and their events logged first.
 
 A session opens its event log once, when it first has an event to log, and
 writes and flushes each second's lines through that one handle: after every
@@ -37,6 +39,8 @@ import socketserver
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from ..feedback import check_reference_rate, level
 from ..learn import LinearModel
@@ -82,7 +86,9 @@ class _Session:
     line (line cap, UTF-8, parse, hello first, dispatch) until `done`, set at
     bye or an error; `end` runs however the connection ends. Only an accepted
     hello calls `next_log_path()` for the session's event log (None: none),
-    which is opened at the first event to log and closed by `end`."""
+    which is opened at the first event to log and closed by `end`. Each
+    samples frame's values arrive checked, as one float64 array; `pending`
+    holds those arrays until `flush` joins them into one push."""
 
     def __init__(self, model, reference_rate_hz: float, next_log_path):
         self.model = model
@@ -95,7 +101,7 @@ class _Session:
         self.max_line = _HELLO_LINE_BYTES  # longest line accepted, in bytes
         self.done = False  # bye or an error answered
         self.received = 0  # samples accepted, the sample clock
-        self.pending = []  # accepted samples not yet pushed, under 1 s + 1 frame
+        self.pending = []  # accepted frames' arrays not yet pushed, under 1 s + 1 frame
         self.last_level = "no_pulse"
 
     def feed(self, line: bytes) -> list:
@@ -170,20 +176,9 @@ class _Session:
             raise protocol.ProtocolError("samples frame carries no values")
         if n > protocol.MAX_FRAME_S * fs:  # before v is split: then n bounds the values
             raise protocol.ProtocolError(f"samples frame n {n} holds over {protocol.MAX_FRAME_S} s")
+        # Finite and within MAX_SAMPLE_ABS: nothing that overflows a feature
+        # or poisons the filter state reaches the engine.
         values = protocol.parse_values(fields, n)
-        # One C call per frame: the norm is nan, inf or above the limit
-        # whenever a value is, and the scan only runs then. Rejecting here
-        # keeps nan, inf and values whose features would overflow out of the
-        # engine's filter state.
-        limit = protocol.MAX_SAMPLE_ABS
-        if not math.hypot(*values) <= limit:
-            bad = next((i for i, v in enumerate(values) if not abs(v) <= limit), None)
-            if bad is not None:
-                v = values[bad]
-                problem = "is not finite" if not math.isfinite(v) else (
-                    f"exceeds {limit!r} in magnitude, where features overflow"
-                )
-                raise protocol.ProtocolError(f"samples value {v!r} at index {bad} {problem}")
         # t_us is the sample clock: a dropped, repeated or reordered frame
         # shows as a mismatch with the samples received so far.
         expected = sample_time_us(self.received, fs)
@@ -193,8 +188,8 @@ class _Session:
                 f" advance with the {self.received} samples received"
             )
         second = int(self.received / fs)  # whole seconds before this frame
-        self.pending += values
-        self.received += len(values)
+        self.pending.append(values)
+        self.received += n
         if int(self.received / fs) == second:
             return []  # no second completed, nothing to report yet
         self.flush()
@@ -203,7 +198,7 @@ class _Session:
     def flush(self):
         """Push the held samples in one call and log the events they close."""
         if self.pending:
-            chunk, self.pending = self.pending, []
+            chunk, self.pending = np.concatenate(self.pending), []
             self._log_events(self.engine.push(chunk))
 
     def end(self):

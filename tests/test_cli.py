@@ -9,6 +9,7 @@ import dataclasses
 import signal as os_signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -517,6 +518,46 @@ class TestReplay:
             srv.shutdown()
         assert rc == 1
         assert err.startswith("error: error reason=server ") and "Traceback" not in err
+
+    def test_interrupt_ends_a_paced_replay_with_one_line(self, rt_model, tmp_path, capsys):
+        rc = main(
+            [
+                "generate", "--out", str(tmp_path), "--participant", "P01",
+                "--duration", "20", "--seed", "5",
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        srv = io.serve(rt_model, io.ServerConfig()).start_background()
+        opened = threading.Event()
+        srv.next_log_path = opened.set  # called once a hello is accepted; no log
+        replay = ["replay", "--in", str(tmp_path / "P01.csv"), "--port", str(srv.port)]
+        try:
+            # As `emgeat replay ... &` starts from a non-interactive shell:
+            # with SIGINT ignored.
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "emgeat.cli", *replay, "--speed", "1"],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                preexec_fn=lambda: os_signal.signal(os_signal.SIGINT, os_signal.SIG_IGN),
+            )
+            try:
+                assert opened.wait(timeout=60)
+                proc.send_signal(os_signal.SIGINT)
+                out, err = proc.communicate(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            assert (proc.returncode, out, err) == (130, "", "emgeat: interrupted\n")
+            # The server ended that session as on any disconnect: the next
+            # one is served, and no handler printed a traceback.
+            rc, out, err = run_cli([*replay, "--speed", "0"], capsys)
+        finally:
+            srv.shutdown()
+        assert rc == 0 and out.splitlines()[-1].startswith("events=")
+        assert err == ""
 
     def test_no_server_is_domain_error(self, session_file, capsys):
         import socket

@@ -740,7 +740,8 @@ class TestProtocol:
             protocol.parse_values({"v": "1.0,oops"}, 2)
         with pytest.raises(io.ProtocolError, match="field n is 3 but 2 values follow"):
             protocol.parse_values({"v": "1.0,2.0"}, 3)
-        assert protocol.parse_values({"v": "1.0,2.0"}, 2) == [1.0, 2.0]
+        values = protocol.parse_values({"v": "1.0,2.0"}, 2)
+        assert values.dtype == np.float64 and values.tolist() == [1.0, 2.0]
 
     @settings(max_examples=300, deadline=None)
     @given(line=st.text(), allowed=st.sampled_from([None, io.protocol.CLIENT_KINDS]))
@@ -757,15 +758,99 @@ class TestProtocol:
         def parse(v):
             return protocol.parse_values({"v": v}, v.count(",") + 1)
 
-        # Non-finite tokens parse; the session refuses them (TestServerErrors).
-        values = parse("nan,inf,-inf,1e400")
-        assert math.isnan(values[0]) and values[1:] == [math.inf, -math.inf, math.inf]
+        # Non-finite and huge values are read, then refused with the first
+        # one named, in the words of the session's error frames.
+        refusals = {
+            "0.5,nan,inf": "nan at index 1 is not finite",
+            "inf,-inf": "inf at index 0 is not finite",
+            "0.5,-inf": "-inf at index 1 is not finite",
+            "1e400": "inf at index 0 is not finite",
+            "1e50,-1e50,0.5,-1e51,nan": (
+                "-1e+51 at index 3 exceeds 1e+50 in magnitude, where features overflow"
+            ),
+        }
+        for v, problem in refusals.items():
+            with pytest.raises(io.ProtocolError) as refused:
+                parse(v)
+            assert str(refused.value) == f"samples value {problem}"
         # An empty token is unparseable wherever it falls.
         for bad in ("1.0,oops", "oops", "1.0,,oops,", "1.0;2.0", "1.0,,2.0", ",1.0", "1.0,", ""):
             with pytest.raises(io.ProtocolError, match="unparseable samples"):
                 parse(bad)
         with pytest.raises(io.ProtocolError, match="missing field 'v'"):
             protocol.parse_values({}, 1)
+
+    @staticmethod
+    def list_path_parse_values(fields, n):
+        """parse_values as it was when it returned a list, with the value
+        rule the session then ran on that list: the reference below."""
+        from emgeat.io import protocol
+
+        protocol.require_fields("samples", fields, ["v"])
+        v = fields["v"]
+        count = v.count(",") + 1
+        if count != n:
+            raise io.ProtocolError(f"samples frame field n is {n} but {count} values follow")
+        values = None
+        if protocol.plain_ascii(v):
+            try:
+                values = list(map(float, v.split(",")))
+            except ValueError:
+                pass
+        if values is None:
+            raise io.ProtocolError("samples frame carries unparseable samples")
+        limit = protocol.MAX_SAMPLE_ABS
+        if not math.hypot(*values) <= limit:
+            bad = next((i for i, v in enumerate(values) if not abs(v) <= limit), None)
+            if bad is not None:
+                v = values[bad]
+                problem = "is not finite" if not math.isfinite(v) else (
+                    f"exceeds {limit!r} in magnitude, where features overflow"
+                )
+                raise io.ProtocolError(f"samples value {v!r} at index {bad} {problem}")
+        return values
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        tokens=st.lists(
+            st.one_of(
+                st.sampled_from([
+                    "0.0", "-0.0", "5e-324", "-5e-324", "2.5e-320", "nan", "-nan", "NaN",
+                    "inf", "-inf", "Infinity", "1e50", "-1e50", "1e51", "-1e51", "1e400",
+                    "1.0000000000000002e+50",
+                ]),
+                st.floats().map(repr),
+                st.sampled_from(["", "1_0", " 1", "1 ", "\u0661", "1e", "0x1p3", ";", "1.0;2.0"]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        n_shift=st.sampled_from([0, 0, 0, -1, 1]),
+    )
+    @example(tokens=["-0.0", "5e-324", "-2.5e-320", "1e50", "-1e50", "0.1"], n_shift=0)
+    @example(tokens=["1e50", "-1e51", "nan"], n_shift=0)
+    @example(tokens=["1e400", "1_0"], n_shift=0)
+    def test_parse_values_matches_the_list_path(self, tokens, n_shift):
+        # Both sides accept or refuse alike, with the same message; what
+        # they accept is one float64 array, bit for bit the list's floats.
+        from emgeat.io import protocol
+
+        fields, n = {"v": ",".join(tokens)}, len(tokens) + n_shift
+        outcomes = []
+        for parse in (protocol.parse_values, self.list_path_parse_values):
+            try:
+                outcomes.append(parse(fields, n))
+            except io.ProtocolError as exc:
+                outcomes.append(str(exc))
+        got, expected = outcomes
+        if isinstance(expected, str):
+            assert isinstance(got, str) and got == expected
+        else:
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64
+            assert got.shape == (n,)
+            assert got.view(np.uint64).tolist() == (
+                np.array(expected, dtype=np.float64).view(np.uint64).tolist()
+            )
 
 
 # --- live server ------------------------------------------------------------
@@ -2234,6 +2319,48 @@ class TestSessionFeed:
         rate_t = [io.parse_frame(r)[1]["t"] for r in fed if r.startswith("rate ")]
         assert rate_t == [repr(float(t)) for t in range(1, int(samples.size / fs) + 1)]
         assert (log.read_text() if log.exists() else "") == log_text(events)
+
+    @pytest.mark.parametrize(
+        "v, problem",
+        [
+            ("0.5,nan", "nan_at_index_1_is_not_finite"),
+            ("0.5,1e200", "1e+200_at_index_1_exceeds_1e+50_in_magnitude,_where_features_overflow"),
+        ],
+    )
+    def test_bad_value_refused_before_a_wrong_clock(self, rt_model, v, problem):
+        session = self.session(rt_model)
+        session.feed(self.HELLO)
+        assert session.feed(f"samples t_us=1 n=2 v={v}\n".encode()) == [
+            f"error reason=protocol detail=samples_value_{problem}"
+        ]
+        assert session.received == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), fs=st.sampled_from([1024.0, 1000.5]))
+    def test_held_frames_stay_under_a_second_and_reach_the_engine_as_float64(
+        self, rt_model, profile, data, fs
+    ):
+        # Frames of any size up to the 1 s bound: after each frame the
+        # session holds under one second of samples, as float64 arrays, and
+        # every push hands the engine one float64 array.
+        n_max = int(io.protocol.MAX_FRAME_S * fs)
+        sizes = data.draw(st.lists(st.integers(1, n_max), min_size=1, max_size=6))
+        samples = self.recording_at(fs).channel(rt.STREAM_CHANNEL)
+        session = self.session(rt_model)
+        ref = profile.reference_amplitude
+        session.feed(f"hello participant=F sample_rate={fs!r} ref={ref!r}\n".encode())
+        pushed, push = [], session.engine.push
+        session.engine.push = lambda chunk: pushed.append(chunk) or push(chunk)
+        for frame in sample_frames(samples, fs, sizes):
+            assert not any(r.startswith("error ") for r in session.feed(f"{frame}\n".encode()))
+            held = session.pending
+            assert all(type(a) is np.ndarray and a.dtype == np.float64 for a in held)
+            assert sum(a.size for a in held) < fs
+        assert session.feed(b"bye\n")[-1].startswith("bye events=")
+        assert pushed and all(
+            type(chunk) is np.ndarray and chunk.dtype == np.float64 for chunk in pushed
+        )
+        assert sum(chunk.size for chunk in pushed) == samples.size
 
     def test_fed_lines_give_the_socket_transcript(self, server, rt_model, profile):
         recording = short_session(seed=31)

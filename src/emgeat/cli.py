@@ -7,9 +7,16 @@ so downstream scripts (and the test suite) can diff them directly.
 import argparse
 import dataclasses
 import math
+import os
 import signal
 import sys
 from pathlib import Path
+
+# One BLAS thread unless the user sets a count: the fits here are too small
+# for a pool to pay, and its extra threads only spin. The pool is sized when
+# numpy loads, so this runs before the imports below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from . import feedback as _feedback
 from . import features as _features
@@ -359,7 +366,7 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"emgeat: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

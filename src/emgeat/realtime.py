@@ -14,12 +14,12 @@ labelled with the window helpers of emgeat.features, the same ones the
 offline feature matrix uses.
 
 Training and serving share one segment pass (_segment_pass): rt_training_set
-runs it once over a recording, StreamEngine.push once per chunk before the
-vote and the run assembly. A server pushes once per streamed second of every
-live session, so the pass keeps its fixed per-call costs low: rt_features
-takes its seven features from the offline feature kernel, which computes
-each shared reduction once and, given no threshold, skips the features that
-need one and the two half-point searches.
+runs it once over a recording, StreamEngine.push once per chunk before
+_runs, which votes and assembles runs in one walk. A server pushes once per
+streamed second of every live session, so the pass keeps its fixed per-call
+costs low: rt_features takes its seven features from the offline feature
+kernel, which computes each shared reduction once and, given no threshold,
+skips the features that need one and the two half-point searches.
 
 Timing uses the sample clock throughout, never the wall clock, so replaying
 a stream reproduces the event log exactly regardless of pacing.
@@ -147,29 +147,21 @@ def rt_features(segment: np.ndarray, profile: CalibrationProfile) -> np.ndarray:
     return out
 
 
-def vote_filter(predictions) -> np.ndarray:
-    """Majority vote over the trailing VOTE_WINDOW raw predictions.
+def _runs(st, predictions, onsets, ends) -> list:
+    """Vote on each prediction in turn and feed the vote into the open run
+    of `st`; return the events closed.
 
-    Position t looks at predictions[max(0, t-VOTE_WINDOW+1) .. t]; a tie
-    counts as negative, and early positions use however many exist.
-    """
-    predictions = np.asarray(predictions, dtype=bool)
-    positives = np.add.accumulate(predictions, dtype=int)
-    positives[VOTE_WINDOW:] -= positives[:-VOTE_WINDOW]  # numpy buffers the overlap
-    seen = np.minimum(np.arange(1, predictions.size + 1), VOTE_WINDOW)
-    return positives * 2 > seen
-
-
-def _assemble(st, votes, onsets, ends) -> list:
-    """Feed votes into the open run of `st`; return the events closed.
-
-    Vote k belongs to the segment spanning onsets[k] to ends[k] seconds. A
-    maximal run of positive votes spans from its first segment's start to
-    its last segment's end.
+    Prediction k belongs to the segment spanning onsets[k] to ends[k]
+    seconds. Its vote is a strict majority over it and the predictions kept
+    in st.raw_predictions, the VOTE_WINDOW - 1 before it (fewer early in a
+    session): a tie counts as negative. A maximal run of positive votes
+    spans from its first segment's start to its last segment's end.
     """
     closed = []
-    for vote, start_s, end_s in zip(votes, onsets, ends):
-        if vote:
+    for prediction, start_s, end_s in zip(predictions.tolist(), onsets.tolist(), ends.tolist()):
+        window = st.raw_predictions + [prediction]
+        st.raw_predictions = window[1 - VOTE_WINDOW :]
+        if sum(window) * 2 > len(window):
             if st.run_start_s is None:
                 st.run_start_s = start_s
             st.last_positive_end_s = end_s
@@ -236,7 +228,7 @@ class StreamState:
     carry: np.ndarray = field(default_factory=lambda: np.zeros(0))
     envelope: np.ndarray = field(default_factory=lambda: np.zeros(0))
     segments: int = 0
-    raw_predictions: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    raw_predictions: list = field(default_factory=list)
     run_start_s: float = None
     last_positive_end_s: float = None
     events: list = field(default_factory=list)
@@ -297,13 +289,7 @@ class StreamEngine:
             return []
         # decision_values is per row, so the outcome does not depend on how
         # many segments share the push.
-        history = np.concatenate(
-            [st.raw_predictions, decision_values(self.model, rows) > 0]
-        )
-        votes = vote_filter(history)[-onsets.size :]
-        # The next vote looks back on only the last VOTE_WINDOW - 1 predictions.
-        st.raw_predictions = history[max(0, history.size - VOTE_WINDOW + 1) :]
-        return _assemble(st, votes.tolist(), onsets.tolist(), ends.tolist())
+        return _runs(st, decision_values(self.model, rows) > 0, onsets, ends)
 
     def finalize(self) -> list:
         """Close a trailing open event at end of stream."""

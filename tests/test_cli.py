@@ -6,6 +6,7 @@ capsys; one test boots the real `serve` process to cover the console path.
 
 import argparse
 import dataclasses
+import os
 import signal as os_signal
 import subprocess
 import sys
@@ -83,6 +84,18 @@ class TestGenerate:
             capsys,
         )
         assert rc == 1 and "holds a comma or a line break" in err
+        assert not out.exists()
+
+    def test_unallocatable_duration_is_one_line(self, tmp_path, capsys):
+        # 1e12 s of samples is beyond any address space, so the allocation
+        # fails whatever the system's overcommit setting.
+        out = tmp_path / "out"
+        rc, printed, err = run_cli(
+            ["generate", "--out", str(out), "--duration", "1e12"], capsys
+        )
+        assert rc == 1 and printed == ""
+        [line] = err.splitlines()
+        assert line.startswith("emgeat: Unable to allocate")
         assert not out.exists()
 
     def test_unusable_snr_exits_before_writing(self, tmp_path, capsys):
@@ -629,6 +642,41 @@ class TestReplay:
         rc, _, err = run_cli(["replay", "--in", str(session_file), "--port", port], capsys)
         assert rc == 1
         assert err.splitlines() == [f"emgeat: port {port} is outside 1..65535"]
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def import_cli(**preset) -> list:
+    """Import emgeat.cli in a fresh interpreter whose environment holds no
+    BLAS thread variable but `preset`; return the three variables' values
+    it reads afterwards and the number of threads the process then has."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(preset)
+    code = (
+        "import os, sys, emgeat.cli\n"
+        "assert 'numpy' in sys.modules\n"
+        f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS!r}))\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    values, threads = done.stdout.splitlines()
+    return values.split(), int(threads)
+
+
+class TestBlasThreads:
+    def test_cli_runs_one_blas_thread_by_default(self):
+        values, threads = import_cli()
+        assert values == ["1", "1", "1"]
+        if sys.platform.startswith("linux"):
+            assert threads == 1  # numpy is loaded and OpenBLAS started no pool
+
+    def test_a_users_own_value_wins(self):
+        values, _ = import_cli(OPENBLAS_NUM_THREADS="3")
+        assert values == ["3", "1", "1"]
 
 
 class TestServe:

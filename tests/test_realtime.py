@@ -190,35 +190,88 @@ class TestRtFeatures:
         assert not stack.flags.writeable
 
 
+def vote_filter(predictions) -> np.ndarray:
+    """The reference vote, as the engine computed it before _runs: position
+    t looks at predictions[max(0, t-VOTE_WINDOW+1) .. t]; a tie counts as
+    negative, and early positions use however many exist."""
+    predictions = np.asarray(predictions, dtype=bool)
+    positives = np.add.accumulate(predictions, dtype=int)
+    positives[rt.VOTE_WINDOW :] -= positives[: -rt.VOTE_WINDOW]  # numpy buffers the overlap
+    seen = np.minimum(np.arange(1, predictions.size + 1), rt.VOTE_WINDOW)
+    return positives * 2 > seen
+
+
+def assemble_reference(state, votes, onsets, ends) -> list:
+    """The reference run assembly, as the engine did it before _runs: feed
+    votes into the open run of `state`; return the events closed."""
+    closed = []
+    for vote, start_s, end_s in zip(votes, onsets, ends):
+        if vote:
+            if state.run_start_s is None:
+                state.run_start_s = start_s
+            state.last_positive_end_s = end_s
+        else:
+            closed += rt._close_run(state)
+    return closed
+
+
+def push_reference(state, predictions, onsets, ends) -> list:
+    """One push's vote and assembly as the engine did it before _runs, with
+    `state.raw_predictions` held as a bool array."""
+    history = np.concatenate([state.raw_predictions, predictions])
+    votes = vote_filter(history)[history.size - predictions.size :]
+    state.raw_predictions = history[max(0, history.size - rt.VOTE_WINDOW + 1) :]
+    return assemble_reference(state, votes.tolist(), onsets.tolist(), ends.tolist())
+
+
+def runs(predictions, segment_s, hop_s, t0=0.0):
+    """Walk predictions through _runs in one push, segment k covering
+    [t0 + k*hop_s, t0 + k*hop_s + segment_s); returns (state, events closed
+    by the walk). The run still open at the end stays open in the state."""
+    state = rt.StreamState(make_profile())
+    onsets = t0 + hop_s * np.arange(len(predictions))
+    closed = rt._runs(state, np.array(predictions, dtype=bool), onsets, onsets + segment_s)
+    assert closed == state.events
+    return state, closed
+
+
+def votes(predictions) -> list:
+    """The vote _runs gives each prediction, read back from its events: the
+    segments are shorter than the hop, so no onset is clamped and segment k
+    lies inside an event exactly when its vote is positive."""
+    state, _ = runs(predictions, segment_s=0.5, hop_s=1.0)
+    events = state.events + rt._close_run(state)
+    return [
+        any(e.onset_s <= k and k + 0.5 <= e.termination_s for e in events)
+        for k in range(len(predictions))
+    ]
+
+
 class TestVoteFilter:
     def test_all_positive(self):
-        assert rt.vote_filter([True] * 8).all()
+        assert all(votes([True] * 8))
 
     def test_isolated_positive_suppressed(self):
-        preds = np.zeros(12, dtype=bool)
+        preds = [False] * 12
         preds[5] = True
-        assert not rt.vote_filter(preds).any()
+        assert not any(votes(preds))
 
     def test_tie_counts_negative(self):
         # 4 of 8 at the first full window is a tie -> negative.
-        preds = [True] * 4 + [False] * 4
-        out = rt.vote_filter(preds)
+        out = votes([True] * 4 + [False] * 4)
         assert not out[7]
-        assert out[:7].all()  # early partial windows are majority-positive
+        assert all(out[:7])  # early partial windows are majority-positive
 
     def test_startup_uses_partial_window(self):
-        out = rt.vote_filter([True, False, False])
-        assert out.tolist() == [True, False, False]
+        assert votes([True, False, False]) == [True, False, False]
 
     def test_known_sequence(self):
         preds = [False, True, True, True, True, False, False, False, False, False]
-        out = rt.vote_filter(preds)
         # t=1 sees [F,T]: a tie, so the run only opens at t=2; t=7 sees
         # four of eight, a tie, so it closes there.
-        assert out.tolist() == [
+        assert votes(preds) == [
             False, False, True, True, True, True, True, False, False, False,
         ]
-
 
     @settings(max_examples=60, deadline=None)
     @given(preds=st.lists(st.booleans(), max_size=80))
@@ -226,65 +279,94 @@ class TestVoteFilter:
         window = rt.VOTE_WINDOW
         expected = []
         for t in range(len(preds)):
-            votes = preds[max(0, t - window + 1) : t + 1]
-            expected.append(sum(votes) * 2 > len(votes))
-        assert rt.vote_filter(preds).tolist() == expected
-
-
-def assemble(votes, segment_s, hop_s, t0=0.0):
-    """Run the engine's assembler over votes whose segment k covers
-    [t0 + k*hop_s, t0 + k*hop_s + segment_s); returns (state, events closed
-    by the votes). The run still open at the end stays open in the state."""
-    state = rt.StreamState(make_profile())
-    onsets = [t0 + k * hop_s for k in range(len(votes))]
-    closed = rt._assemble(state, votes, onsets, [t + segment_s for t in onsets])
-    assert closed == state.events
-    return state, closed
+            recent = preds[max(0, t - window + 1) : t + 1]
+            expected.append(sum(recent) * 2 > len(recent))
+        assert votes(preds) == expected
+        assert vote_filter(preds).tolist() == expected
 
 
 class TestAssembleEvents:
     def test_single_run(self):
-        state, events = assemble(
-            [False, True, True, True, False], segment_s=0.5, hop_s=0.25
+        # Votes F F T T T F F F: the tie at t=1 and at t=5 is negative.
+        state, events = runs(
+            [False, True, True, True, False, False, False, False],
+            segment_s=0.5,
+            hop_s=0.25,
         )
         assert len(events) == 1
-        assert events[0].onset_s == pytest.approx(0.25)
-        assert events[0].termination_s == pytest.approx(1.25)
+        assert events[0].onset_s == pytest.approx(0.5)
+        assert events[0].termination_s == pytest.approx(4 * 0.25 + 0.5)
         assert rt._close_run(state) == []
 
     def test_all_negative(self):
-        state, events = assemble([False] * 6, 0.5, 0.25)
+        state, events = runs([False] * 6, 0.5, 0.25)
         assert events == [] and rt._close_run(state) == []
 
     def test_trailing_open_run_closes_at_end(self):
-        # The run is still open after the last vote; finalize's _close_run
-        # logs it, ending at the last positive segment's end.
-        state, events = assemble([False, True, True], 0.5, 0.25)
+        # The run opens at t=2 and is still open after the last prediction;
+        # finalize's _close_run logs it, ending at the last positive
+        # segment's end.
+        state, events = runs([False, True, True], 0.5, 0.25)
         assert events == []
         closed = rt._close_run(state)
         assert closed == state.events and len(closed) == 1
-        assert closed[0].onset_s == pytest.approx(0.25)
+        assert closed[0].onset_s == pytest.approx(2 * 0.25)
         assert closed[0].termination_s == pytest.approx(2 * 0.25 + 0.5)
         assert state.run_start_s is None and rt._close_run(state) == []
 
     def test_onset_clamped_to_previous_termination(self):
-        # Long segments overlap across the one-vote gap; the log must not.
-        state, events = assemble(
-            [True, True, False, True, True], segment_s=1.0, hop_s=0.25
+        # Votes T T T F T T: long segments overlap across the one-vote gap;
+        # the log must not.
+        state, events = runs(
+            [True, True, False, False, True, True], segment_s=1.0, hop_s=0.25
         )
         events += rt._close_run(state)
         assert len(events) == 2
-        assert events[0].termination_s == pytest.approx(1.25)
-        assert events[1].onset_s == pytest.approx(1.25)  # clamped up from 0.75
-        assert events[1].termination_s == pytest.approx(2.0)
+        assert events[0].termination_s == pytest.approx(2 * 0.25 + 1.0)
+        assert events[1].onset_s == pytest.approx(1.5)  # clamped up from 1.0
+        assert events[1].termination_s == pytest.approx(5 * 0.25 + 1.0)
 
     def test_time_origin_offset(self):
-        _, base = assemble([True, True, False], 0.5, 0.25)
-        _, shifted = assemble([True, True, False], 0.5, 0.25, t0=10.0)
+        _, base = runs([True, True, False, False], 0.5, 0.25)
+        _, shifted = runs([True, True, False, False], 0.5, 0.25, t0=10.0)
         assert shifted[0].onset_s == pytest.approx(base[0].onset_s + 10.0)
         assert shifted[0].termination_s == pytest.approx(
             base[0].termination_s + 10.0
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        preds=st.lists(st.booleans(), max_size=120),
+        cuts=st.lists(st.integers(0, 120), max_size=12),
+    )
+    @example(preds=[True, True, False, False, True, True, True], cuts=[3])
+    def test_matches_vote_filter_then_assemble(self, preds, cuts):
+        """_runs, push by push over the engine's own segment times, closes
+        the same events bit for bit as the reference vote and assembly, and
+        leaves the same open run and the same trailing predictions."""
+        state, ref = rt.StreamState(make_profile()), rt.StreamState(make_profile())
+        ref.raw_predictions = np.zeros(0, dtype=bool)
+        bounds = sorted({0, len(preds), *(c for c in cuts if c < len(preds))})
+        closed, ref_closed = [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            chunk = np.array(preds[lo:hi], dtype=bool)
+            onsets, ends = features._segment_times(
+                lo, hi - lo, state.n_segment, state.n_hop, state.rate
+            )
+            closed += rt._runs(state, chunk, onsets, ends)
+            ref_closed += push_reference(ref, chunk, onsets, ends)
+            assert state.raw_predictions == ref.raw_predictions.tolist()
+
+        def hexes(events):
+            return [(e.onset_s.hex(), e.termination_s.hex()) for e in events]
+
+        assert closed == state.events
+        assert hexes(closed) == hexes(ref_closed)
+        assert (state.run_start_s, state.last_positive_end_s) == (
+            ref.run_start_s,
+            ref.last_positive_end_s,
+        )
+        assert hexes(rt._close_run(state)) == hexes(rt._close_run(ref))
 
 
 @st.composite
@@ -660,7 +742,7 @@ class TestChunkingProperty:
             kept = len(st.raw_predictions)
             assert kept == min(st.segments, rt.VOTE_WINDOW - 1)
             recent = predictions[st.segments - kept : st.segments]
-            assert st.raw_predictions.tolist() == recent
+            assert st.raw_predictions == recent
         engine.finalize()
         assert engine.state.segments == len(predictions)
         assert [(e.onset_s, e.termination_s) for e in engine.events] == [

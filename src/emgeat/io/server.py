@@ -1,11 +1,12 @@
 """TCP streaming server: samples in, rate/level frames and event logs out.
 
-Each connection is one `_Session`, the one owner of the wire protocol, error
-replies and event-log numbers included; the handler only moves bytes to and
-from `_Session.feed`. Frames are processed synchronously in arrival order and
-every outgoing value is derived from the sample clock, so identical client
-transcripts produce byte-identical server transcripts. Two concurrent sessions
-share nothing but the (read-only) model.
+Each connection is one thread and one `_Session`, the one owner of the wire
+protocol, error replies and event-log numbers included; the thread
+(`EmgServer._serve`) only moves bytes to and from `_Session.feed`. Frames are
+processed synchronously in arrival order and every outgoing value is derived
+from the sample clock, so identical client transcripts produce byte-identical
+server transcripts. Two concurrent sessions share nothing but the (read-only)
+model.
 
 Every frame is parsed and checked on arrival (`protocol.parse_values` makes
 its values one checked float64 array), but that array is held until the
@@ -25,9 +26,10 @@ completed second the file holds exactly the events closed so far. The log is
 closed when the session ends, and a session that closes no event creates no
 file.
 
-The server's thread sleeps in select between connections, with no poll
-interval, so an idle server does not wake; shutdown() wakes it through a
-socketpair.
+The server owns its listening socket. Its accept loop sleeps in select
+between connections, with no poll interval, so an idle server does not wake;
+shutdown() wakes it through a socketpair. An exception that escapes a
+connection's thread is not caught: it reaches threading.excepthook.
 """
 
 import contextlib
@@ -35,7 +37,6 @@ import math
 import re
 import selectors
 import socket
-import socketserver
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -237,30 +238,10 @@ class _Session:
         return out
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    """Moves bytes: lines to the session, its replies back to the client."""
-
-    def handle(self):
-        server = self.server
-        session = _Session(server.model, server.config.reference_rate_hz, server.next_log_path)
-        try:
-            # One byte past the cap tells an over-long line from one that fits;
-            # an empty read is a client that went away.
-            while not session.done and (line := self.rfile.readline(session.max_line + 1)):
-                if replies := session.feed(line):
-                    self.wfile.write("".join(r + "\n" for r in replies).encode())
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # the client hung up with replies unread: the session ends
-        finally:
-            session.end()
-
-
-class EmgServer(socketserver.ThreadingTCPServer):
-    """The TCP server: one thread and one _Session per connection. Run it
-    with serve_forever() or start_background(), stop it with shutdown()."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class EmgServer:
+    """The TCP server: one listening socket, one select loop, and one thread
+    and one _Session per connection. Run it with serve_forever() or
+    start_background(), stop it with shutdown()."""
 
     def __init__(self, model: LinearModel, config: ServerConfig = None):
         # Checked before binding: a model of the wrong features is the
@@ -271,14 +252,12 @@ class EmgServer(socketserver.ThreadingTCPServer):
         self._session_counter = 0
         self._lock = threading.Lock()
         self._thread = None
+        # SO_REUSEADDR on POSIX. The port is kept: it is read after shutdown().
+        self._listener = socket.create_server((self.config.host, self.config.port))
+        self.port = self._listener.getsockname()[1]
         # shutdown() writes to one end to wake serve_forever's select; made
-        # before binding, whose failure calls server_close().
+        # after binding, so a failed bind leaves nothing open.
         self._wake_recv, self._wake_send = socket.socketpair()
-        super().__init__((self.config.host, self.config.port), _Handler)
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
 
     def next_log_path(self):
         """The next unused session number's log: never an earlier run's."""
@@ -298,13 +277,38 @@ class EmgServer(socketserver.ThreadingTCPServer):
         sleeps in select with no timeout: only a connection, shutdown() or a
         signal whose handler raises (cmd_serve's SIGINT) wakes it."""
         with selectors.DefaultSelector() as selector:
-            selector.register(self, selectors.EVENT_READ)
+            selector.register(self._listener, selectors.EVENT_READ)
             selector.register(self._wake_recv, selectors.EVENT_READ)
             while True:
                 ready = [key.fileobj for key, _ in selector.select()]
                 if self._wake_recv in ready:
                     return
-                self._handle_request_noblock()  # socketserver's own accept step
+                # accept() fails if the client has already gone away.
+                with contextlib.suppress(OSError):
+                    conn, _ = self._listener.accept()
+                    try:
+                        threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+                    except RuntimeError:  # no thread to be had: refuse this client only
+                        conn.close()
+
+    def _serve(self, conn):
+        """One connection: its lines to a new _Session, the replies back.
+        However it ends, the session ends, and the client reads end of file
+        after the last reply."""
+        with conn, conn.makefile("rb") as rfile:
+            session = _Session(self.model, self.config.reference_rate_hz, self.next_log_path)
+            try:
+                # One byte past the cap tells an over-long line from one that
+                # fits; an empty read is a client that went away.
+                while not session.done and (line := rfile.readline(session.max_line + 1)):
+                    if replies := session.feed(line):
+                        conn.sendall("".join(r + "\n" for r in replies).encode())
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # the client hung up with replies unread: the session ends
+            finally:
+                session.end()
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_WR)
 
     def start_background(self):
         self._thread = threading.Thread(target=self.serve_forever, daemon=True)
@@ -316,12 +320,8 @@ class EmgServer(socketserver.ThreadingTCPServer):
             self._wake_send.send(b"\0")
             self._thread.join(timeout=5)
             self._thread = None
-        self.server_close()
-
-    def server_close(self):
-        super().server_close()
-        self._wake_recv.close()
-        self._wake_send.close()
+        for sock in (self._listener, self._wake_recv, self._wake_send):
+            sock.close()
 
 
 def serve(model: LinearModel, config: ServerConfig = None) -> EmgServer:

@@ -6,8 +6,10 @@ capsys; one test boots the real `serve` process to cover the console path.
 
 import argparse
 import dataclasses
+import errno
 import os
 import signal as os_signal
+import socket
 import subprocess
 import sys
 import threading
@@ -721,6 +723,22 @@ class TestServe:
         assert out == ""  # never got as far as "listening on"
         assert err.splitlines() == [f"emgeat: port {port} is outside 0..65535"]
 
+    def test_port_in_use_is_one_line(self, rt_model, tmp_path, capsys):
+        # The bind fails after the model is read: one line naming the
+        # address, status 1, and no socket left open (an unclosed one fails
+        # the suite as a ResourceWarning).
+        model_path = io.save_model(rt_model, tmp_path / "rt.model")
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            rc, out, err = run_cli(
+                ["serve", "--model", str(model_path), "--port", str(port)], capsys
+            )
+        assert rc == 1 and out == ""
+        assert err.splitlines() == [
+            f"emgeat: [Errno {errno.EADDRINUSE}] {os.strerror(errno.EADDRINUSE)}"
+            f" (while attempting to bind on address ('127.0.0.1', {port}))"
+        ]
+
     @pytest.mark.parametrize(
         "change", [lambda w: w[:3], lambda w: w * np.nan], ids=["three", "nan"]
     )
@@ -746,7 +764,7 @@ class TestServe:
 
     def test_serve_process_end_to_end(self, rt_model, session_file, tmp_path, capsys):
         model_path = io.save_model(rt_model, tmp_path / "rt.model")
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "emgeat.cli", "serve", "--model",
                 str(model_path), "--port", "0", "--log-dir",
@@ -754,24 +772,24 @@ class TestServe:
             ],
             stdout=subprocess.PIPE,
             text=True,
-        )
-        try:
-            banner = proc.stdout.readline().strip()
-            assert banner.startswith("listening on 127.0.0.1:")
-            port = int(banner.rsplit(":", 1)[1])
-            rc, out, _ = run_cli(
-                [
-                    "replay", "--in", str(session_file), "--port", str(port),
-                    "--speed", "0",
-                ],
-                capsys,
-            )
-            assert rc == 0
-            assert out.splitlines()[-1].startswith("events=")
-            assert len(list((tmp_path / "logs").glob("session_*.events"))) == 1
-        finally:
-            proc.send_signal(os_signal.SIGINT)
-            assert proc.wait(timeout=10) == 0
+        ) as proc:
+            try:
+                banner = proc.stdout.readline().strip()
+                assert banner.startswith("listening on 127.0.0.1:")
+                port = int(banner.rsplit(":", 1)[1])
+                rc, out, _ = run_cli(
+                    [
+                        "replay", "--in", str(session_file), "--port", str(port),
+                        "--speed", "0",
+                    ],
+                    capsys,
+                )
+                assert rc == 0
+                assert out.splitlines()[-1].startswith("events=")
+                assert len(list((tmp_path / "logs").glob("session_*.events"))) == 1
+            finally:
+                proc.send_signal(os_signal.SIGINT)
+                assert proc.wait(timeout=10) == 0
 
     @pytest.mark.parametrize(
         "signum", [os_signal.SIGINT, os_signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
@@ -781,7 +799,7 @@ class TestServe:
     ):
         # A non-interactive shell starts `emgeat serve ... &` with SIGINT ignored.
         model_path = io.save_model(rt_model, tmp_path / "rt.model")
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "emgeat.cli", "serve", "--model",
                 str(model_path), "--port", "0",
@@ -789,15 +807,15 @@ class TestServe:
             stdout=subprocess.PIPE,
             text=True,
             preexec_fn=lambda: os_signal.signal(os_signal.SIGINT, os_signal.SIG_IGN),
-        )
-        try:
-            assert proc.stdout.readline().startswith("listening on 127.0.0.1:")
-            proc.send_signal(signum)
-            assert proc.wait(timeout=10) == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+        ) as proc:
+            try:
+                assert proc.stdout.readline().startswith("listening on 127.0.0.1:")
+                proc.send_signal(signum)
+                assert proc.wait(timeout=10) == 0
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
 
 
 def typed_options(kind):

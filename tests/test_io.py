@@ -1696,6 +1696,43 @@ class TestShutdown:
             socket.create_connection(("127.0.0.1", srv.port), timeout=10).close()
 
 
+class TestConnectionThreads:
+    """Each connection is served by a thread of its own; what goes wrong in
+    one thread reaches no other connection and is never swallowed."""
+
+    def test_a_crash_in_a_connection_thread_reaches_excepthook(
+        self, logged_server, monkeypatch
+    ):
+        # The exception goes to threading.excepthook, where pytest fails the
+        # test that raised it; no server code catches and prints it.
+        caught, arrived = [], threading.Event()
+
+        def excepthook(args):
+            caught.append((args.exc_type, str(args.exc_value)))
+            arrived.set()
+
+        def feed(session, line):
+            raise KeyError("feed crashed")
+
+        monkeypatch.setattr(threading, "excepthook", excepthook)
+        monkeypatch.setattr(io.server._Session, "feed", feed)
+        assert byte_exchange(logged_server.port, TestRandomLines.HELLO) == []
+        assert arrived.wait(10)
+        assert caught == [(KeyError, "'feed crashed'")]
+
+    def test_a_client_no_thread_can_serve_is_refused_alone(self, logged_server, monkeypatch):
+        # Thread.start raises RuntimeError when no thread can be made: that
+        # client reads end of file, and the server goes on to the next one.
+        def start(thread):
+            raise RuntimeError("can't start new thread")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(threading.Thread, "start", start)
+            assert byte_exchange(logged_server.port, TestRandomLines.HELLO) == []
+        replies = byte_exchange(logged_server.port, TestRandomLines.HELLO + b"bye\n")
+        assert replies == ["hello participant=P", "bye events=0"]
+
+
 def frame_bounds(size, n_frame):
     """(start, stop) of each frame over `size` samples: `n_frame` samples
     each, or, for a list, its sizes in turn, repeated."""
@@ -1909,31 +1946,29 @@ class TestBatchedPushes:
     ):
         # The client sends hello and 3.5 s of frames, then closes with the
         # hello reply unread, so its close resets the connection. The
-        # handler must end quietly (no handle_error, which prints a
-        # traceback), and the events of every sample the session accepted
-        # must still reach the log.
+        # connection thread must end quietly (an exception it raised would
+        # fail the test), and the events of every sample the session
+        # accepted must still reach the log.
         fs = test_session.sample_rate
         samples = test_session.channel("masseter")[int(10 * fs) : int(13.5 * fs)]
-        pushed, failures, finished = [], [], threading.Event()
-        push = rt.StreamEngine.push
+        pushed, finished = [], threading.Event()
+        push, end = rt.StreamEngine.push, io.server._Session.end
 
         def spy(engine, chunk):
             pushed.append(chunk)
             return push(engine, chunk)
 
-        def shutdown_request(request):  # the handler thread's last step
-            io.EmgServer.shutdown_request(logged_server, request)
+        def end_spy(session):  # the session's last step
+            end(session)
             finished.set()
 
         monkeypatch.setattr(rt.StreamEngine, "push", spy)
-        logged_server.handle_error = lambda request, address: failures.append(address)
-        logged_server.shutdown_request = shutdown_request
+        monkeypatch.setattr(io.server._Session, "end", end_spy)
         with socket.create_connection(("127.0.0.1", logged_server.port), timeout=10) as sock:
             sock.sendall((hello_line(profile, fs, "E") + "\n").encode())
             assert select.select([sock], [], [], 10)[0]  # the reply is in, unread
             sock.sendall("".join(f + "\n" for f in sample_frames(samples, fs, 128)).encode())
         assert finished.wait(10)
-        assert failures == []
         assert 0 < sum(len(chunk) for chunk in pushed) <= samples.size
         events = push(rt.StreamEngine(rt_model, profile), np.concatenate(pushed))
         log = logged_server.config.log_dir / "session_001.events"
@@ -2073,14 +2108,8 @@ class TestRandomLines:
     def test_any_line_gets_one_error_or_its_reply(self, server, line):
         # hello, the line, then bye: a line the session accepts leaves bye
         # answered; any other gets exactly one error frame and ends it.
-        failures = []
-        server.handle_error = lambda request, address: failures.append(address)
-        try:
-            replies = byte_exchange(server.port, self.HELLO + line + b"\nbye\n")
-            again = byte_exchange(server.port, self.HELLO + b"bye\n")
-        finally:
-            del server.handle_error
-        assert failures == []  # no handler died
+        replies = byte_exchange(server.port, self.HELLO + line + b"\nbye\n")
+        again = byte_exchange(server.port, self.HELLO + b"bye\n")
         assert replies[0] == "hello participant=P"
         frames = [io.parse_frame(r) for r in replies[1:]]
         kinds = [kind for kind, _ in frames]
